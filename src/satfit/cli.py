@@ -162,6 +162,7 @@ def _report_payload(report: SolveReport, command: str, context: dict) -> dict:
             "sign_completions": report.sign_completions,
             "subproblems_solved": report.subproblems_solved,
             "subproblems_pruned": report.subproblems_pruned,
+            "subproblems_reused": report.subproblems_reused,
             "max_onset_size": report.max_onset_size,
             "onset_outside_seed": report.onset_outside_seed,
         },

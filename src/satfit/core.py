@@ -260,12 +260,20 @@ def _check_subspace_model(data: PointDataset, model: SubspaceModel) -> None:
         )
 
 
+def _projection_residuals(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Row distances ``||x_i - B B^T x_i||``, unchecked; ``basis`` must be C-contiguous.
+
+    The exact subspace search scores its candidate bases with this, so its
+    objectives equal :func:`subspace_objective` bit for bit.
+    """
+    proj = (x @ basis) @ basis.T
+    return np.linalg.norm(x - proj, axis=1)
+
+
 def subspace_residuals(data: PointDataset, model: SubspaceModel) -> np.ndarray:
     """Distances ``||x_i - B B^T x_i||`` from each point to the subspace."""
     _check_subspace_model(data, model)
-    b = model.basis
-    proj = (data.x @ b) @ b.T
-    return np.linalg.norm(data.x - proj, axis=1)
+    return _projection_residuals(data.x, model.basis)
 
 
 def subspace_inliers(

@@ -3,14 +3,24 @@ points by sign completion, solve the fixed-classification subproblem for each
 candidate inlier set, and track the incumbent.
 
 Both solvers are exhaustive over all seeds of lifted points and are exact on
-data in general position.  Seeds are enumerated in lexicographic order and
-ties between equal-objective solutions are broken by the smallest seed rank,
-then the smallest completion branch, so repeated runs are bit-identical.
+data in general position, except for p = 0 subspace estimation, whose L2
+subproblem can miss the optimum (see :func:`exact_subspace`).  Seeds are
+enumerated in lexicographic order and ties between equal-objective solutions
+are broken by the smallest seed rank, then the smallest completion branch, so
+repeated runs are bit-identical.
 
 The regression enumeration is processed in vectorized chunks (batched null
 spaces and classifications); only seeds that survive the incumbent bound fall
 back to the scalar completion loop.  The chunked path computes exactly the
-same quantities as the scalar path used by the sampling variants.
+same quantities as the scalar path used by the sampling variants.  The
+subspace search builds the inlier masks of all completion branches of a seed
+as one boolean array.
+
+Each search fits a given inlier set once.  A set is keyed by its packed
+bitmask; a branch whose set was fitted before is skipped without fitting or
+scoring.  This cannot change the answer: the incumbent is replaced only by a
+strictly smaller objective, the repeat would reproduce an objective already
+seen, and the incumbent has not risen since.
 """
 
 from __future__ import annotations
@@ -32,10 +42,10 @@ from .core import (
     RegressionDataset,
     RegressionModel,
     SubspaceModel,
+    _projection_residuals,
     loss,
     regression_inliers,
     subspace_inliers,
-    subspace_objective,
 )
 from .geometry import (
     ON_HYPERPLANE_TOL,
@@ -120,6 +130,10 @@ class SolveReport:
       fits performed, and branches rejected before solving (for p = 0 the
       objective is the outlier count, so non-improving branches are counted
       as pruned and a single final fit recovers the model);
+    * ``subproblems_reused``: branches whose inlier set had already been
+      fitted by the same search (or worker), skipped without a fit.  For
+      p in {1, 2} regression and for subspace runs, solved + pruned + reused
+      equals ``sign_completions``;
     * ``max_onset_size``: largest number of on-hyperplane points over all
       usable seeds;
     * ``onset_outside_seed``: subspace runs only, on-hyperplane points that
@@ -141,6 +155,7 @@ class SolveReport:
     sign_completions: int
     subproblems_solved: int
     subproblems_pruned: int
+    subproblems_reused: int
     max_onset_size: int
     onset_outside_seed: int
     approximate: bool
@@ -202,8 +217,10 @@ class _RegressionSearch:
         self.completions = 0
         self.solved = 0
         self.pruned = 0
+        self.reused = 0
         self.max_onset = 0
         self.cancelled = False
+        self.fitted: set[bytes] = set()  # packed masks of the fitted inlier sets
 
     # -- per-seed processing ------------------------------------------------
 
@@ -254,6 +271,11 @@ class _RegressionSearch:
             if cnt == 0 or (self.prune and self.eps_p * (self.n - cnt) >= self.j):
                 self.pruned += 1
                 continue
+            key = np.packbits(mask).tobytes()
+            if key in self.fitted:
+                self.reused += 1
+                continue
+            self.fitted.add(key)
             idx = np.flatnonzero(mask)
             w = self._fit(idx)
             self.solved += 1
@@ -350,6 +372,7 @@ class _RegressionSearch:
             "completions": self.completions,
             "solved": self.solved,
             "pruned": self.pruned,
+            "reused": self.reused,
             "max_onset": self.max_onset,
             "cancelled": self.cancelled,
         }
@@ -362,6 +385,7 @@ class _RegressionSearch:
         self.completions += part["completions"]
         self.solved += part["solved"]
         self.pruned += part["pruned"]
+        self.reused += part["reused"]
         self.max_onset = max(self.max_onset, part["max_onset"])
         self.cancelled = self.cancelled or part["cancelled"]
         cand = part["best"]
@@ -414,6 +438,7 @@ class _RegressionSearch:
             sign_completions=self.completions,
             subproblems_solved=self.solved,
             subproblems_pruned=self.pruned,
+            subproblems_reused=self.reused,
             max_onset_size=self.max_onset,
             onset_outside_seed=0,
             approximate=approximate,
@@ -556,15 +581,16 @@ class _SubspaceSearch:
         self.completions = 0
         self.solved = 0
         self.pruned = 0
+        self.reused = 0
         self.max_onset = 0
         self.onset_outside = 0
         self.cancelled = False
-        # All subsets of a seed, as index arrays into the seed tuple, in
-        # binary counting order (bit k selects seed point k).
-        self._bit_sel = [
-            np.flatnonzero([(mask >> k) & 1 for k in range(self.lifted_dim)])
-            for mask in range(2**self.lifted_dim)
-        ]
+        self.fitted: set[bytes] = set()  # packed masks of the fitted inlier sets
+        # Seed-point selection of every completion branch, in branch order:
+        # the subsets of the seed in binary counting order (bit k selects
+        # seed point k), each taken with orientation -1, then +1.
+        bits = np.arange(2**self.lifted_dim)[:, None] >> np.arange(self.lifted_dim)
+        self._branch_sel = np.repeat((bits & 1).astype(bool), 2, axis=0)
 
     def process_seed(self, rank: int, subset) -> None:
         self.seeds += 1
@@ -575,30 +601,35 @@ class _SubspaceSearch:
             return
         vals = self.zset.z @ h
         zero = np.abs(vals) <= self.tol
-        q = np.where(vals > 0, 1, -1).astype(np.int8)
-        q[zero] = 0
+        pos = vals > 0
         onset = int(np.count_nonzero(zero))
         self.max_onset = max(self.max_onset, onset)
         outside = onset - int(np.count_nonzero(zero[idx]))
         self.onset_outside += outside
-        sides = (np.flatnonzero(q == -1), np.flatnonzero(q == 1))
-        branch = 0
-        for sel in self._bit_sel:
-            chosen = idx[sel]
-            for side in sides:  # orientation -1 first, then +1
-                self.completions += 1
-                inliers = np.sort(np.concatenate([side, chosen]))
-                if inliers.size < max(self.ds, 1):
-                    self.pruned += 1
-                    branch += 1
-                    continue
-                basis, _ = _svd_basis(self.data.x[inliers], self.ds)
-                self.solved += 1
-                candidate = subspace_objective(self.data, SubspaceModel(basis), self.spec)
-                if candidate < self.j:
-                    self.j = candidate
-                    self.best = (candidate, rank, branch, basis)
-                branch += 1
+        # Inlier mask of every branch: the points strictly on the branch's
+        # side plus its selection of seed points.
+        masks = np.empty((self._branch_sel.shape[0], self.n), dtype=bool)
+        masks[0::2] = ~pos & ~zero
+        masks[1::2] = pos & ~zero
+        masks[:, idx] |= self._branch_sel
+        self.completions += masks.shape[0]
+        fittable = np.count_nonzero(masks, axis=1) >= max(self.ds, 1)
+        self.pruned += masks.shape[0] - int(np.count_nonzero(fittable))
+        packed = np.packbits(masks, axis=1)
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
+        for branch in np.flatnonzero(fittable).tolist():
+            key = keys[branch]
+            if key in self.fitted:
+                self.reused += 1
+                continue
+            self.fitted.add(key)
+            basis = np.ascontiguousarray(_svd_basis(self.data.x[masks[branch]], self.ds)[0])
+            self.solved += 1
+            r = _projection_residuals(self.data.x, basis)
+            candidate = float(np.sum(loss(self.spec, r)))
+            if candidate < self.j:
+                self.j = candidate
+                self.best = (candidate, rank, branch, basis)
 
     def run_range(
         self,
@@ -627,6 +658,7 @@ class _SubspaceSearch:
             "completions": self.completions,
             "solved": self.solved,
             "pruned": self.pruned,
+            "reused": self.reused,
             "max_onset": self.max_onset,
             "onset_outside": self.onset_outside,
             "cancelled": self.cancelled,
@@ -638,6 +670,7 @@ class _SubspaceSearch:
         self.completions += part["completions"]
         self.solved += part["solved"]
         self.pruned += part["pruned"]
+        self.reused += part["reused"]
         self.max_onset = max(self.max_onset, part["max_onset"])
         self.onset_outside += part["onset_outside"]
         self.cancelled = self.cancelled or part["cancelled"]
@@ -671,9 +704,10 @@ class _SubspaceSearch:
             sign_completions=self.completions,
             subproblems_solved=self.solved,
             subproblems_pruned=self.pruned,
+            subproblems_reused=self.reused,
             max_onset_size=self.max_onset,
             onset_outside_seed=self.onset_outside,
-            approximate=approximate,
+            approximate=approximate or self.spec.p == 0,  # see exact_subspace
             certificate_boundary=False,
             cancelled=self.cancelled,
             wall_time_seconds=wall,
@@ -702,7 +736,10 @@ def exact_subspace(
     orientations, the points on the chosen side plus the selected seed
     points form a candidate inlier set, which is fitted by the
     squared-residual subspace solver and scored with the true objective.
-    Supports p in {0, 2}.
+    Supports p in {0, 2}.  The p = 2 result is the global minimum for data
+    in general position; p = 0 results are flagged ``approximate``, because
+    the SVD fit of a feasible inlier set can leave one of its points outside
+    epsilon, so the reported outlier count may exceed the optimum.
     """
     t0 = perf_counter()
     total = math.comb(data.n, data.d * (data.d + 1) // 2)

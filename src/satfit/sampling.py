@@ -183,6 +183,7 @@ def ransac_regression(
         sign_completions=0,
         subproblems_solved=solved,
         subproblems_pruned=0,
+        subproblems_reused=0,
         max_onset_size=0,
         onset_outside_seed=0,
         approximate=True,

@@ -94,6 +94,19 @@ class TestExactRegression:
         )
         assert report.sign_completions <= used * 2 ** (2 * data.d)
 
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_every_branch_is_solved_pruned_or_reused(self, p):
+        data = random_regression_instance(1, n=8, d=2)
+        for prune in (True, False):
+            report = sf.exact_regression(data, sf.LossSpec(p, 0.5), prune=prune)
+            assert (
+                report.subproblems_solved
+                + report.subproblems_pruned
+                + report.subproblems_reused
+                == report.sign_completions
+            )
+            assert report.subproblems_reused > 0
+
     def test_monotone_incumbent(self):
         data = random_regression_instance(2, n=10)
         seen = []
@@ -105,12 +118,20 @@ class TestExactRegression:
     def test_pruning_does_not_change_the_answer(self):
         for seed in range(8):
             data = random_regression_instance(seed, n=8)
-            for p in (0, 2):
+            for p in (0, 1, 2):
                 spec = sf.LossSpec(p, 0.7)
                 fast = sf.exact_regression(data, spec)
                 slow = sf.exact_regression(data, spec, prune=False)
-                assert fast.objective == slow.objective
                 assert np.array_equal(fast.inliers, slow.inliers)
+                if p == 1:
+                    # Distinct inlier sets can share one LAD model; pruning
+                    # may keep another of them, equal up to rounding (seeds
+                    # 2, 3 and 7 differ by a few ulps).
+                    assert fast.objective == pytest.approx(slow.objective, rel=1e-12)
+                    assert fast.model.w == pytest.approx(slow.model.w, rel=1e-12)
+                    continue
+                assert fast.objective == slow.objective
+                assert np.array_equal(fast.model.w, slow.model.w)
 
     def test_bit_identical_reruns(self):
         data = random_regression_instance(3)
@@ -136,13 +157,14 @@ class TestExactRegression:
 
     def test_threads_match_sequential(self):
         data = random_regression_instance(5, n=12)
-        spec = sf.LossSpec(2, 0.6)
-        seq = sf.exact_regression(data, spec)
-        par = sf.exact_regression(data, spec, threads=2, chunk_size=32)
-        assert par.objective == seq.objective
-        assert np.array_equal(par.model.w, seq.model.w)
-        assert np.array_equal(par.inliers, seq.inliers)
-        assert par.seeds_enumerated == seq.seeds_enumerated
+        for p in (1, 2):
+            spec = sf.LossSpec(p, 0.6)
+            seq = sf.exact_regression(data, spec)
+            par = sf.exact_regression(data, spec, threads=2, chunk_size=32)
+            assert par.objective == seq.objective
+            assert np.array_equal(par.model.w, seq.model.w)
+            assert np.array_equal(par.inliers, seq.inliers)
+            assert par.seeds_enumerated == seq.seeds_enumerated
 
     def test_cancellation(self):
         data = random_regression_instance(6, n=12)
@@ -212,16 +234,50 @@ class TestExactSubspace:
     def test_counters_and_branch_bound(self):
         cfg = SubspaceGeneratorConfig(n=8, d=2, subspace_dim=1, outlier_fraction=0.25, rng_seed=1)
         data, _ = generate_subspace(cfg)
-        report = sf.exact_subspace(data, sf.LossSpec(2, 0.5))
         lifted_dim = data.lifted_dim
-        assert report.seeds_enumerated == math.comb(data.n, lifted_dim)
-        usable = report.seeds_enumerated - report.seeds_degenerate
-        assert report.sign_completions == usable * 2 ** (lifted_dim + 1)
-        assert report.max_onset_size <= lifted_dim  # general-position bound
+        for p in (0, 2):
+            report = sf.exact_subspace(data, sf.LossSpec(p, 0.5))
+            assert report.seeds_enumerated == math.comb(data.n, lifted_dim)
+            usable = report.seeds_enumerated - report.seeds_degenerate
+            assert report.sign_completions == usable * 2 ** (lifted_dim + 1)
+            assert report.max_onset_size <= lifted_dim  # general-position bound
+            assert (
+                report.subproblems_solved
+                + report.subproblems_pruned
+                + report.subproblems_reused
+                == report.sign_completions
+            )
+            assert report.subproblems_reused > 0
 
     def test_p1_rejected(self):
         with pytest.raises(ValueError):
             sf.exact_subspace(axis_dataset(), sf.LossSpec(1, 0.1))
+
+    def test_only_p0_is_flagged_approximate(self):
+        assert sf.exact_subspace(axis_dataset(), sf.LossSpec(0, 0.1)).approximate
+        assert not sf.exact_subspace(axis_dataset(), sf.LossSpec(2, 0.1)).approximate
+
+    @pytest.mark.xfail(
+        raises=AssertionError,
+        strict=True,
+        reason="p = 0 fits each inlier set by L2 SVD, which can leave a point of a "
+        "feasible set outside epsilon; the solver and the oracle share that fit",
+    )
+    def test_p0_matches_an_independent_line_sweep(self):
+        # A line through the origin at angle t keeps x within eps when
+        # |x0 sin t - x1 cos t| < eps; a fine grid of angles bounds the
+        # optimal outlier count from above without any satfit subproblem.
+        cfg = SubspaceGeneratorConfig(n=6, d=2, subspace_dim=1, outlier_fraction=0.3, rng_seed=15)
+        data, _ = generate_subspace(cfg)
+        eps, angles, chunk = 2.0, 2_000_000, 200_000
+        witness = data.n
+        for start in range(0, angles, chunk):
+            t = np.pi * np.arange(start, start + chunk) / angles
+            dist = np.abs(np.outer(np.sin(t), data.x[:, 0]) - np.outer(np.cos(t), data.x[:, 1]))
+            witness = min(witness, int(np.count_nonzero(dist >= eps, axis=1).min()))
+        if witness != 0:  # a broken witness must fail, not count as the known defect
+            pytest.fail(f"the angle grid found no 0-outlier line (best {witness})")
+        assert sf.exact_subspace(data, sf.LossSpec(0, eps)).objective <= witness
 
     def test_threads_match_sequential(self):
         cfg = SubspaceGeneratorConfig(n=9, d=2, subspace_dim=1, outlier_fraction=0.2, rng_seed=2)
