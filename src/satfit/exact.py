@@ -11,8 +11,10 @@ repeated runs are bit-identical.
 
 The regression enumeration is processed in vectorized chunks (batched null
 spaces and classifications); only seeds that survive the incumbent bound fall
-back to the scalar completion loop.  The chunked path computes exactly the
-same quantities as the scalar path used by the sampling variants.  The
+back to the scalar completion loop.  Seed normals come from the cross product
+for d = 2, from the closed-form cofactors of the 3x4 seed for d = 3 and from
+a batched SVD above that.  The chunked path computes exactly the same
+quantities as the scalar path used by the sampling variants.  The
 subspace search builds the inlier masks of all completion branches of a seed
 as one boolean array.
 
@@ -49,6 +51,7 @@ from .core import (
 )
 from .geometry import (
     ON_HYPERPLANE_TOL,
+    _cofactor_normals,
     _nullspace_direction,
     lift_regression,
     lift_subspace,
@@ -82,9 +85,12 @@ def _batched_normals(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit null-space directions for a stack of seed matrices (B, m-1, m).
 
     Mirrors the scalar helper in :mod:`.geometry`: cross products for the
-    two-row R^3 case, batched SVD otherwise.  Returns the raw directions
-    (sign not yet fixed) and the degeneracy mask.
+    two-row R^3 case (d = 2), cofactors for the three-row R^4 case (d = 3,
+    see :func:`.geometry._cofactor_normals`), batched SVD above that.
+    Returns the raw directions (sign not yet fixed) and the degeneracy mask.
     """
+    if a.shape[1:] == (3, 4):
+        return _cofactor_normals(a)
     if a.shape[1] == 2 and a.shape[2] == 3:
         h = np.cross(a[:, 0, :], a[:, 1, :])
         norms = np.linalg.norm(h, axis=1)

@@ -186,13 +186,60 @@ def _fix_sign(h: np.ndarray) -> np.ndarray:
     return h
 
 
+# Cofactor expansion of a 3x4 seed on its rows flattened to 12 entries (row
+# r, column c at 4r + c).  The minor of rows 1-2 over the column pair (k, l),
+# in the order of _PAIR_K/_PAIR_L, is u[4+k] u[8+l] - u[4+l] u[8+k].
+# Component j expands the 3x3 minor without column j along row 0: columns
+# _ROW0_COLS[j] of row 0 times the minors _TERM_MINOR[j], signs + - +.
+_PAIR_K, _PAIR_L = np.triu_indices(4, 1)
+_MINOR_ENTRIES = np.array([4 + _PAIR_K, 8 + _PAIR_L, 4 + _PAIR_L, 8 + _PAIR_K])
+_ROW0_COLS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+_TERM_MINOR = np.array([[5, 4, 3], [5, 2, 1], [4, 2, 0], [3, 1, 0]])
+_COMPONENT_SIGN = np.array([1.0, -1.0, 1.0, -1.0])
+
+
+def _cofactor_normals(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit normals of a stack of 3x4 seeds (B, 3, 4) by the generalized cross product.
+
+    Component j of the normal is (-1)^j times the 3x3 minor of the seed
+    with column j removed; every seed row is orthogonal to it, because
+    dotting a row with it expands a 4x4 determinant with a repeated row.
+    Returns the raw directions (sign not yet fixed) and the degeneracy mask.
+
+    Each row is first scaled to unit length.  This leaves the normal's
+    direction unchanged and keeps every product within range at any input
+    scale.  A seed is degenerate when the cofactor vector of the scaled rows
+    has norm <= 4 * eps, or when a row is zero (it stays zero and so gives a
+    zero vector).  For unit rows that norm is the volume spanned by the
+    rows, at most 1 by Hadamard's inequality, and each cofactor carries a
+    rounding error of a few eps; so the rule asks for a volume that round-off
+    alone cannot produce, whatever the scale of the seed.  It is the rule of
+    the 2x3 cross product, ``||a0 x a1|| <= 3 eps ||a0|| ||a1||``, with the
+    lifted dimension 4 as the factor, as in the SVD rank test.
+    """
+    # np.linalg.norm gives the same values with more overhead per call,
+    # which the one-seed calls of the sampling paths pay on every seed.
+    rn = np.sqrt(np.add.reduce(a * a, axis=2, keepdims=True))
+    u = (a / np.where(rn > 0.0, rn, 1.0)).reshape(a.shape[0], 12)
+    f = u[:, _MINOR_ENTRIES]
+    minors = f[:, 0] * f[:, 1] - f[:, 2] * f[:, 3]
+    terms = u[:, _ROW0_COLS] * minors[:, _TERM_MINOR]
+    h = (terms[..., 0] - terms[..., 1] + terms[..., 2]) * _COMPONENT_SIGN
+    norms = np.sqrt(np.add.reduce(h * h, axis=1))
+    degen = norms <= 4.0 * _EPS
+    h /= np.where(degen, 1.0, norms)[:, None]
+    return h, degen
+
+
 def _nullspace_direction(a: np.ndarray) -> np.ndarray | None:
     """Unit vector orthogonal to the rows of ``a``, or None if rank-deficient.
 
     ``a`` has shape (m-1, m); a null space of dimension > 1 means the seed
     cannot pin down a single hyperplane and is reported as degenerate.  The
-    two-row case in R^3 (the hot path of planar regression) uses the cross
-    product; everything else goes through the SVD.
+    two-row case in R^3 (planar regression) uses the cross product and the
+    three-row case in R^4 (d = 3 regression, d = 2 subspace estimation) the
+    cofactors of :func:`_cofactor_normals`, so these paths compute exactly
+    what the batched enumeration computes; larger seeds go through the SVD.
     """
     if a.shape == (2, 3):
         h = np.cross(a[0], a[1])
@@ -200,6 +247,9 @@ def _nullspace_direction(a: np.ndarray) -> np.ndarray | None:
         if norm <= 3.0 * _EPS * np.linalg.norm(a[0]) * np.linalg.norm(a[1]):
             return None
         return _fix_sign(h / norm)
+    if a.shape == (3, 4):
+        h, degen = _cofactor_normals(a[None])
+        return None if degen[0] else _fix_sign(h[0])
     _, s, vh = np.linalg.svd(a)
     if s[0] <= 0.0 or s[-1] <= max(a.shape) * _EPS * s[0]:
         return None

@@ -15,6 +15,7 @@ result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -78,13 +79,16 @@ def sampled_regression(
     within the draw, independently across iterations) and runs the full
     per-seed pipeline.  ``exhaustive=True`` replaces the random draws with
     the complete enumeration, which reproduces the exact solver.
+    ``progress`` receives (seeds processed, incumbent) after every drawn
+    seed, or every 512 enumerated seeds and after the last one.
     """
     t0 = perf_counter()
     search = _RegressionSearch(data, spec)
     if exhaustive:
+        total = math.comb(2 * data.n, data.d)
         for rank, subset in enumerate(seed_enumerator(2 * data.n, data.d)):
             search.process_seed(rank, subset)
-            if progress is not None and rank % 512 == 511:
+            if progress is not None and (rank % 512 == 511 or rank == total - 1):
                 progress(search.seeds, search.j)
     else:
         for rank, rng in enumerate(_iteration_rngs(cfg.rng_seed, cfg.n_iters)):
@@ -103,13 +107,17 @@ def sampled_subspace(
     exhaustive: bool = False,
     progress: ProgressFn | None = None,
 ) -> SolveReport:
-    """Sampling variant of the exact subspace solver (seeds of size d(d+1)/2)."""
+    """Sampling variant of the exact subspace solver (seeds of size d(d+1)/2).
+
+    ``exhaustive=True`` runs the sequential scan of
+    :func:`satfit.exact_subspace`, which calls ``progress`` every 256 seeds
+    and after the last one.
+    """
     t0 = perf_counter()
     search = _SubspaceSearch(data, spec)
     lifted_dim = data.lifted_dim
     if exhaustive:
-        for rank, subset in enumerate(seed_enumerator(data.n, lifted_dim)):
-            search.process_seed(rank, subset)
+        search.run_range(0, math.comb(data.n, lifted_dim), progress, None)
     else:
         for rank, rng in enumerate(_iteration_rngs(cfg.rng_seed, cfg.n_iters)):
             subset = np.sort(rng.choice(data.n, size=lifted_dim, replace=False))

@@ -144,16 +144,30 @@ class TestExactRegression:
         assert a.sign_completions == b.sign_completions
 
     def test_matches_scalar_path(self):
-        # the chunked enumeration must equal the per-seed path bit for bit
-        data = random_regression_instance(4)
-        for p in (0, 2):
-            spec = sf.LossSpec(p, 0.8)
-            chunked = sf.exact_regression(data, spec)
-            scalar = sampled_regression(data, spec, SamplingConfig(1, 0), exhaustive=True)
-            assert chunked.objective == scalar.objective
-            assert np.array_equal(chunked.model.w, scalar.model.w)
-            assert chunked.sign_completions == scalar.sign_completions
-            assert chunked.subproblems_pruned == scalar.subproblems_pruned
+        # the chunked enumeration must equal the per-seed path bit for bit;
+        # d = 2 seeds use the cross product, d = 3 seeds the cofactors
+        counters = (
+            "seeds_degenerate",
+            "seeds_skipped",
+            "inner_loops_skipped",
+            "sign_completions",
+            "subproblems_solved",
+            "subproblems_pruned",
+            "subproblems_reused",
+            "max_onset_size",
+        )
+        for d in (2, 3):
+            data = random_regression_instance(4, d=d)  # n = 9: 816 seeds at d = 3
+            for p in (0, 2):
+                spec = sf.LossSpec(p, 0.8)
+                chunked = sf.exact_regression(data, spec, chunk_size=128)
+                scalar = sampled_regression(data, spec, SamplingConfig(1, 0), exhaustive=True)
+                assert chunked.seeds_enumerated == scalar.seeds_enumerated == math.comb(2 * data.n, d)
+                assert chunked.objective == scalar.objective
+                assert np.array_equal(chunked.model.w, scalar.model.w)
+                assert np.array_equal(chunked.inliers, scalar.inliers)
+                for counter in counters:
+                    assert getattr(chunked, counter) == getattr(scalar, counter), (d, p, counter)
 
     def test_threads_match_sequential(self):
         data = random_regression_instance(5, n=12)

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 import satfit as sf
-from satfit.geometry import ON_HYPERPLANE_TOL
+from satfit.exact import _batched_normals, _fix_signs_batch
+from satfit.geometry import (
+    _EPS,
+    ON_HYPERPLANE_TOL,
+    _cofactor_normals,
+    _fix_sign,
+    _nullspace_direction,
+)
 from helpers import exact_fit_dataset, random_orthonormal
 
 
@@ -149,6 +156,80 @@ class TestHyperplaneThrough:
             sf.hyperplane_through(z, [1])
         with pytest.raises(ValueError):
             sf.hyperplane_through(z, [1, 1])
+
+
+def _edge_seed(s):
+    # unit rows spanning a volume of exactly s: the cofactor vector is (0, 0, 0, -s)
+    return np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [1.0, 0.0, s, 0.0]])
+
+
+def _degenerate_seeds():
+    rng = np.random.default_rng(21)
+    r0, r1 = rng.normal(size=(2, 4))
+    return {
+        "duplicate row": np.array([r0, r1, r0]),
+        "zero row": np.array([r0, np.zeros(4), r1]),
+        "coplanar rows": np.array([[1.0, 2.0, 0.0, 1.0], [0.0, 1.0, 3.0, -1.0], [2.0, 3.0, -3.0, 3.0]]),
+        "coplanar float rows": np.array([r0, r1, 0.3 * r0 - 1.7 * r1]),
+    }
+
+
+class TestCofactorNormals:
+    def test_agrees_with_the_svd_null_vector(self):
+        rng = np.random.default_rng(17)
+        a = rng.normal(size=(500, 3, 4)) * rng.uniform(0.01, 100.0, size=(500, 3, 1))
+        h, degen = _cofactor_normals(a)
+        assert not degen.any()
+        for i in range(a.shape[0]):
+            svd_h = np.linalg.svd(a[i])[2][-1]
+            assert np.allclose(_fix_sign(h[i].copy()), _fix_sign(svd_h.copy()), rtol=0, atol=1e-10)
+
+    def test_unit_norm_and_orthogonal_to_the_rows(self):
+        rng = np.random.default_rng(18)
+        a = rng.normal(size=(500, 3, 4)) * rng.uniform(0.01, 100.0, size=(500, 3, 1))
+        h, _ = _cofactor_normals(a)
+        assert np.allclose(np.linalg.norm(h, axis=1), 1.0, rtol=0, atol=1e-12)
+        margins = np.abs(np.einsum("bij,bj->bi", a, h))
+        assert np.all(margins <= 1e-12 * np.linalg.norm(a, axis=2))
+
+    @pytest.mark.parametrize("case", sorted(_degenerate_seeds()))
+    def test_rank_deficient_seeds_are_degenerate(self, case):
+        a = _degenerate_seeds()[case]
+        assert _cofactor_normals(a[None])[1][0]
+        assert _nullspace_direction(a) is None
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    def test_scale_free(self, scale):
+        rng = np.random.default_rng(19)
+        seeds = [rng.normal(size=(3, 4)) for _ in range(50)] + list(_degenerate_seeds().values())
+        a = np.array(seeds)
+        h, degen = _cofactor_normals(a)
+        hs, degens = _cofactor_normals(a * scale)
+        assert np.all(np.isfinite(hs))
+        assert np.array_equal(degen, degens)
+        assert degen.sum() == len(_degenerate_seeds())
+        assert np.allclose(hs, h, rtol=0, atol=1e-14)
+
+    def test_degeneracy_bound_at_its_edge(self):
+        # the rule is ||cofactors of the unit rows|| <= 4 eps, inclusive
+        bound = 4.0 * _EPS
+        for s, expected in ((np.nextafter(bound, 0.0), True), (bound, True),
+                            (np.nextafter(bound, 1.0), False)):
+            for scale in (1.0, 1e150, 1e-150):
+                h, degen = _cofactor_normals(_edge_seed(s)[None] * scale)
+                assert degen[0] == expected, (s, scale)
+        h, _ = _cofactor_normals(_edge_seed(np.nextafter(bound, 1.0))[None])
+        assert np.array_equal(np.abs(h[0]), [0.0, 0.0, 0.0, 1.0])
+
+    def test_one_seed_calls_match_the_batch_bit_for_bit(self):
+        # the sampling paths' per-seed normals equal the chunked enumeration's
+        rng = np.random.default_rng(20)
+        a = rng.normal(size=(300, 3, 4))
+        h, degen = _batched_normals(a)
+        _fix_signs_batch(h)
+        assert not degen.any()
+        for i in range(a.shape[0]):
+            assert np.array_equal(_nullspace_direction(a[i]), h[i])
 
 
 class TestClassify:

@@ -1,8 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 import satfit as sf
-from satfit.experiments import GeneratorConfig, generate_regression
+from satfit.experiments import (
+    GeneratorConfig,
+    SubspaceGeneratorConfig,
+    generate_regression,
+    generate_subspace,
+)
 from satfit.sampling import SamplingConfig, ransac_regression, sampled_regression, sampled_subspace
 from helpers import axis_dataset, exact_fit_dataset
 
@@ -65,6 +72,17 @@ class TestSampledRegression:
             exact = sf.exact_regression(data, spec)
             assert approx.objective >= exact.objective - 1e-12
 
+    def test_exhaustive_progress_reports_the_last_seed(self):
+        # 2,024 seeds: not a multiple of the 512-seed reporting period
+        data, _ = generate_regression(GeneratorConfig(n=12, d=3, outlier_fraction=0.3, rng_seed=8))
+        seen = []
+        report = sampled_regression(
+            data, sf.LossSpec(2, 0.8), SamplingConfig(1, 0), exhaustive=True,
+            progress=lambda done, j: seen.append((done, j)),
+        )
+        assert [done for done, _ in seen] == [512, 1024, 1536, math.comb(24, 3)]
+        assert seen[-1][1] == report.objective
+
 
 class TestSampledSubspace:
     def test_axis_dataset(self):
@@ -85,6 +103,19 @@ class TestSampledSubspace:
         b = sampled_subspace(axis_dataset(), spec, SamplingConfig(60, 9))
         assert a.objective == b.objective
         assert np.array_equal(a.model.basis, b.model.basis)
+
+    def test_exhaustive_progress_reports_the_last_seed(self):
+        # 364 seeds of 3 lifted points: not a multiple of the 256-seed period
+        data, _ = generate_subspace(
+            SubspaceGeneratorConfig(n=14, d=2, subspace_dim=1, outlier_fraction=0.3, rng_seed=8)
+        )
+        seen = []
+        report = sampled_subspace(
+            data, sf.LossSpec(2, 0.5), SamplingConfig(1, 0), exhaustive=True,
+            progress=lambda done, j: seen.append((done, j)),
+        )
+        assert [done for done, _ in seen] == [256, math.comb(14, 3)]
+        assert seen[-1][1] == report.objective
 
 
 class TestRansac:
