@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import LossSpec, PointDataset, RegressionDataset
-from .exact import NoHyperplaneError, SolveReport, exact_regression, exact_subspace
+from .exact import NoHyperplaneError, SearchStats, SolveReport, exact_regression, exact_subspace
 from .experiments import (
     DEFAULT_EXACT_BUDGET,
     BudgetExceededError,
@@ -154,18 +154,7 @@ def _report_payload(report: SolveReport, command: str, context: dict) -> dict:
             "certificate_boundary": report.certificate_boundary,
             "cancelled": report.cancelled,
         },
-        "counters": {
-            "seeds_enumerated": report.seeds_enumerated,
-            "seeds_degenerate": report.seeds_degenerate,
-            "seeds_skipped": report.seeds_skipped,
-            "inner_loops_skipped": report.inner_loops_skipped,
-            "sign_completions": report.sign_completions,
-            "subproblems_solved": report.subproblems_solved,
-            "subproblems_pruned": report.subproblems_pruned,
-            "subproblems_reused": report.subproblems_reused,
-            "max_onset_size": report.max_onset_size,
-            "onset_outside_seed": report.onset_outside_seed,
-        },
+        "counters": {f.name: getattr(report, f.name) for f in dataclasses.fields(SearchStats)},
         "wall_time_seconds": report.wall_time_seconds,
     }
 

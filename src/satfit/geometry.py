@@ -177,15 +177,6 @@ class Hyperplane:
     seed: tuple[int, ...]
 
 
-def _fix_sign(h: np.ndarray) -> np.ndarray:
-    """Make the first non-negligible coordinate positive, in place."""
-    thresh = 1e-12 * np.max(np.abs(h))
-    lead = h[int(np.argmax(np.abs(h) > thresh))]
-    if lead < 0:
-        np.negative(h, out=h)
-    return h
-
-
 # Cofactor expansion of a 3x4 seed on its rows flattened to 12 entries (row
 # r, column c at 4r + c).  The minor of rows 1-2 over the column pair (k, l),
 # in the order of _PAIR_K/_PAIR_L, is u[4+k] u[8+l] - u[4+l] u[8+k].
@@ -217,8 +208,6 @@ def _cofactor_normals(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the 2x3 cross product, ``||a0 x a1|| <= 3 eps ||a0|| ||a1||``, with the
     lifted dimension 4 as the factor, as in the SVD rank test.
     """
-    # np.linalg.norm gives the same values with more overhead per call,
-    # which the one-seed calls of the sampling paths pay on every seed.
     rn = np.sqrt(np.add.reduce(a * a, axis=2, keepdims=True))
     u = (a / np.where(rn > 0.0, rn, 1.0)).reshape(a.shape[0], 12)
     f = u[:, _MINOR_ENTRIES]
@@ -231,29 +220,45 @@ def _cofactor_normals(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return h, degen
 
 
-def _nullspace_direction(a: np.ndarray) -> np.ndarray | None:
-    """Unit vector orthogonal to the rows of ``a``, or None if rank-deficient.
+def _batched_normals(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit null-space directions of a stack of seed matrices (B, m-1, m).
 
-    ``a`` has shape (m-1, m); a null space of dimension > 1 means the seed
-    cannot pin down a single hyperplane and is reported as degenerate.  The
-    two-row case in R^3 (planar regression) uses the cross product and the
-    three-row case in R^4 (d = 3 regression, d = 2 subspace estimation) the
-    cofactors of :func:`_cofactor_normals`, so these paths compute exactly
-    what the batched enumeration computes; larger seeds go through the SVD.
+    This is the one normal routine of the package: the searches call it on
+    blocks of seeds and :func:`hyperplane_through` on a one-seed stack, so
+    every path computes the same normals bit for bit.  The two-row R^3 case
+    (d = 2 regression) uses the cross product, degenerate when
+    ``||a0 x a1|| <= 3 eps ||a0|| ||a1||``; the three-row R^4 case (d = 3
+    regression, d = 2 subspace estimation) the cofactors of
+    :func:`_cofactor_normals`; larger seeds a batched SVD, degenerate when
+    the smallest singular value is at most ``max(m-1, m) * eps`` times the
+    largest.  A null space of dimension > 1 cannot pin down a single
+    hyperplane, so such seeds are degenerate.  Returns the raw directions
+    (sign not yet fixed, see :func:`_fix_signs_batch`) and the degeneracy
+    mask.
     """
-    if a.shape == (2, 3):
-        h = np.cross(a[0], a[1])
-        norm = np.linalg.norm(h)
-        if norm <= 3.0 * _EPS * np.linalg.norm(a[0]) * np.linalg.norm(a[1]):
-            return None
-        return _fix_sign(h / norm)
-    if a.shape == (3, 4):
-        h, degen = _cofactor_normals(a[None])
-        return None if degen[0] else _fix_sign(h[0])
+    if a.shape[1:] == (3, 4):
+        return _cofactor_normals(a)
+    if a.shape[1:] == (2, 3):
+        h = np.cross(a[:, 0, :], a[:, 1, :])
+        norms = np.linalg.norm(h, axis=1)
+        bound = 3.0 * _EPS * np.linalg.norm(a[:, 0, :], axis=1)
+        bound *= np.linalg.norm(a[:, 1, :], axis=1)
+        degen = norms <= bound
+        h /= np.where(degen, 1.0, norms)[:, None]
+        return h, degen
     _, s, vh = np.linalg.svd(a)
-    if s[0] <= 0.0 or s[-1] <= max(a.shape) * _EPS * s[0]:
-        return None
-    return _fix_sign(vh[-1].copy())
+    h = vh[:, -1, :].copy()
+    rank_tol = max(a.shape[1], a.shape[2]) * _EPS
+    degen = (s[:, 0] <= 0.0) | (s[:, -1] <= rank_tol * s[:, 0])
+    return h, degen
+
+
+def _fix_signs_batch(h: np.ndarray) -> None:
+    """Make the first non-negligible coordinate of each row positive, in place."""
+    absh = np.abs(h)
+    thr = 1e-12 * absh.max(axis=1)
+    lead = h[np.arange(h.shape[0]), np.argmax(absh > thr[:, None], axis=1)]
+    h[lead < 0] *= -1.0
 
 
 def signed_values(zset: LiftedSet, normal: np.ndarray) -> np.ndarray:
@@ -282,9 +287,11 @@ def hyperplane_through(zset: LiftedSet, subset) -> Hyperplane | None:
     idx = tuple(int(i) for i in subset)
     if len(idx) != zset.dim - 1 or len(set(idx)) != len(idx):
         raise ValueError(f"seed must hold {zset.dim - 1} distinct indices, got {subset!r}")
-    h = _nullspace_direction(zset.z[list(idx)])
-    if h is None:
+    h, degen = _batched_normals(zset.z[None, list(idx)])
+    if degen[0]:
         return None
+    _fix_signs_batch(h)
+    h = h[0]
     if zset.kind == "regression" and h[0] < 0:
         np.negative(h, out=h)
     vals = signed_values(zset, h)

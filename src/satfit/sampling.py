@@ -1,11 +1,11 @@
 """Random-sampling approximations of the exact solvers, plus a RANSAC baseline.
 
 The sampling variants draw seed subsets uniformly instead of enumerating
-them, but process each drawn seed exactly like the exact solvers (hyperplane,
-sign completion, subproblem, incumbent), so the returned objective is always
-an upper bound on the global minimum and is reached whenever an optimal seed
-is drawn.  RANSAC instead fits a model directly to each drawn subset and
-scores it by its consensus (inlier count).
+them, and feed the drawn seeds, in blocks, to the same per-seed pipeline as
+the exact solvers (hyperplane, sign completion, subproblem, incumbent), so
+the returned objective is always an upper bound on the global minimum and is
+reached whenever an optimal seed is drawn.  RANSAC instead fits a model
+directly to each drawn subset and scores it by its consensus (inlier count).
 
 Randomness comes from the counter-based Philox generator: iteration k uses
 the k-th child of ``SeedSequence(rng_seed)``, so runs are reproducible across
@@ -15,7 +15,6 @@ result.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -29,7 +28,7 @@ from .core import (
     loss,
     regression_inliers,
 )
-from .exact import ProgressFn, SolveReport, _RegressionSearch, _SubspaceSearch, seed_enumerator
+from .exact import ProgressFn, SolveReport, _RegressionSearch, _SubspaceSearch
 from .subsolvers import _lad_fit, _ls_fit, _minimax_fit
 
 __all__ = [
@@ -65,38 +64,31 @@ def _iteration_rngs(seed: int, count: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.Philox(c)) for c in children]
 
 
+def _draw_seeds(seed: int, count: int, pool: int, k: int) -> np.ndarray:
+    """(count, k) seeds; row i holds k sorted distinct indices drawn by the i-th Philox child."""
+    draws = [np.sort(rng.choice(pool, size=k, replace=False)) for rng in _iteration_rngs(seed, count)]
+    return np.array(draws, dtype=np.intp)
+
+
 def sampled_regression(
     data: RegressionDataset,
     spec: LossSpec,
     cfg: SamplingConfig,
     *,
-    exhaustive: bool = False,
     progress: ProgressFn | None = None,
 ) -> SolveReport:
     """Sampling variant of the exact regression solver.
 
     Each iteration draws d distinct lifted indices (without replacement
-    within the draw, independently across iterations) and runs the full
-    per-seed pipeline.  ``exhaustive=True`` replaces the random draws with
-    the complete enumeration, which reproduces the exact solver.
-    ``progress`` receives (seeds processed, incumbent) after every drawn
-    seed, or every 512 enumerated seeds and after the last one.
+    within the draw, independently across iterations); the drawn seeds run
+    through the per-seed pipeline of :func:`satfit.exact_regression` in
+    blocks of 256, ranked by iteration.  ``progress`` receives (seeds
+    processed, incumbent) after every block and after the last seed.
     """
     t0 = perf_counter()
     search = _RegressionSearch(data, spec)
-    if exhaustive:
-        total = math.comb(2 * data.n, data.d)
-        for rank, subset in enumerate(seed_enumerator(2 * data.n, data.d)):
-            search.process_seed(rank, subset)
-            if progress is not None and (rank % 512 == 511 or rank == total - 1):
-                progress(search.seeds, search.j)
-    else:
-        for rank, rng in enumerate(_iteration_rngs(cfg.rng_seed, cfg.n_iters)):
-            subset = np.sort(rng.choice(2 * data.n, size=data.d, replace=False))
-            search.process_seed(rank, subset)
-            if progress is not None:
-                progress(search.seeds, search.j)
-    return search.build_report(perf_counter() - t0, approximate=not exhaustive)
+    search.run_draws(_draw_seeds(cfg.rng_seed, cfg.n_iters, 2 * data.n, data.d), progress)
+    return search.build_report(perf_counter() - t0, approximate=True)
 
 
 def sampled_subspace(
@@ -104,27 +96,18 @@ def sampled_subspace(
     spec: LossSpec,
     cfg: SamplingConfig,
     *,
-    exhaustive: bool = False,
     progress: ProgressFn | None = None,
 ) -> SolveReport:
     """Sampling variant of the exact subspace solver (seeds of size d(d+1)/2).
 
-    ``exhaustive=True`` runs the sequential scan of
-    :func:`satfit.exact_subspace`, which calls ``progress`` every 256 seeds
-    and after the last one.
+    The drawn seeds run through the per-seed pipeline of
+    :func:`satfit.exact_subspace` in blocks of 256, ranked by iteration;
+    ``progress`` is called after every block and after the last seed.
     """
     t0 = perf_counter()
     search = _SubspaceSearch(data, spec)
-    lifted_dim = data.lifted_dim
-    if exhaustive:
-        search.run_range(0, math.comb(data.n, lifted_dim), progress, None)
-    else:
-        for rank, rng in enumerate(_iteration_rngs(cfg.rng_seed, cfg.n_iters)):
-            subset = np.sort(rng.choice(data.n, size=lifted_dim, replace=False))
-            search.process_seed(rank, subset)
-            if progress is not None:
-                progress(search.seeds, search.j)
-    return search.build_report(perf_counter() - t0, approximate=not exhaustive)
+    search.run_draws(_draw_seeds(cfg.rng_seed, cfg.n_iters, data.n, data.lifted_dim), progress)
+    return search.build_report(perf_counter() - t0, approximate=True)
 
 
 def ransac_regression(
@@ -186,14 +169,7 @@ def ransac_regression(
         inliers=regression_inliers(data, model, spec),
         seeds_enumerated=cfg.n_iters,
         seeds_degenerate=degenerate,
-        seeds_skipped=0,
-        inner_loops_skipped=0,
-        sign_completions=0,
         subproblems_solved=solved,
-        subproblems_pruned=0,
-        subproblems_reused=0,
-        max_onset_size=0,
-        onset_outside_seed=0,
         approximate=True,
         certificate_boundary=False,
         cancelled=False,

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,8 +12,11 @@ from satfit.experiments import (
     generate_regression,
     generate_subspace,
 )
-from satfit.sampling import SamplingConfig, sampled_regression, sampled_subspace
+from satfit.exact import SearchStats
 from helpers import axis_dataset, exact_fit_dataset
+
+
+COUNTERS = [f.name for f in dataclasses.fields(SearchStats)]
 
 
 def random_regression_instance(seed, n=9, d=2, r=0.3):
@@ -144,30 +149,24 @@ class TestExactRegression:
         assert a.sign_completions == b.sign_completions
 
     def test_matches_scalar_path(self):
-        # the chunked enumeration must equal the per-seed path bit for bit;
-        # d = 2 seeds use the cross product, d = 3 seeds the cofactors
-        counters = (
-            "seeds_degenerate",
-            "seeds_skipped",
-            "inner_loops_skipped",
-            "sign_completions",
-            "subproblems_solved",
-            "subproblems_pruned",
-            "subproblems_reused",
-            "max_onset_size",
-        )
+        # chunk_size=1 is the seed-by-seed scan with the live incumbent; the
+        # chunked scans must equal it bit for bit.  d = 2 seeds use the cross
+        # product, d = 3 seeds the cofactors.
         for d in (2, 3):
             data = random_regression_instance(4, d=d)  # n = 9: 816 seeds at d = 3
             for p in (0, 2):
                 spec = sf.LossSpec(p, 0.8)
-                chunked = sf.exact_regression(data, spec, chunk_size=128)
-                scalar = sampled_regression(data, spec, SamplingConfig(1, 0), exhaustive=True)
-                assert chunked.seeds_enumerated == scalar.seeds_enumerated == math.comb(2 * data.n, d)
-                assert chunked.objective == scalar.objective
-                assert np.array_equal(chunked.model.w, scalar.model.w)
-                assert np.array_equal(chunked.inliers, scalar.inliers)
-                for counter in counters:
-                    assert getattr(chunked, counter) == getattr(scalar, counter), (d, p, counter)
+                scalar = sf.exact_regression(data, spec, chunk_size=1)
+                assert scalar.seeds_enumerated == math.comb(2 * data.n, d)
+                for chunked in (
+                    sf.exact_regression(data, spec, chunk_size=128),
+                    sf.exact_regression(data, spec),
+                ):
+                    assert chunked.objective == scalar.objective
+                    assert np.array_equal(chunked.model.w, scalar.model.w)
+                    assert np.array_equal(chunked.inliers, scalar.inliers)
+                    for counter in COUNTERS:
+                        assert getattr(chunked, counter) == getattr(scalar, counter), (d, p, counter)
 
     def test_threads_match_sequential(self):
         data = random_regression_instance(5, n=12)
@@ -192,6 +191,17 @@ class TestExactRegression:
         assert report.cancelled
         assert report.seeds_enumerated < math.comb(24, 2)
 
+    def test_progress_reports_the_last_seed(self):
+        # 2,024 seeds: not a multiple of the 512-seed chunk
+        data, _ = generate_regression(GeneratorConfig(n=12, d=3, outlier_fraction=0.3, rng_seed=8))
+        seen = []
+        report = sf.exact_regression(
+            data, sf.LossSpec(2, 0.8), chunk_size=512,
+            progress=lambda done, j: seen.append((done, j)),
+        )
+        assert [done for done, _ in seen] == [512, 1024, 1536, math.comb(24, 3)]
+        assert seen[-1][1] == report.objective
+
 
 class TestApproxP0:
     def test_exact_fit_bound(self):
@@ -211,6 +221,32 @@ class TestApproxP0:
             _, j0 = sf.approx_regression_p0(data, spec)
             reference = sf.oracle_regression(data, spec)
             assert 0.0 <= j0 - reference.objective <= 2 * data.d
+
+    def test_seed_points_are_outliers_by_index(self):
+        # An independent recount in plain numpy: SVD normals of every seed of
+        # the lifted set, the d seed points of each hyperplane counted as
+        # outliers by index (they lie on the threshold), plus the exact
+        # interpolations through d data points.
+        eps = 0.7
+        for seed in range(500, 530):
+            cfg = GeneratorConfig(n=15, d=3, outlier_fraction=0.4, rng_seed=seed)
+            data, _ = generate_regression(cfg)
+            n, d = data.n, data.d
+            z = np.vstack([np.column_stack([data.y - eps, -data.x]),
+                           np.column_stack([-data.y - eps, data.x])])
+            seeds = np.array(list(combinations(range(2 * n), d)))
+            _, s, vh = np.linalg.svd(z[seeds])
+            h = vh[:, -1, :]
+            usable = (s[:, -1] > 1e-12 * s[:, 0]) & (np.abs(h[:, 0]) > 1e-9)
+            w = h[usable, 1:] / h[usable, :1]
+            inside = np.abs(data.y - w @ data.x.T) < eps
+            inside[np.arange(w.shape[0])[:, None], seeds[usable] % n] = False
+            expected = n - inside.sum(axis=1).max()
+            for subset in combinations(range(n), d):
+                w = np.linalg.solve(data.x[list(subset)], data.y[list(subset)])
+                expected = min(expected, n - np.count_nonzero(np.abs(data.y - data.x @ w) < eps))
+            _, j0 = sf.approx_regression_p0(data, sf.LossSpec(0, eps))
+            assert j0 == expected, seed
 
     def test_rejects_other_losses(self):
         with pytest.raises(ValueError):
@@ -296,17 +332,30 @@ class TestExactSubspace:
     def test_threads_match_sequential(self):
         cfg = SubspaceGeneratorConfig(n=9, d=2, subspace_dim=1, outlier_fraction=0.2, rng_seed=2)
         data, _ = generate_subspace(cfg)
-        spec = sf.LossSpec(2, 0.5)
-        seq = sf.exact_subspace(data, spec)
-        par = sf.exact_subspace(data, spec, threads=2)
-        assert par.objective == seq.objective
-        assert np.array_equal(par.model.basis, seq.model.basis)
+        for p in (0, 2):
+            spec = sf.LossSpec(p, 0.5)
+            seq = sf.exact_subspace(data, spec)
+            par = sf.exact_subspace(data, spec, threads=2)
+            assert par.objective == seq.objective
+            assert np.array_equal(par.model.basis, seq.model.basis)
+            assert np.array_equal(par.inliers, seq.inliers)
+            # each worker keeps its own fit memo, so a set fitted by both
+            # workers moves one branch from reused to solved
+            memo = ("subproblems_solved", "subproblems_reused")
+            for counter in COUNTERS:
+                if counter not in memo:
+                    assert getattr(par, counter) == getattr(seq, counter), (p, counter)
+            assert sum(getattr(par, c) for c in memo) == sum(getattr(seq, c) for c in memo)
+            assert par.subproblems_solved >= seq.subproblems_solved
 
-    def test_matches_scalar_sampling_in_exhaustive_mode(self):
-        cfg = SubspaceGeneratorConfig(n=8, d=2, subspace_dim=1, outlier_fraction=0.25, rng_seed=3)
-        data, _ = generate_subspace(cfg)
-        spec = sf.LossSpec(0, 0.5)
-        a = sf.exact_subspace(data, spec)
-        b = sampled_subspace(data, spec, SamplingConfig(1, 0), exhaustive=True)
-        assert a.objective == b.objective
-        assert np.array_equal(a.model.basis, b.model.basis)
+    def test_progress_reports_the_last_seed(self):
+        # 364 seeds of 3 lifted points: not a multiple of the 256-seed period
+        data, _ = generate_subspace(
+            SubspaceGeneratorConfig(n=14, d=2, subspace_dim=1, outlier_fraction=0.3, rng_seed=8)
+        )
+        seen = []
+        report = sf.exact_subspace(
+            data, sf.LossSpec(2, 0.5), progress=lambda done, j: seen.append((done, j))
+        )
+        assert [done for done, _ in seen] == [256, math.comb(14, 3)]
+        assert seen[-1][1] == report.objective

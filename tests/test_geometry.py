@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 import satfit as sf
-from satfit.exact import _batched_normals, _fix_signs_batch
 from satfit.geometry import (
     _EPS,
     ON_HYPERPLANE_TOL,
+    LiftedSet,
+    _batched_normals,
     _cofactor_normals,
-    _fix_sign,
-    _nullspace_direction,
+    _fix_signs_batch,
 )
 from helpers import exact_fit_dataset, random_orthonormal
 
@@ -163,6 +163,12 @@ def _edge_seed(s):
     return np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [1.0, 0.0, s, 0.0]])
 
 
+def _seed_set(a):
+    # a lifted set whose points are the rows of one seed; the subspace kind
+    # keeps the sign of the normal as the batch fixes it
+    return LiftedSet("subspace", a, a.shape[0], 1.0)
+
+
 def _degenerate_seeds():
     rng = np.random.default_rng(21)
     r0, r1 = rng.normal(size=(2, 4))
@@ -180,9 +186,10 @@ class TestCofactorNormals:
         a = rng.normal(size=(500, 3, 4)) * rng.uniform(0.01, 100.0, size=(500, 3, 1))
         h, degen = _cofactor_normals(a)
         assert not degen.any()
-        for i in range(a.shape[0]):
-            svd_h = np.linalg.svd(a[i])[2][-1]
-            assert np.allclose(_fix_sign(h[i].copy()), _fix_sign(svd_h.copy()), rtol=0, atol=1e-10)
+        svd_h = np.linalg.svd(a)[2][:, -1, :].copy()
+        _fix_signs_batch(h)
+        _fix_signs_batch(svd_h)
+        assert np.allclose(h, svd_h, rtol=0, atol=1e-10)
 
     def test_unit_norm_and_orthogonal_to_the_rows(self):
         rng = np.random.default_rng(18)
@@ -196,7 +203,7 @@ class TestCofactorNormals:
     def test_rank_deficient_seeds_are_degenerate(self, case):
         a = _degenerate_seeds()[case]
         assert _cofactor_normals(a[None])[1][0]
-        assert _nullspace_direction(a) is None
+        assert sf.hyperplane_through(_seed_set(a), range(3)) is None
 
     @pytest.mark.parametrize("scale", [1e150, 1e-150])
     def test_scale_free(self, scale):
@@ -222,14 +229,18 @@ class TestCofactorNormals:
         assert np.array_equal(np.abs(h[0]), [0.0, 0.0, 0.0, 1.0])
 
     def test_one_seed_calls_match_the_batch_bit_for_bit(self):
-        # the sampling paths' per-seed normals equal the chunked enumeration's
+        # hyperplane_through, the one-seed entry point, returns the normal the
+        # searches compute in their blocks: cross product (2x3 seeds),
+        # cofactors (3x4) and SVD (4x5)
         rng = np.random.default_rng(20)
-        a = rng.normal(size=(300, 3, 4))
-        h, degen = _batched_normals(a)
-        _fix_signs_batch(h)
-        assert not degen.any()
-        for i in range(a.shape[0]):
-            assert np.array_equal(_nullspace_direction(a[i]), h[i])
+        for m in (3, 4, 5):
+            a = rng.normal(size=(300, m - 1, m))
+            h, degen = _batched_normals(a)
+            _fix_signs_batch(h)
+            assert not degen.any()
+            for i in range(a.shape[0]):
+                normal = sf.hyperplane_through(_seed_set(a[i]), range(m - 1)).normal
+                assert np.array_equal(normal, h[i]), (m, i)
 
 
 class TestClassify:
