@@ -12,7 +12,7 @@ from satfit.experiments import (
     generate_regression,
     generate_subspace,
 )
-from satfit.exact import SearchStats
+from satfit.exact import SearchStats, _SubspaceSearch
 from helpers import axis_dataset, exact_fit_dataset
 
 
@@ -328,6 +328,27 @@ class TestExactSubspace:
         if witness != 0:  # a broken witness must fail, not count as the known defect
             pytest.fail(f"the angle grid found no 0-outlier line (best {witness})")
         assert sf.exact_subspace(data, sf.LossSpec(0, eps)).objective <= witness
+
+    def test_matches_scalar_sampling_in_exhaustive_mode(self):
+        # The drawn-seed scan of the sampling variant, fed every seed in
+        # lexicographic order, must reproduce the exact enumeration.
+        cfg = SubspaceGeneratorConfig(n=8, d=2, subspace_dim=1, outlier_fraction=0.25, rng_seed=3)
+        data, _ = generate_subspace(cfg)
+        every_seed = np.array(list(combinations(range(data.n), data.lifted_dim)), dtype=np.intp)
+        for p in (0, 2):
+            spec = sf.LossSpec(p, 0.5)
+            a = sf.exact_subspace(data, spec)
+            search = _SubspaceSearch(data, spec)
+            search.run_draws(every_seed, None)
+            b = search.build_report(0.0, approximate=True)
+            assert a.objective == b.objective
+            assert np.array_equal(a.model.basis, b.model.basis)
+            assert np.array_equal(a.inliers, b.inliers)
+            for counter in COUNTERS:
+                assert getattr(a, counter) == getattr(b, counter), (p, counter)
+            # enough random draws to cover all 56 seeds reach the same optimum
+            drawn = sf.sampled_subspace(data, spec, sf.SamplingConfig(2000, 0))
+            assert drawn.objective == a.objective
 
     def test_threads_match_sequential(self):
         cfg = SubspaceGeneratorConfig(n=9, d=2, subspace_dim=1, outlier_fraction=0.2, rng_seed=2)
