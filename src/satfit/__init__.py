@@ -6,6 +6,8 @@ variants trade exhaustiveness for speed, and a brute-force oracle certifies
 the exact solvers on small instances.
 """
 
+from types import ModuleType as _Module
+
 from .core import (
     InvalidModelError,
     LossSpec,
@@ -69,60 +71,5 @@ from .subsolvers import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "InvalidModelError",
-    "LossSpec",
-    "PointDataset",
-    "RegressionDataset",
-    "RegressionModel",
-    "SubspaceModel",
-    "loss",
-    "regression_inliers",
-    "regression_objective",
-    "regression_residuals",
-    "subspace_inliers",
-    "subspace_objective",
-    "subspace_residuals",
-    "NoHyperplaneError",
-    "SolveReport",
-    "approx_regression_p0",
-    "exact_regression",
-    "exact_subspace",
-    "seed_enumerator",
-    "BenchRow",
-    "BudgetExceededError",
-    "GeneratorConfig",
-    "SubspaceGeneratorConfig",
-    "SummaryRow",
-    "generate_regression",
-    "generate_subspace",
-    "rows_to_csv",
-    "run_sweep",
-    "summarize",
-    "Hyperplane",
-    "LiftedSet",
-    "classify",
-    "hyperplane_through",
-    "inliers_from_signs",
-    "lift_regression",
-    "lift_subspace",
-    "selection_vector",
-    "signed_values",
-    "subspace_normal",
-    "veronese",
-    "OracleResult",
-    "oracle_regression",
-    "oracle_subspace",
-    "SamplingConfig",
-    "ransac_regression",
-    "sampled_regression",
-    "sampled_subspace",
-    "DenseLP",
-    "LpSolution",
-    "SolverFailure",
-    "lp_solve",
-    "solve_lad",
-    "solve_least_squares",
-    "solve_minimax",
-    "solve_subspace_p2",
-]
+# The public API is every name imported above.
+__all__ = [k for k, v in globals().items() if not k.startswith("_") and not isinstance(v, _Module)]

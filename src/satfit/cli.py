@@ -228,11 +228,6 @@ def _cmd_regress(args: argparse.Namespace) -> int:
 
 def _cmd_subspace(args: argparse.Namespace) -> int:
     epsilon = _positive_float("--epsilon", args.epsilon)
-    if args.p == 1:
-        raise _UsageError(
-            "--p 1 is unsupported for subspace estimation: the "
-            "fixed-classification subproblem has no solver for that loss"
-        )
     spec = LossSpec(args.p, epsilon)
     data = read_points_csv(args.data, args.ds)
     threads = args.threads or _default_threads()
@@ -361,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ssp = sub.add_parser("subspace", help="robust subspace estimation on a CSV point cloud")
     ssp.add_argument("data", help="CSV file with header x1,...,xd")
     ssp.add_argument("--method", choices=("exact", "sampled"), default="exact")
-    ssp.add_argument("--p", type=int, choices=(0, 1, 2), required=True)
+    ssp.add_argument("--p", type=int, choices=(0, 2), required=True)
     ssp.add_argument("--ds", type=int, required=True, help="target subspace dimension")
     ssp.add_argument("--epsilon", type=float, required=True)
     ssp.add_argument("--iters", type=int, default=500)

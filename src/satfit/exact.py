@@ -14,27 +14,33 @@ the normals of a block of seeds come from one call of
 :func:`.geometry._batched_normals` (cross product for d = 2 regression,
 closed-form cofactors for 3x4 seeds, batched SVD above that), their margins
 from one matrix product, and only seeds that survive the incumbent bound
-enter the per-seed completion loop.  The exact solvers feed it lexicographic
+enter the per-seed completion step.  The exact solvers feed it lexicographic
 blocks of the enumeration; the sampling variants in :mod:`.sampling` feed it
-blocks of random draws, ranked by iteration.  The subspace search builds the
-inlier masks of all completion branches of a seed as one boolean array.
+blocks of random draws, ranked by iteration.
 
-Each search fits a given inlier set once.  A set is keyed by its packed
-bitmask; a branch whose set was fitted before is skipped without fitting or
-scoring.  This cannot change the answer: the incumbent is replaced only by a
-strictly smaller objective, the repeat would reproduce an objective already
-seen, and the incumbent has not risen since.
+A completion step builds the boolean inlier masks of a seed's completion
+branches and hands them to the one branch loop, ``_Search._complete``.  In
+branch order, it prunes an inlier set S that is too small or fails the count
+bound eps^p (n - |S|) >= J where that applies (regression); skips a set
+fitted before, keyed by its packed mask; and fits and scores the rest with
+the subproblem that p selects: the SVD subspace fit, or
+:func:`.subsolvers._regression_fit` (minimax, LAD or least squares for
+p = 0, 1, 2).  Skipping a repeat cannot change the answer: it would
+reproduce an objective already seen, and only a strictly smaller objective
+replaces the incumbent.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
+import os
+import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
-from itertools import combinations, islice, product
-from time import perf_counter
+from itertools import combinations, islice
+from time import perf_counter, sleep
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -57,7 +63,7 @@ from .geometry import (
     lift_regression,
     lift_subspace,
 )
-from .subsolvers import _lad_fit, _ls_fit, _minimax_fit, _svd_basis
+from .subsolvers import _regression_fit, _svd_basis
 
 __all__ = [
     "NoHyperplaneError",
@@ -72,9 +78,15 @@ __all__ = [
 # such inputs grossly violate the general-position assumption.
 _MAX_ONSET = 20
 
+# Regression branches per block of inlier masks: a seed with _MAX_ONSET
+# on-hyperplane points must not hold 2**_MAX_ONSET masks at once.
+_BRANCH_BLOCK = 1024
+
 # Seeds per block of the subspace scan and of the sampled draws; also their
 # progress period.
 _BLOCK = 256
+
+_PARENT_POLL_S = 0.25  # seconds between a worker's checks that its parent is alive
 
 ProgressFn = Callable[[int, float], None]
 StopFn = Callable[[], bool]
@@ -100,14 +112,14 @@ class SearchStats:
     * ``inner_loops_skipped``: seeds whose whole completion loop was skipped
       because no completion could beat the incumbent;
     * ``sign_completions``: completion branches examined;
-    * ``subproblems_solved`` / ``subproblems_pruned``: fixed-classification
-      fits performed, and branches rejected before solving (for p = 0 the
-      objective is the outlier count, so non-improving branches are counted
-      as pruned and a single final fit recovers the model);
-    * ``subproblems_reused``: branches whose inlier set had already been
-      fitted by the same search (or worker), skipped without a fit.  For
-      p in {1, 2} regression and for subspace runs, solved + pruned + reused
-      equals ``sign_completions``;
+    * ``subproblems_solved`` / ``subproblems_pruned`` / ``subproblems_reused``:
+      branches fitted and scored, branches rejected before that (inlier set
+      too small, or count bound), and branches skipped because the same
+      search (or worker) had fitted their inlier set.  They add up to
+      ``sign_completions``.  For p = 0 regression the objective n - |S| is
+      the count bound, so a branch is solved, without a fit, exactly when it
+      improves the incumbent, none is reused, and the minimax fit of the
+      final model is not counted;
     * ``max_onset_size``: largest number of on-hyperplane points over all
       usable seeds;
     * ``onset_outside_seed``: subspace runs only, on-hyperplane points that
@@ -177,24 +189,69 @@ def _pool_context():
         return multiprocessing.get_context()
 
 
-class _Search:
-    """Incumbent, counters, fit memo and scan loops shared by both searches.
+def _exit_with_parent() -> None:
+    """Pool initializer: exit once this worker is re-parented, i.e. its parent died.
 
-    A subclass passes its lifted set, the seed size ``k`` and the initial
-    incumbent ``j``, keeps in ``best`` a tuple that starts with (objective,
-    seed rank, branch rank), and implements ``process_chunk(subsets,
-    base_rank)``, its only per-seed entry point, and ``_winner()``, which
-    returns (model, inliers, certificate_boundary) of ``best``.
+    A parent killed by a signal never shuts its pool down; its workers would
+    finish their range and then wait for tasks forever.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+class _Search:
+    """Incumbent, counters, fit memo, scan loops and branch loop of both searches.
+
+    A subclass implements ``process_chunk(subsets, base_rank)``, its only
+    per-seed entry point, which hands each seed's branch masks to
+    :meth:`_complete`; ``_solve(mask)``, the (objective, solution) of one
+    inlier set; and ``_winner()``, the (model, inliers, certificate_boundary)
+    of ``best`` = (objective, seed rank, branch rank, solution).
     """
 
-    def __init__(self, zset, k: int, j: float):
+    def __init__(self, zset, k: int, n: int, eps_p: float, min_size: int, count_bound: bool):
         self.zset = zset
         self.k = k
-        self.j = j
+        self.n = n
+        self.eps_p = eps_p
+        self.min_size = min_size
+        self.count_bound = count_bound
+        self.j = eps_p * n
         self.best: tuple | None = None
         self.stats = SearchStats()
         self.cancelled = False
         self.fitted: set[bytes] = set()  # packed masks of the fitted inlier sets
+
+    def _complete(self, rank: int, masks: np.ndarray, first_branch: int = 0) -> None:
+        """Prune, reuse or solve the branches of one seed, in order.
+
+        Row i of ``masks`` is the inlier set S of branch ``first_branch + i``.
+        The count bound tests eps^p (n - |S|) >= J with the live incumbent J.
+        """
+        stats = self.stats
+        stats.sign_completions += masks.shape[0]
+        counts = np.count_nonzero(masks, axis=1).tolist()
+        packed = np.packbits(masks, axis=1)
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
+        for i, cnt in enumerate(counts):
+            if cnt < self.min_size or (self.count_bound and self.eps_p * (self.n - cnt) >= self.j):
+                stats.subproblems_pruned += 1
+                continue
+            if keys[i] in self.fitted:
+                stats.subproblems_reused += 1
+                continue
+            self.fitted.add(keys[i])
+            candidate, solution = self._solve(masks[i])
+            stats.subproblems_solved += 1
+            if candidate < self.j:
+                self.j = candidate
+                self.best = (candidate, rank, first_branch + i, solution)
 
     def scan(
         self,
@@ -264,7 +321,7 @@ class _Search:
             return
         ranges = _split_ranges(total, threads)
         payloads = [(*payload, a, b, chunk_size) for a, b in ranges]
-        with ProcessPoolExecutor(max_workers=threads, mp_context=_pool_context()) as pool:
+        with ProcessPoolExecutor(threads, _pool_context(), initializer=_exit_with_parent) as pool:
             for (_, stop), part in zip(ranges, pool.map(task, payloads)):
                 self.merge_partial(part)
                 if progress is not None:
@@ -295,80 +352,67 @@ class _Search:
 
 
 class _RegressionSearch(_Search):
-    """Incumbent-tracking state shared by the exact and sampled regression solvers."""
+    """Incumbent-tracking state shared by the exact and sampled regression solvers.
+
+    For p = 0 the objective of an inlier set is its outlier count, which is
+    also its count bound, so the bound applies even without pruning; the
+    solution is the set itself, and ``_winner`` fits its model once.
+    """
 
     def __init__(self, data: RegressionDataset, spec: LossSpec, *, prune: bool = True):
-        super().__init__(lift_regression(data, spec), data.d, spec.saturation * data.n)
+        super().__init__(
+            lift_regression(data, spec), data.d, data.n, spec.saturation,
+            min_size=1, count_bound=prune or spec.p == 0,
+        )
         self.data = data
         self.spec = spec
         self.prune = prune
-        self.n = data.n
         self.p = spec.p
         self.eps = spec.epsilon
-        self.eps_p = spec.saturation
         self.z1t = np.ascontiguousarray(self.zset.z[: self.n].T)
         self.tol1 = ON_HYPERPLANE_TOL * self.zset.scales[: self.n]
         self.tol2 = ON_HYPERPLANE_TOL * self.zset.scales[self.n :]
         self.two_eps = 2.0 * self.eps
-        # best: (objective, seed rank, branch rank, w or None, inlier indices
-        # or None).  For p = 0 the model is fitted once at the end from the
-        # stored inlier set.
 
-    def _fit(self, idx: np.ndarray) -> np.ndarray:
-        if self.p == 1:
-            return _lad_fit(self.data.x[idx], self.data.y[idx])
-        return _ls_fit(self.data.x[idx], self.data.y[idx])[0]
+    def _solve(self, mask: np.ndarray) -> tuple[float, np.ndarray]:
+        if self.p == 0:
+            idx = np.flatnonzero(mask)
+            return float(self.n - idx.size), idx
+        w = _regression_fit(self.data.x[mask], self.data.y[mask], self.p)
+        return float(np.sum(loss(self.spec, self.data.y - self.data.x @ w))), w
 
-    def _handle_seed(self, rank: int, h: np.ndarray, g: np.ndarray) -> None:
-        """Completion loop for one classified seed; ``g`` holds the first-half margins."""
-        stats = self.stats
-        g2 = -g - self.two_eps * h[0]
+    def _handle_seed(self, rank: int, g: np.ndarray, g2: np.ndarray) -> None:
+        """Complete one classified seed with first- and second-half margins g, g2.
+
+        A point is an inlier when both lifted copies lie strictly below the
+        hyperplane.  Branch b puts the t-th on-hyperplane point (first half,
+        then second) below when bit n0 - 1 - t of b is 0, the order of
+        ``product((-1, 1), repeat=n0)``.
+        """
         zero1 = np.abs(g) <= self.tol1
         zero2 = np.abs(g2) <= self.tol2
-        q1 = np.where(g > 0, 1, -1).astype(np.int8)
-        q1[zero1] = 0
-        q2 = np.where(g2 > 0, 1, -1).astype(np.int8)
-        q2[zero2] = 0
         pos1 = np.flatnonzero(zero1)
         pos2 = np.flatnonzero(zero2)
-        n0 = pos1.size + pos2.size
+        n1 = pos1.size
+        n0 = n1 + pos2.size
         if n0 > _MAX_ONSET:
             raise NoHyperplaneError(
                 f"{n0} points lie on one candidate hyperplane; the data is far "
                 "from general position and the completion loop would not terminate"
             )
-        n1 = pos1.size
-        for branch, signs in enumerate(product((-1, 1), repeat=n0)):
-            stats.sign_completions += 1
-            q1b = q1.copy()
-            q2b = q2.copy()
-            q1b[pos1] = signs[:n1]
-            q2b[pos2] = signs[n1:]
-            mask = (q1b == -1) & (q2b == -1)
-            cnt = int(np.count_nonzero(mask))
-            if self.p == 0:
-                candidate = float(self.n - cnt)
-                if candidate < self.j:
-                    self.j = candidate
-                    self.best = (candidate, rank, branch, None, np.flatnonzero(mask))
-                else:
-                    stats.subproblems_pruned += 1
-                continue
-            if cnt == 0 or (self.prune and self.eps_p * (self.n - cnt) >= self.j):
-                stats.subproblems_pruned += 1
-                continue
-            key = np.packbits(mask).tobytes()
-            if key in self.fitted:
-                stats.subproblems_reused += 1
-                continue
-            self.fitted.add(key)
-            idx = np.flatnonzero(mask)
-            w = self._fit(idx)
-            stats.subproblems_solved += 1
-            candidate = float(np.sum(loss(self.spec, self.data.y - self.data.x @ w)))
-            if candidate < self.j:
-                self.j = candidate
-                self.best = (candidate, rank, branch, w.copy(), None)
+        below1 = g < -self.tol1
+        below2 = g2 < -self.tol2
+        shifts = np.arange(n0 - 1, -1, -1)
+        for first in range(0, 1 << n0, _BRANCH_BLOCK):
+            branches = np.arange(first, min(first + _BRANCH_BLOCK, 1 << n0))
+            below = ((branches[:, None] >> shifts) & 1) == 0
+            masks = np.empty((branches.size, self.n), dtype=bool)
+            masks[:] = below1
+            masks[:, pos1] = below[:, :n1]
+            onset2 = masks[:, pos2] & below[:, n1:]
+            masks &= below2
+            masks[:, pos2] = onset2
+            self._complete(rank, masks, first)
 
     def process_chunk(self, subsets: np.ndarray, base_rank: int) -> None:
         """Process a block of seeds; seed i has rank ``base_rank + i``."""
@@ -403,15 +447,16 @@ class _RegressionSearch(_Search):
             if self.prune and self.eps_p * (self.n - base[i]) > self.j + self.eps_p * n0[i]:
                 stats.inner_loops_skipped += 1
                 continue
-            self._handle_seed(base_rank + int(i), h[i], g[i])
+            self._handle_seed(base_rank + int(i), g[i], g2[i])
 
     def _winner(self) -> tuple[RegressionModel, np.ndarray, bool]:
-        _, _, _, w, inlier_idx = self.best
+        solution = self.best[3]
         if self.p != 0:
-            model = RegressionModel(w)
+            model = RegressionModel(solution)
             return model, regression_inliers(self.data, model, self.spec), False
-        w, value = _minimax_fit(self.data.x[inlier_idx], self.data.y[inlier_idx])
-        self.stats.subproblems_solved += 1
+        x, y = self.data.x[solution], self.data.y[solution]
+        w = _regression_fit(x, y, 0)
+        value = float(np.max(np.abs(y - x @ w)))
         tau = ON_HYPERPLANE_TOL * max(1.0, self.eps)
         boundary = value >= self.eps - tau
         if value >= self.eps + tau:
@@ -421,7 +466,7 @@ class _RegressionSearch(_Search):
                 RuntimeWarning,
                 stacklevel=4,
             )
-        return RegressionModel(w), np.asarray(inlier_idx, dtype=np.intp), bool(boundary)
+        return RegressionModel(w), solution, bool(boundary)
 
 
 def _regression_range_task(payload) -> dict:
@@ -529,14 +574,15 @@ class _SubspaceSearch(_Search):
                 "p = 1 subspace estimation is unsupported: the "
                 "fixed-classification subproblem has no solver here"
             )
-        super().__init__(lift_subspace(data, spec), data.lifted_dim, spec.saturation * data.n)
+        super().__init__(
+            lift_subspace(data, spec), data.lifted_dim, data.n, spec.saturation,
+            min_size=max(data.subspace_dim, 1), count_bound=False,
+        )
         self.data = data
         self.spec = spec
-        self.n = data.n
         self.ds = data.subspace_dim
         self.zt = np.ascontiguousarray(self.zset.z.T)
         self.tol = ON_HYPERPLANE_TOL * self.zset.scales
-        # best: (objective, seed rank, branch rank, basis).
         # Seed-point selection of every completion branch, in branch order:
         # the subsets of the seed in binary counting order (bit k selects
         # seed point k), each taken with orientation -1, then +1.
@@ -554,7 +600,7 @@ class _SubspaceSearch(_Search):
             self._handle_seed(base_rank + int(i), subsets[i], vals[i])
 
     def _handle_seed(self, rank: int, idx: np.ndarray, vals: np.ndarray) -> None:
-        """Fit and score every completion branch of one seed with margins ``vals``."""
+        """Complete one seed with margins ``vals``; all its branches form one block."""
         stats = self.stats
         zero = np.abs(vals) <= self.tol
         pos = vals > 0
@@ -567,24 +613,12 @@ class _SubspaceSearch(_Search):
         masks[0::2] = ~pos & ~zero
         masks[1::2] = pos & ~zero
         masks[:, idx] |= self._branch_sel
-        stats.sign_completions += masks.shape[0]
-        fittable = np.count_nonzero(masks, axis=1) >= max(self.ds, 1)
-        stats.subproblems_pruned += masks.shape[0] - int(np.count_nonzero(fittable))
-        packed = np.packbits(masks, axis=1)
-        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
-        for branch in np.flatnonzero(fittable).tolist():
-            key = keys[branch]
-            if key in self.fitted:
-                stats.subproblems_reused += 1
-                continue
-            self.fitted.add(key)
-            basis = np.ascontiguousarray(_svd_basis(self.data.x[masks[branch]], self.ds)[0])
-            stats.subproblems_solved += 1
-            r = _projection_residuals(self.data.x, basis)
-            candidate = float(np.sum(loss(self.spec, r)))
-            if candidate < self.j:
-                self.j = candidate
-                self.best = (candidate, rank, branch, basis)
+        self._complete(rank, masks)
+
+    def _solve(self, mask: np.ndarray) -> tuple[float, np.ndarray]:
+        basis = np.ascontiguousarray(_svd_basis(self.data.x[mask], self.ds)[0])
+        r = _projection_residuals(self.data.x, basis)
+        return float(np.sum(loss(self.spec, r))), basis
 
     def _winner(self) -> tuple[SubspaceModel, np.ndarray, bool]:
         model = SubspaceModel(self.best[3])

@@ -28,8 +28,8 @@ from .core import (
     loss,
     regression_inliers,
 )
-from .exact import ProgressFn, SolveReport, _RegressionSearch, _SubspaceSearch
-from .subsolvers import _lad_fit, _ls_fit, _minimax_fit
+from .exact import _BLOCK, ProgressFn, SolveReport, _RegressionSearch, _SubspaceSearch
+from .subsolvers import _ls_fit, _regression_fit
 
 __all__ = [
     "SamplingConfig",
@@ -122,9 +122,10 @@ def ransac_regression(
     Each iteration least-squares-fits a model to ``subset_size`` random data
     points and counts how many points it approximates strictly within the
     threshold; the largest consensus wins (first achiever on ties).  The
-    winning consensus set is then refitted with the loss-appropriate
-    subproblem so the reported objective is comparable with the other
-    solvers.
+    winning consensus set is then refitted with the fit that ``spec.p``
+    selects, so the reported objective is comparable with the other
+    solvers.  ``progress`` receives (draws done, n - best consensus) after
+    every 256 draws and after the last one.
     """
     t0 = perf_counter()
     n, d = data.n, data.d
@@ -148,16 +149,11 @@ def ransac_regression(
         if count > best_count:
             best_count = count
             best_w = w
-        if progress is not None:
+        if progress is not None and (solved % _BLOCK == 0 or solved == cfg.n_iters):
             progress(solved, float(n - best_count))
     consensus = np.flatnonzero(np.abs(data.y - data.x @ best_w) < eps)
     if consensus.size:
-        if spec.p == 0:
-            refit, _ = _minimax_fit(data.x[consensus], data.y[consensus])
-        elif spec.p == 1:
-            refit = _lad_fit(data.x[consensus], data.y[consensus])
-        else:
-            refit = _ls_fit(data.x[consensus], data.y[consensus])[0]
+        refit = _regression_fit(data.x[consensus], data.y[consensus], spec.p)
         solved += 1
     else:
         refit = best_w  # no consensus at all; keep the best raw sample fit

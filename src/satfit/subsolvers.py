@@ -338,6 +338,20 @@ def solve_minimax(data: RegressionDataset, subset) -> tuple[RegressionModel, flo
     return RegressionModel(w), float(value)
 
 
+def _regression_fit(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """Coefficients of the fixed-classification fit that the loss exponent selects.
+
+    Minimax for p = 0 (whether every point fits strictly inside the
+    threshold is decided by the attained maximum error), least absolute
+    deviations for p = 1, least squares for p = 2.
+    """
+    if p == 0:
+        return _minimax_fit(x, y)[0]
+    if p == 1:
+        return _lad_fit(x, y)
+    return _ls_fit(x, y)[0]
+
+
 # ---------------------------------------------------------------------------
 # Subspace subproblem
 

@@ -1,5 +1,10 @@
 import dataclasses
 import math
+import os
+import signal
+import subprocess
+import sys
+import time
 from itertools import combinations
 
 import numpy as np
@@ -12,6 +17,7 @@ from satfit.experiments import (
     generate_regression,
     generate_subspace,
 )
+from satfit import exact
 from satfit.exact import SearchStats, _SubspaceSearch
 from helpers import axis_dataset, exact_fit_dataset
 
@@ -22,6 +28,33 @@ COUNTERS = [f.name for f in dataclasses.fields(SearchStats)]
 def random_regression_instance(seed, n=9, d=2, r=0.3):
     cfg = GeneratorConfig(n=n, d=d, outlier_fraction=r, rng_seed=seed)
     return generate_regression(cfg)[0]
+
+
+def stat_fields(pid):
+    """Fields of /proc/<pid>/stat after the command name (state first), or None if gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()
+    except (FileNotFoundError, ProcessLookupError):
+        return None
+
+
+def is_running(pid):
+    fields = stat_fields(pid)
+    return fields is not None and fields[0] != "Z"
+
+
+def children_of(pid):
+    pids = (int(entry) for entry in os.listdir("/proc") if entry.isdigit())
+    return [child for child in pids if (stat_fields(child) or [None, None])[1] == str(pid)]
+
+
+def collinear_instance():
+    """Seven noiseless points on y = 1 + 2t (with an intercept) and two outliers."""
+    t = np.linspace(-2.0, 2.0, 9)
+    y = 1.0 + 2.0 * t
+    y[[2, 6]] += [3.0, -4.0]
+    return sf.RegressionDataset(np.column_stack([np.ones(9), t]), y)
 
 
 class TestSeedEnumerator:
@@ -99,7 +132,7 @@ class TestExactRegression:
         )
         assert report.sign_completions <= used * 2 ** (2 * data.d)
 
-    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("p", [0, 1, 2])
     def test_every_branch_is_solved_pruned_or_reused(self, p):
         data = random_regression_instance(1, n=8, d=2)
         for prune in (True, False):
@@ -110,7 +143,12 @@ class TestExactRegression:
                 + report.subproblems_reused
                 == report.sign_completions
             )
-            assert report.subproblems_reused > 0
+            if p == 0:
+                # The p = 0 objective is the count bound itself: a set met
+                # again cannot pass the bound it set the incumbent to.
+                assert report.subproblems_reused == 0
+            else:
+                assert report.subproblems_reused > 0
 
     def test_monotone_incumbent(self):
         data = random_regression_instance(2, n=10)
@@ -151,9 +189,12 @@ class TestExactRegression:
     def test_matches_scalar_path(self):
         # chunk_size=1 is the seed-by-seed scan with the live incumbent; the
         # chunked scans must equal it bit for bit.  d = 2 seeds use the cross
-        # product, d = 3 seeds the cofactors.
-        for d in (2, 3):
-            data = random_regression_instance(4, d=d)  # n = 9: 816 seeds at d = 3
+        # product, d = 3 seeds the cofactors; the collinear instance has
+        # seeds with more than d on-hyperplane points.  n = 9: 816 seeds at d = 3.
+        instances = [random_regression_instance(4, d=d) for d in (2, 3)]
+        instances.append(collinear_instance())
+        for data in instances:
+            d = data.d
             for p in (0, 2):
                 spec = sf.LossSpec(p, 0.8)
                 scalar = sf.exact_regression(data, spec, chunk_size=1)
@@ -168,6 +209,25 @@ class TestExactRegression:
                     for counter in COUNTERS:
                         assert getattr(chunked, counter) == getattr(scalar, counter), (d, p, counter)
 
+    def test_collinear_instance_is_not_generic(self):
+        report = sf.exact_regression(collinear_instance(), sf.LossSpec(2, 0.8))
+        assert report.max_onset_size > collinear_instance().d
+        assert report.objective == pytest.approx(2 * 0.8**2, abs=1e-12)  # the two outliers
+
+    def test_branch_blocks_do_not_change_the_answer(self, monkeypatch):
+        data = collinear_instance()  # seeds with 7 on-hyperplane points: 128 branches
+        for p in (0, 1, 2):
+            spec = sf.LossSpec(p, 0.8)
+            whole = sf.exact_regression(data, spec)
+            monkeypatch.setattr(exact, "_BRANCH_BLOCK", 3)
+            blocked = sf.exact_regression(data, spec)
+            monkeypatch.undo()
+            assert blocked.objective == whole.objective
+            assert np.array_equal(blocked.model.w, whole.model.w)
+            assert np.array_equal(blocked.inliers, whole.inliers)
+            for counter in COUNTERS:
+                assert getattr(blocked, counter) == getattr(whole, counter), (p, counter)
+
     def test_threads_match_sequential(self):
         data = random_regression_instance(5, n=12)
         for p in (1, 2):
@@ -178,6 +238,38 @@ class TestExactRegression:
             assert np.array_equal(par.model.w, seq.model.w)
             assert np.array_equal(par.inliers, seq.inliers)
             assert par.seeds_enumerated == seq.seeds_enumerated
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process states from /proc")
+    def test_workers_exit_when_the_parent_is_killed(self):
+        # n = 120, d = 3: a solve of several seconds, so the workers are still
+        # mid-range when their parent is killed.
+        script = (
+            "import satfit as sf\n"
+            "from satfit.experiments import GeneratorConfig, generate_regression\n"
+            "cfg = GeneratorConfig(n=120, d=3, outlier_fraction=0.4, rng_seed=1)\n"
+            "sf.exact_regression(generate_regression(cfg)[0], sf.LossSpec(2, 1.0), threads=2)\n"
+        )
+        src = os.path.dirname(os.path.dirname(sf.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        parent = subprocess.Popen([sys.executable, "-c", script], env=env)
+        workers = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+                workers = children_of(parent.pid)
+            assert len(workers) == 2, "the solve did not start two workers"
+            parent.send_signal(signal.SIGTERM)
+            parent.wait(timeout=10)
+            deadline = time.monotonic() + 5
+            while any(map(is_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(is_running, workers))
+        finally:
+            parent.kill()
+            parent.wait(timeout=10)
+            for pid in filter(is_running, workers):
+                os.kill(pid, signal.SIGKILL)
 
     def test_cancellation(self):
         data = random_regression_instance(6, n=12)

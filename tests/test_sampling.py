@@ -124,6 +124,43 @@ class TestRansac:
             ransac = ransac_regression(data, spec, SamplingConfig(120, seed))
             assert ransac.inliers.size <= best
 
+    def test_progress_per_block_and_after_the_last_draw(self):
+        cfg = GeneratorConfig(n=12, d=2, outlier_fraction=0.3, rng_seed=6)
+        data, _ = generate_regression(cfg)
+        seen = []
+        ransac_regression(
+            data,
+            sf.LossSpec(2, 0.8),
+            SamplingConfig(600, 7),
+            progress=lambda done, j: seen.append((done, j)),
+        )
+        assert [done for done, _ in seen] == [256, 512, 600]
+        incumbents = [j for _, j in seen]
+        assert all(a >= b for a, b in zip(incumbents, incumbents[1:]))
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_model_is_the_loss_selected_fit_of_the_consensus(self, p):
+        # The consensus set is recomputed here from the same Philox streams,
+        # with plain least squares for the sample fits.
+        cfg = GeneratorConfig(n=20, d=2, outlier_fraction=0.3, rng_seed=8)
+        data, _ = generate_regression(cfg)
+        eps, iters, rng_seed = 0.9, 60, 5
+        best, consensus = -1, None
+        for child in np.random.SeedSequence(rng_seed).spawn(iters):
+            rng = np.random.Generator(np.random.Philox(child))
+            idx = np.sort(rng.choice(data.n, 4, replace=False))
+            w = np.linalg.lstsq(data.x[idx], data.y[idx], rcond=None)[0]
+            inside = np.flatnonzero(np.abs(data.y - data.x @ w) < eps)
+            if inside.size > best:
+                best, consensus = inside.size, inside
+        fit = {
+            0: lambda: sf.solve_minimax(data, consensus)[0],
+            1: lambda: sf.solve_lad(data, consensus),
+            2: lambda: sf.solve_least_squares(data, consensus),
+        }[p]()
+        report = ransac_regression(data, sf.LossSpec(p, eps), SamplingConfig(iters, rng_seed))
+        assert np.array_equal(report.model.w, fit.w)
+
     def test_subset_size_validation(self):
         data = exact_fit_dataset()
         with pytest.raises(ValueError):
