@@ -59,10 +59,7 @@ from .geometry import (
 from .oracle import OracleResult, oracle_regression, oracle_subspace
 from .sampling import SamplingConfig, ransac_regression, sampled_regression, sampled_subspace
 from .subsolvers import (
-    DenseLP,
-    LpSolution,
     SolverFailure,
-    lp_solve,
     solve_lad,
     solve_least_squares,
     solve_minimax,

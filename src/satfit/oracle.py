@@ -1,10 +1,12 @@
 """Brute-force certification of global optima on small instances.
 
-The oracle enumerates candidate inlier subsets directly (never touching the
-lifted geometry), fits the fixed-classification subproblem on each, evaluates
-the full objective of the fitted model, and returns the minimum.  This is an
-independent code path from the hyperplane enumeration and is used to certify
-its exactness in the test suite.
+The oracle never touches the lifted geometry.  For p = 1 regression it
+shares no solver with the search either: the objective is piecewise linear
+in w, so it is evaluated at every vertex of the arrangement of the
+hyperplanes r_i(w) in {0, +eps, -eps}.  For p = 0 and p = 2 regression and
+for subspaces it enumerates candidate inlier subsets directly, fits the
+fixed-classification subproblem on each, evaluates the full objective of the
+fitted model, and returns the minimum.
 
 For p = 0 a subset only counts when its minimax fit places every subset
 point strictly inside the threshold, with a guard band of ``tau`` around the
@@ -16,9 +18,10 @@ silently resolved.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from .core import (
     subspace_residuals,
 )
 from .geometry import ON_HYPERPLANE_TOL
-from .subsolvers import _lad_fit, _ls_fit, _minimax_fit, _svd_basis
+from .subsolvers import _ls_fit, _minimax_fit, _svd_basis
 
 __all__ = ["OracleResult", "oracle_regression", "oracle_subspace"]
 
@@ -68,11 +71,12 @@ def _subsets_descending(n: int, smallest: int):
 def oracle_regression(data: RegressionDataset, spec: LossSpec) -> OracleResult:
     """Exhaustively certified minimum of the saturated regression loss.
 
-    Enumerates every candidate inlier subset of size >= d, fits the
-    subproblem matching the loss (minimax for p = 0, least absolute
-    deviations for p = 1, least squares for p = 2), scores the fitted model
-    on the full dataset, and keeps the minimum.  Refuses datasets with more
-    than 20 points.
+    For p = 1, the minimum over the vertices of the arrangement
+    r_i(w) in {0, +eps, -eps}.  For p = 0 and p = 2, enumerates every
+    candidate inlier subset of size >= d, fits the subproblem matching the
+    loss (minimax for p = 0, least squares for p = 2), scores the fitted
+    model on the full dataset, and keeps the minimum.  Refuses datasets with
+    more than 20 points.
     """
     n, d = data.n, data.d
     if n > MAX_REGRESSION_POINTS:
@@ -81,12 +85,13 @@ def oracle_regression(data: RegressionDataset, spec: LossSpec) -> OracleResult:
         )
     if spec.p == 0:
         return _oracle_regression_p0(data, spec)
-    fit = _lad_fit if spec.p == 1 else lambda x, y: _ls_fit(x, y)[0]
+    if spec.p == 1:
+        return _oracle_regression_p1(data, spec)
     best: tuple[float, np.ndarray] | None = None
     evaluated = 0
     for subset in _subsets_descending(n, d):
         idx = np.asarray(subset, dtype=np.intp)
-        w = fit(data.x[idx], data.y[idx])
+        w = _ls_fit(data.x[idx], data.y[idx])[0]
         evaluated += 1
         objective = float(np.sum(loss(spec, data.y - data.x @ w)))
         if best is None or objective < best[0]:
@@ -95,6 +100,47 @@ def oracle_regression(data: RegressionDataset, spec: LossSpec) -> OracleResult:
     model = RegressionModel(w)
     return OracleResult(
         objective=objective,
+        inliers=regression_inliers(data, model, spec),
+        model=model,
+        subsets_evaluated=evaluated,
+    )
+
+
+def _oracle_regression_p1(data: RegressionDataset, spec: LossSpec) -> OracleResult:
+    """Minimum of sum min(|r_i|, eps) over the vertices of its arrangement.
+
+    The objective is linear on each cell of the arrangement of the
+    hyperplanes r_i(w) = 0, +eps, -eps and bounded below, so its minimum sits
+    at a vertex: d of those hyperplanes, from d independent points, meeting
+    in one point.  A rank-deficient x leaves the objective constant along its
+    null space; only the leftmost columns that raise the rank are kept, and
+    the other coefficients are 0.
+    """
+    x, y, eps = data.x, data.y, spec.epsilon
+    ranks = [np.linalg.matrix_rank(x[:, :j]) for j in range(data.d + 1)]
+    cols = [j for j in range(data.d) if ranks[j + 1] > ranks[j]]
+    xs = x[:, cols]
+    r = len(cols)
+    subsets = np.array(list(combinations(range(data.n), r)), dtype=np.intp)
+    subsets = subsets.reshape(math.comb(data.n, r), r)
+    a = xs[subsets]
+    # Independent rows, scale-free: |det| against Hadamard's bound.
+    keep = np.abs(np.linalg.det(a)) > 1e-10 * np.prod(np.linalg.norm(a, axis=2), axis=1)
+    a, targets = a[keep], y[subsets[keep]]
+    best = (np.inf, None)
+    evaluated = 0
+    for offsets in product((0.0, eps, -eps), repeat=r):
+        w = np.linalg.solve(a, (targets - np.array(offsets))[..., None])[..., 0]
+        values = np.sum(loss(spec, y - w @ xs.T), axis=1)
+        evaluated += values.size
+        i = int(np.argmin(values))
+        if values[i] < best[0]:
+            best = (float(values[i]), w[i])
+    w_best = np.zeros(data.d)
+    w_best[cols] = best[1]
+    model = RegressionModel(w_best)
+    return OracleResult(
+        objective=best[0],
         inliers=regression_inliers(data, model, spec),
         model=model,
         subsets_evaluated=evaluated,
@@ -123,15 +169,11 @@ def _oracle_regression_p0(data: RegressionDataset, spec: LossSpec) -> OracleResu
             if value >= eps + tau:
                 continue
             objective = float(n - np.count_nonzero(np.abs(data.y - data.x @ w) < eps))
-            if value < eps - tau:
-                if best is None or objective < best[0]:
-                    best = (objective, w)
-                if best_loose is None or objective < best_loose:
-                    best_loose = objective
-            else:
+            best_loose = objective if best_loose is None else min(best_loose, objective)
+            if value >= eps - tau:
                 boundary += 1
-                if best_loose is None or objective < best_loose:
-                    best_loose = objective
+            elif best is None or objective < best[0]:
+                best = (objective, w)
     if best is None:
         raise RuntimeError("no feasible inlier subset of size >= d was found")
     if boundary:
@@ -186,15 +228,11 @@ def oracle_subspace(data: PointDataset, spec: LossSpec) -> OracleResult:
             if worst >= eps + tau:
                 continue
             objective = float(n - np.count_nonzero(residuals < eps))
-            if worst < eps - tau:
-                if best is None or objective < best[0]:
-                    best = (objective, basis)
-                if best_loose is None or objective < best_loose:
-                    best_loose = objective
-            else:
+            best_loose = objective if best_loose is None else min(best_loose, objective)
+            if worst >= eps - tau:
                 boundary += 1
-                if best_loose is None or objective < best_loose:
-                    best_loose = objective
+            elif best is None or objective < best[0]:
+                best = (objective, basis)
         else:
             objective = float(np.sum(loss(spec, residuals)))
             if best is None or objective < best[0]:

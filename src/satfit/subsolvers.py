@@ -1,16 +1,21 @@
 """Fixed-classification subproblems: least squares, least absolute deviations,
 minimax (Chebyshev) regression, and the rank-ds subspace fit.
 
-The two L1-type fits are linear programs solved by a dense two-phase revised
-simplex with Bland's rule.  Problem sizes here are tiny (at most a few
-hundred rows), so a dense deterministic solver is preferred over a sparse or
-interior-point one: identical inputs give bit-identical vertices.
+The least-absolute-deviations and Chebyshev fits are small-basis vertex
+methods rather than a general linear program.  The LAD fit walks the
+vertices of the L1 objective, each pinned by d points with zero residual,
+with the long-step ratio test of Barrodale and Roberts: one d x d basis per
+pivot and an exact line search to the weighted median of the residual
+breakpoints.  The Chebyshev fit is the Stiefel exchange, a simplex method on
+the dual of the minimax problem with a (d + 1) x (d + 1) basis of reference
+points.  Both start from a deterministic basis, compute every vertex from
+its sorted basis, and return an optimality certificate with the fit, so one
+point set always gives the same bits.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,9 +25,6 @@ __all__ = [
     "SolverFailure",
     "RankDeficientFitWarning",
     "NonUniqueBasisWarning",
-    "DenseLP",
-    "LpSolution",
-    "lp_solve",
     "solve_least_squares",
     "solve_lad",
     "solve_minimax",
@@ -31,7 +33,7 @@ __all__ = [
 
 
 class SolverFailure(RuntimeError):
-    """The LP solver hit its cycling guard or an impossible state."""
+    """A vertex solver hit its pivot guard or lost its basis."""
 
 
 class RankDeficientFitWarning(RuntimeWarning):
@@ -43,194 +45,13 @@ class NonUniqueBasisWarning(RuntimeWarning):
 
 
 # ---------------------------------------------------------------------------
-# Dense LP
-
-
-@dataclass(frozen=True)
-class DenseLP:
-    """min cost @ v  subject to  a_ub @ v <= b_ub, v[j] >= 0 where nonneg[j].
-
-    Variables with ``nonneg[j] == False`` are free.  All data must be finite;
-    the programs generated in this package are always feasible and bounded.
-    """
-
-    cost: np.ndarray
-    a_ub: np.ndarray
-    b_ub: np.ndarray
-    nonneg: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.cost, dtype=float).ravel()
-        a = np.atleast_2d(np.asarray(self.a_ub, dtype=float))
-        b = np.asarray(self.b_ub, dtype=float).ravel()
-        nn = np.asarray(self.nonneg, dtype=bool).ravel()
-        if a.shape != (b.shape[0], c.shape[0]) or nn.shape != c.shape:
-            raise ValueError("inconsistent LP dimensions")
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ValueError("LP data must be finite")
-        object.__setattr__(self, "cost", c)
-        object.__setattr__(self, "a_ub", a)
-        object.__setattr__(self, "b_ub", b)
-        object.__setattr__(self, "nonneg", nn)
-
-
-@dataclass(frozen=True)
-class LpSolution:
-    x: np.ndarray
-    objective: float
-    dual: np.ndarray
-    slack: np.ndarray
-    iterations: int
-
-    def complementary_slackness(self) -> float:
-        """Largest violation of dual_i * slack_i = 0."""
-        return float(np.max(np.abs(self.dual * self.slack), initial=0.0))
-
-
-_PIVOT_TOL = 1e-10
-
-
-class _Simplex:
-    """Revised simplex on the equality form min c@x, A@x = b, x >= 0, b >= 0."""
-
-    def __init__(self, a: np.ndarray, b: np.ndarray, basis: list[int]):
-        self.a = a
-        self.b = b
-        self.basis = list(basis)
-        self.binv = np.linalg.inv(a[:, self.basis])
-        self.xb = self.binv @ b
-        self.iterations = 0
-
-    def pivot(self, row: int, col: int, direction: np.ndarray) -> None:
-        piv = direction[row]
-        self.binv[row] /= piv
-        self.xb[row] /= piv
-        factor = direction.copy()
-        factor[row] = 0.0
-        self.binv -= np.outer(factor, self.binv[row])
-        self.xb -= factor * self.xb[row]
-        self.basis[row] = col
-
-    def run(self, cost: np.ndarray, allowed: np.ndarray, max_iter: int) -> None:
-        m, n = self.a.shape
-        opt_tol = 1e-9 * (1.0 + np.max(np.abs(cost)))
-        while True:
-            if self.iterations > max_iter:
-                raise SolverFailure("simplex cycling guard exceeded")
-            in_basis = np.zeros(n, dtype=bool)
-            in_basis[self.basis] = True
-            y = cost[self.basis] @ self.binv
-            reduced = cost - y @ self.a
-            candidates = np.flatnonzero((reduced < -opt_tol) & allowed & ~in_basis)
-            if candidates.size == 0:
-                return
-            enter = int(candidates[0])  # Bland: smallest eligible index
-            direction = self.binv @ self.a[:, enter]
-            rows = np.flatnonzero(direction > _PIVOT_TOL)
-            if rows.size == 0:
-                raise SolverFailure("LP unbounded (violates construction contract)")
-            ratios = self.xb[rows] / direction[rows]
-            best = np.min(ratios)
-            ties = rows[ratios <= best + _PIVOT_TOL * (1.0 + abs(best))]
-            leave = int(min(ties, key=lambda r: self.basis[r]))  # Bland tie-break
-            self.pivot(leave, enter, direction)
-            self.iterations += 1
-
-
-def lp_solve(lp: DenseLP, max_iterations: int | None = None) -> LpSolution:
-    """Solve a dense inequality-form LP to an optimal basic solution.
-
-    Free variables are split internally, slacks appended, and right-hand
-    sides normalized to be nonnegative; phase 1 then removes the artificial
-    variables before phase 2 optimizes the true cost.
-    """
-    m, n0 = lp.a_ub.shape
-    free_cols = np.flatnonzero(~lp.nonneg)
-    a = np.hstack([lp.a_ub, -lp.a_ub[:, free_cols], np.eye(m)])
-    cost = np.concatenate([lp.cost, -lp.cost[free_cols], np.zeros(m)])
-    b = lp.b_ub.copy()
-    row_sign = np.ones(m)
-    flip = b < 0
-    a[flip] *= -1.0
-    b[flip] *= -1.0
-    row_sign[flip] = -1.0
-
-    n_real = a.shape[1]
-    slack_start = n0 + free_cols.size
-    row_ids = np.arange(m)
-    if max_iterations is None:
-        max_iterations = 50 * (m + n_real) + 200
-
-    art_rows = np.flatnonzero(flip)
-    if art_rows.size:
-        art = np.zeros((m, art_rows.size))
-        art[art_rows, np.arange(art_rows.size)] = 1.0
-        a_ext = np.hstack([a, art])
-        cost1 = np.concatenate([np.zeros(n_real), np.ones(art_rows.size)])
-        basis = [slack_start + i for i in range(m)]
-        for k, r in enumerate(art_rows):
-            basis[r] = n_real + k
-        state = _Simplex(a_ext, b, basis)
-        state.run(cost1, np.ones(a_ext.shape[1], dtype=bool), max_iterations)
-        if cost1[state.basis] @ state.xb > 1e-7 * (1.0 + np.max(np.abs(b))):
-            raise SolverFailure("LP infeasible (violates construction contract)")
-        drop_rows = _drive_out_artificials(state, n_real)
-        if drop_rows:
-            # Redundant rows carry no information; drop them and report a
-            # zero dual for those constraints.
-            keep = [r for r in range(m) if r not in drop_rows]
-            a = a[keep]
-            b = b[keep]
-            row_sign = row_sign[keep]
-            row_ids = row_ids[keep]
-            basis = [state.basis[r] for r in keep]
-            state = _Simplex(a, b, basis)
-        else:
-            state = _Simplex(a, b, state.basis)
-    else:
-        state = _Simplex(a, b, list(range(slack_start, slack_start + m)))
-
-    state.run(cost, np.ones(n_real, dtype=bool), max_iterations)
-
-    x_full = np.zeros(n_real)
-    x_full[state.basis] = state.xb
-    x = x_full[:n0].copy()
-    x[free_cols] -= x_full[n0:slack_start]
-    y = cost[state.basis] @ state.binv
-    dual = np.zeros(m)
-    dual[row_ids] = y * row_sign
-    slack = lp.b_ub - lp.a_ub @ x
-    return LpSolution(x, float(lp.cost @ x), dual, slack, state.iterations)
-
-
-def _drive_out_artificials(state: _Simplex, n_real: int) -> set[int]:
-    """Pivot zero-level artificials out of the basis; return redundant rows."""
-    drop: set[int] = set()
-    in_basis = set(state.basis)
-    for row in range(len(state.basis)):
-        if state.basis[row] < n_real:
-            continue
-        coeffs = state.binv[row] @ state.a[:, :n_real]
-        pivot_cols = np.flatnonzero(np.abs(coeffs) > 1e-9)
-        pivot_cols = [c for c in pivot_cols if c not in in_basis]
-        if not pivot_cols:
-            drop.add(row)
-            continue
-        col = int(pivot_cols[0])
-        direction = state.binv @ state.a[:, col]
-        old = state.basis[row]
-        state.pivot(row, col, direction)
-        in_basis.discard(old)
-        in_basis.add(col)
-    return drop
-
-
-# ---------------------------------------------------------------------------
 # Regression subproblems
 
 
-def _subset_array(subset, n: int) -> np.ndarray:
+def _subset_array(subset, n: int, smallest: int = 1) -> np.ndarray:
     idx = np.asarray(list(subset), dtype=np.intp)
+    if idx.size < smallest:
+        raise ValueError(f"the subset needs at least {smallest} point(s), got {idx.size}")
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise ValueError("subset indices out of range")
     return idx
@@ -251,7 +72,10 @@ def _ls_fit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
         if chol is not None:
             diag = np.diag(chol)
             if diag.min() > 1e-8 * diag.max():
-                return np.linalg.solve(gram, x.T @ y), d
+                try:
+                    return np.linalg.solve(gram, x.T @ y), d
+                except np.linalg.LinAlgError:
+                    pass  # exactly dependent columns can pass the Cholesky test
     w, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
     return w, int(rank)
 
@@ -264,8 +88,6 @@ def solve_least_squares(data: RegressionDataset, subset) -> RegressionModel:
     degenerate inlier subsets can legitimately arise during sampling.
     """
     idx = _subset_array(subset, data.n)
-    if idx.size == 0:
-        raise ValueError("subset must be nonempty")
     w, rank = _ls_fit(data.x[idx], data.y[idx])
     if rank < data.d:
         warnings.warn(
@@ -277,51 +99,224 @@ def solve_least_squares(data: RegressionDataset, subset) -> RegressionModel:
     return RegressionModel(w)
 
 
-def _lad_lp(x: np.ndarray, y: np.ndarray) -> DenseLP:
-    # Variables [w (free), t (one slack per point, nonnegative)];
-    # |y_i - w @ x_i| <= t_i as two inequality rows per point.
+# Tolerances of the vertex solvers.  A row (or column) is independent of
+# those taken before it when its part outside their span keeps more than
+# _RANK_TOL of its norm.  A residual is zero, and a basic multiplier or a
+# residual beyond the levelled error is infeasible, only beyond _ZERO_TOL
+# (times max |y| for residuals), so round-off cannot drive endless pivots.
+# An edge coefficient or ratio-test pivot below _PIVOT_TOL of its scale is
+# zero: entering that point would make the basis singular.
+_RANK_TOL = 1e-10
+_ZERO_TOL = 1e-12
+_PIVOT_TOL = 1e-11
+
+
+def _independent_rows(a: np.ndarray, order, limit: int) -> list[int]:
+    """The first ``limit`` rows of ``a`` in ``order`` that are independent of those taken."""
+    q = np.empty((limit, a.shape[1]))
+    taken: list[int] = []
+    for i in order:
+        if len(taken) == limit:
+            break
+        v = a[i]
+        norm = np.sqrt(v @ v)
+        if taken:
+            b = q[: len(taken)]
+            v = v - (b @ v) @ b
+            v = v - (b @ v) @ b  # a second pass restores orthogonality
+        rest = np.sqrt(v @ v)
+        if rest > _RANK_TOL * norm:
+            q[len(taken)] = v / rest
+            taken.append(int(i))
+    return taken
+
+
+def _on_spanning_columns(vertex, x, y, rows, max_pivots, *no_columns):
+    """``vertex`` solved on the leftmost columns that keep ``rows`` independent.
+
+    ``rows`` is a basis of the row space of a rank-deficient x, so x has the
+    same column space as its restriction to those columns; the other
+    coefficients are 0.  Without any column the fit is w = 0 with the
+    certificate ``no_columns``.
+    """
+    w = np.zeros(x.shape[1])
+    cols = _independent_rows(x[rows].T, range(x.shape[1]), len(rows))
+    if not cols:
+        return (w, *no_columns)
+    w[cols], *certificate = vertex(x[:, cols], y, max_pivots)
+    return (w, *certificate)
+
+
+def _lad_vertex(
+    x: np.ndarray, y: np.ndarray, max_pivots: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Optimal vertex of min sum |y - x w|: the fit, its basis and its dual certificate.
+
+    A vertex is pinned by a basis B of d points with zero residual.  Its
+    basic multipliers solve x_B.T lam_B = -x_N.T sign(r_N); the vertex is
+    optimal when |lam_B| <= 1, and the returned ``lam`` (lam_B on B,
+    sign(r_i) off it) then satisfies x.T lam = 0 and |lam| <= 1, which
+    certifies sum |r| = lam @ y as the minimum.  Otherwise basis point j with
+    the largest |lam_j| > 1 leaves: w moves along the edge that keeps the
+    other d - 1 residuals at zero, to the weighted median of the residual
+    breakpoints, where the point that stops the descent enters.
+
+    Start rule: the minimum-norm least-squares fit ranks the points by
+    |residual| (stable order), and B takes the first d independent ones.
+    A point whose residual is zero off the basis keeps the side it was last
+    on (+1 at first).  After a degenerate pivot (step length 0) the
+    smallest violating point leaves instead of the largest multiplier, and
+    ties among breakpoints go to the smallest index.  More than
+    ``max_pivots`` pivots (default 50 (k + d) + 100) raise
+    :class:`SolverFailure`.
+
+    Rank-deficient x: the start finds fewer than d independent rows, and
+    the fit is solved by :func:`_on_spanning_columns`.
+    """
     k, d = x.shape
-    a = np.zeros((2 * k, d + k))
-    a[:k, :d] = x
-    a[k:, :d] = -x
-    a[:k, d:] = -np.eye(k)
-    a[k:, d:] = -np.eye(k)
-    b = np.concatenate([y, -y])
-    cost = np.concatenate([np.zeros(d), np.ones(k)])
-    nonneg = np.concatenate([np.zeros(d, dtype=bool), np.ones(k, dtype=bool)])
-    return DenseLP(cost, a, b, nonneg)
+    residual = np.abs(y - x @ np.linalg.lstsq(x, y, rcond=None)[0])
+    found = _independent_rows(x, np.argsort(residual, kind="stable"), d)
+    if len(found) < d:
+        return _on_spanning_columns(
+            _lad_vertex, x, y, found, max_pivots, np.empty(0, dtype=np.intp), np.sign(y)
+        )
+    basis = np.sort(np.asarray(found, dtype=np.intp))
+    limit = 50 * (k + d) + 100 if max_pivots is None else max_pivots
+    row_norms = np.sqrt(np.einsum("ij,ij->i", x, x))
+    zero = _ZERO_TOL * np.abs(y).max()
+    side = np.ones(k)
+    bland = False
+    pivots = 0
+    while True:
+        g = np.linalg.inv(x[basis])
+        w = g @ y[basis]
+        r = y - x @ w
+        r[basis] = 0.0
+        moved = np.abs(r) > zero
+        side = np.where(moved, np.sign(r), side)
+        side[basis] = 0.0
+        lam_b = -(side @ x) @ g
+        excess = np.abs(lam_b) - 1.0
+        j = int(np.argmax(excess > _ZERO_TOL) if bland else np.argmax(excess))
+        if excess[j] <= _ZERO_TOL:
+            side[basis] = lam_b
+            return w, basis, side
+        if pivots == limit:
+            raise SolverFailure(f"LAD fit exceeded its pivot guard ({limit} pivots)")
+        pivots += 1
+        sigma = -1.0 if lam_b[j] > 0 else 1.0
+        delta = sigma * g[:, j]
+        a = x @ delta
+        # Points whose residual the step drives through zero, at t = r / a.
+        cand = np.flatnonzero(side * a > _PIVOT_TOL * np.sqrt(delta @ delta) * row_norms)
+        t = np.where(moved[cand], r[cand] / a[cand], 0.0)
+        order = np.argsort(t, kind="stable")
+        slope = 2.0 * np.cumsum(np.abs(a[cand[order]])) - excess[j]
+        if slope.size == 0 or slope[-1] < 0.0:
+            raise SolverFailure("LAD edge without a stopping breakpoint")
+        stop = int(np.argmax(slope >= 0.0))
+        passed = cand[order[:stop]]
+        side[passed] = -side[passed]
+        side[basis[j]] = -sigma  # the leaving point's side if the step is degenerate
+        bland = bland or t[order[stop]] == 0.0
+        basis[j] = cand[order[stop]]
+        basis.sort()
 
 
 def _lad_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    sol = lp_solve(_lad_lp(x, y))
-    return sol.x[: x.shape[1]]
+    return _lad_vertex(x, y)[0]
 
 
 def solve_lad(data: RegressionDataset, subset) -> RegressionModel:
     """Least-absolute-deviations fit over the subset (always feasible)."""
     idx = _subset_array(subset, data.n)
-    if idx.size == 0:
-        raise ValueError("subset must be nonempty")
     return RegressionModel(_lad_fit(data.x[idx], data.y[idx]))
 
 
-def _minimax_lp(x: np.ndarray, y: np.ndarray) -> DenseLP:
+def _chebyshev_vertex(
+    x: np.ndarray, y: np.ndarray, max_pivots: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Optimal Chebyshev fit of y by x w, by the Stiefel exchange: (w, ref, sig, mu).
+
+    A reference is d + 1 points with signs sig_i.  The levelled fit solves
+    y_i - x_i w = sig_i h on it, and the dual weights mu of the exchange
+    keep mu >= 0, sum mu = 1 and sum mu_i sig_i x_i = 0, which certify that
+    no fit has a maximum error below h.  The fit is optimal once every
+    other residual is within h; otherwise the point with the largest
+    residual enters with the sign of its residual, and the ratio test
+    min mu_i / alpha_i picks the point that leaves.  h never decreases.
+
+    Start rule: the minimum-norm least-squares fit ranks the points by
+    |residual|, largest first (stable order).  The reference takes the
+    first d independent ones and the next point, with the signs and weights
+    of their one linear relation, oriented so that h >= 0.  After a degenerate
+    exchange (a zero ratio) the smallest violating point enters instead of
+    the largest, and ratio ties go to the smallest index.  More than
+    ``max_pivots`` exchanges (default 50 (k + d) + 100) raise
+    :class:`SolverFailure`.
+
+    Rank-deficient x is solved by :func:`_on_spanning_columns`.  When the
+    points are as many as the rank, the fit interpolates them: h = 0 and
+    mu = 0.
+    """
     k, d = x.shape
-    a = np.zeros((2 * k, d + 1))
-    a[:k, :d] = x
-    a[k:, :d] = -x
-    a[:, d] = -1.0
-    b = np.concatenate([y, -y])
-    cost = np.zeros(d + 1)
-    cost[d] = 1.0
-    nonneg = np.zeros(d + 1, dtype=bool)
-    nonneg[d] = True
-    return DenseLP(cost, a, b, nonneg)
+    residual = np.abs(y - x @ np.linalg.lstsq(x, y, rcond=None)[0])
+    order = np.argsort(-residual, kind="stable")
+    found = _independent_rows(x, order, d)
+    if len(found) < d:
+        i = int(np.argmax(np.abs(y)))
+        sign = np.array([-1.0 if y[i] < 0 else 1.0])
+        return _on_spanning_columns(
+            _chebyshev_vertex, x, y, found, max_pivots, np.array([i]), sign, np.ones(1)
+        )
+    if k == d:
+        ref = np.sort(np.asarray(found, dtype=np.intp))
+        return np.linalg.solve(x[ref], y[ref]), ref, np.ones(d), np.zeros(d)
+    extra = int(next(i for i in order if i not in found))
+    ref = np.asarray(found + [extra], dtype=np.intp)
+    relation = np.append(np.linalg.solve(x[found].T, x[extra]), -1.0)
+    sig = np.where(relation < 0.0, -1.0, 1.0)
+    if relation @ y[ref] < 0.0:
+        sig = -sig
+    order = np.argsort(ref)
+    ref, sig = ref[order], sig[order]
+    limit = 50 * (k + d) + 100 if max_pivots is None else max_pivots
+    tol = _ZERO_TOL * np.abs(y).max()
+    m = np.empty((d + 1, d + 1))
+    bland = False
+    pivots = 0
+    while True:
+        m[:, :d] = x[ref]
+        m[:, d] = sig
+        inv = np.linalg.inv(m)
+        sol = inv @ y[ref]
+        w, h = sol[:d], sol[d]
+        mu = sig * inv[d]
+        r = y - x @ w
+        gap = np.abs(r) - h
+        gap[ref] = 0.0
+        q = int(np.argmax(gap > tol) if bland else np.argmax(gap))
+        if gap[q] <= tol:
+            return w, ref, sig, mu
+        if pivots == limit:
+            raise SolverFailure(f"Chebyshev fit exceeded its pivot guard ({limit} exchanges)")
+        pivots += 1
+        sq = -1.0 if r[q] < 0.0 else 1.0
+        alpha = sig * (inv.T @ np.append(sq * x[q], 1.0))
+        pos = np.flatnonzero(alpha > _PIVOT_TOL * np.abs(alpha).max())
+        if pos.size == 0:
+            raise SolverFailure("Chebyshev exchange without a leaving point")
+        ratios = mu[pos] / alpha[pos]
+        leave = pos[int(np.argmin(ratios))]
+        bland = bland or ratios.min() <= 0.0
+        ref[leave], sig[leave] = q, sq
+        order = np.argsort(ref)
+        ref, sig = ref[order], sig[order]
 
 
 def _minimax_fit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    sol = lp_solve(_minimax_lp(x, y))
-    return sol.x[: x.shape[1]], sol.objective
+    w = _chebyshev_vertex(x, y)[0]
+    return w, float(np.max(np.abs(y - x @ w)))
 
 
 def solve_minimax(data: RegressionDataset, subset) -> tuple[RegressionModel, float]:
@@ -332,8 +327,6 @@ def solve_minimax(data: RegressionDataset, subset) -> tuple[RegressionModel, flo
     threshold.
     """
     idx = _subset_array(subset, data.n)
-    if idx.size == 0:
-        raise ValueError("subset must be nonempty")
     w, value = _minimax_fit(data.x[idx], data.y[idx])
     return RegressionModel(w), float(value)
 
@@ -378,9 +371,7 @@ def solve_subspace_p2(
     :class:`NonUniqueBasisWarning` is emitted.
     """
     ds = data.subspace_dim if subspace_dim is None else int(subspace_dim)
-    idx = _subset_array(subset, data.n)
-    if idx.size < ds:
-        raise ValueError(f"need at least {ds} points, got {idx.size}")
+    idx = _subset_array(subset, data.n, ds)
     basis, gap = _svd_basis(data.x[idx], ds)
     if gap <= 1e-10:
         warnings.warn(

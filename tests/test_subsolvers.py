@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 import satfit as sf
-from satfit.subsolvers import NonUniqueBasisWarning, RankDeficientFitWarning
+from satfit.subsolvers import (
+    NonUniqueBasisWarning,
+    RankDeficientFitWarning,
+    _chebyshev_vertex,
+    _lad_vertex,
+)
+from lp_reference import DenseLP, _lad_lp, _minimax_lp, lp_solve
 from helpers import (
     exact_fit_dataset,
     grid_minimize,
@@ -36,6 +42,18 @@ class TestLeastSquares:
             model = sf.solve_least_squares(data, range(n))
             grad = data.x.T @ (data.x @ model.w - data.y)
             assert np.linalg.norm(grad) <= 1e-8 * max(1.0, np.linalg.norm(data.x.T @ data.y))
+
+    def test_exactly_dependent_columns_fall_back_to_lstsq(self):
+        # Here the Cholesky factor of the Gram matrix passes the rank test
+        # (smallest pivot 8e-8 of the largest), but the Gram matrix is
+        # exactly singular for np.linalg.solve.
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(6, 2))
+        x = np.column_stack([x[:, 0], 2 * x[:, 0], x[:, 1]])
+        data = sf.RegressionDataset(x, np.ones(6))
+        with pytest.warns(RankDeficientFitWarning):
+            model = sf.solve_least_squares(data, range(6))
+        assert model.w[1] == pytest.approx(2 * model.w[0], rel=1e-9)  # minimum norm
 
     def test_rank_deficient_is_flagged_minimum_norm(self):
         data = sf.RegressionDataset(np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]), np.array([1.0, 2.0, 3.0]))
@@ -109,6 +127,144 @@ class TestMinimax:
         assert np.all(perturbed >= value - 1e-9)
 
 
+def awkward_instance(rng, kind):
+    """A random (x, y) with k in 1..40 and d in 1..4, of one of seven kinds.
+
+    0 generic; 1 k <= d; 2 duplicated rows; 3 a zero column; 4 a third of
+    the rows exactly on one model (integer data, so many residuals are
+    exactly zero); 5 integer data with many ties; 6 a third of the rows
+    collinear, multiples of one row.
+    """
+    d = int(rng.integers(1, 5))
+    k = int(rng.integers(1, d + 1)) if kind == 1 else int(rng.integers(d + 1, 41))
+    x = rng.normal(size=(k, d))
+    y = 3.0 * rng.normal(size=k)
+    if kind == 2:
+        copies = rng.integers(0, k, size=k // 3)
+        x[rng.integers(0, k, size=copies.size)] = x[copies]
+        x, y = np.vstack([x, x[copies]]), np.concatenate([y, y[copies]])
+    elif kind == 3:
+        x[:, int(rng.integers(0, d))] = 0.0
+    elif kind == 4:
+        x = np.round(3.0 * x)
+        on = rng.permutation(k)[: max(1, k // 3)]
+        y[on] = x[on] @ rng.integers(-2, 3, size=d)
+    elif kind == 5:
+        x, y = np.round(x), np.round(y)
+    elif kind == 6:
+        on = rng.permutation(k)[: max(2, k // 3)]
+        x[on] = np.outer(rng.integers(-3, 4, size=on.size), x[on[0]])
+    return x, y
+
+
+def vertex_instances(count=700):
+    rng = np.random.default_rng(20)
+    return [awkward_instance(rng, i % 7) for i in range(count)]
+
+
+def padded(x, y):
+    """A dataset holding (x, y) as its first rows, valid even when k < d."""
+    d = x.shape[1]
+    return sf.RegressionDataset(np.vstack([x, np.eye(d)]), np.concatenate([y, np.zeros(d)]))
+
+
+def small_full_rank(x, y):
+    """Whether the enumerating references of helpers.py apply and are cheap."""
+    k, d = x.shape
+    return d < k <= 12 and np.linalg.matrix_rank(x) == d
+
+
+class TestVertexSolvers:
+    def test_lad_matches_the_lp_and_the_enumeration(self):
+        for x, y in vertex_instances():
+            k = x.shape[0]
+            got = float(np.abs(y - x @ sf.solve_lad(padded(x, y), range(k)).w).sum())
+            lp = lp_solve(_lad_lp(x, y)).objective
+            assert got == pytest.approx(lp, rel=1e-9, abs=1e-12)
+            if small_full_rank(x, y):
+                assert got == pytest.approx(lad_reference(x, y), rel=1e-9, abs=1e-12)
+
+    def test_minimax_matches_the_lp_and_the_enumeration(self):
+        for x, y in vertex_instances():
+            k = x.shape[0]
+            _, got = sf.solve_minimax(padded(x, y), range(k))
+            lp = lp_solve(_minimax_lp(x, y)).objective
+            assert got == pytest.approx(lp, rel=1e-9, abs=1e-12)
+            if small_full_rank(x, y):
+                assert got == pytest.approx(minimax_reference(x, y), rel=1e-9, abs=1e-12)
+
+    def test_lad_certificate(self):
+        # |lam| <= 1, x.T lam = 0 and lam_i = sign(r_i) off the basis make
+        # lam @ y a lower bound on every fit's sum |r|, attained by w.
+        for x, y in vertex_instances():
+            w, basis, lam = _lad_vertex(x, y)
+            r = y - x @ w
+            scale = 1.0 + np.abs(y).max()
+            assert np.all(np.abs(lam) <= 1.0 + 1e-9)
+            assert np.abs(x.T @ lam).max(initial=0.0) <= 1e-9 * scale
+            off = np.ones(x.shape[0], dtype=bool)
+            off[basis] = False
+            nonzero = off & (np.abs(r) > 1e-9 * scale)
+            assert np.array_equal(lam[nonzero], np.sign(r[nonzero]))
+            assert np.abs(r[basis]).max(initial=0.0) <= 1e-9 * scale
+            assert lam @ y == pytest.approx(np.abs(r).sum(), rel=1e-9, abs=1e-12)
+
+    def test_chebyshev_certificate(self):
+        # mu >= 0, sum mu = 1 and sum mu_i sig_i x_i = 0 make
+        # sum mu_i sig_i y_i a lower bound on every fit's max |r|, attained by w.
+        for x, y in vertex_instances():
+            w, ref, sig, mu = _chebyshev_vertex(x, y)
+            r = y - x @ w
+            value = np.abs(r).max()
+            scale = 1.0 + np.abs(y).max()
+            assert np.all(mu >= -1e-12)
+            assert np.all(np.abs(sig) == 1.0)
+            if mu.sum() == 0.0:
+                # As many points as the rank: the fit interpolates them.
+                assert value <= 1e-9 * scale
+                continue
+            assert mu.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.abs((mu * sig) @ x[ref]).max() <= 1e-9 * scale
+            assert (mu * sig) @ y[ref] == pytest.approx(value, rel=1e-9, abs=1e-12)
+
+    def test_rank_deficient_sets_use_the_leftmost_spanning_columns(self):
+        x = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [3.0, 6.0, 0.0], [1.0, 2.0, 0.0]])
+        y = np.array([1.0, 2.5, 2.9, 0.7])
+        for w in (_lad_vertex(x, y)[0], _chebyshev_vertex(x, y)[0]):
+            assert w[1:].tolist() == [0.0, 0.0]
+        # On the first column alone: the median of y / x weighted by |x|.
+        assert _lad_vertex(x, y)[0][0] == pytest.approx(2.9 / 3.0, rel=1e-12)
+        # Fewer points than d: an interpolating fit on the leftmost columns.
+        x2 = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 3.0]])
+        for w in (_lad_vertex(x2, y[:2])[0], _chebyshev_vertex(x2, y[:2])[0]):
+            assert w[2] == 0.0
+            assert x2 @ w == pytest.approx(y[:2], abs=1e-12)
+
+    def test_pivot_guard_raises(self):
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(12, 2))
+        y = rng.normal(size=12)
+        y[:3] += 10.0
+        for solve in (_lad_vertex, _chebyshev_vertex):
+            solve(x, y)  # converges within the default guard
+            with pytest.raises(sf.SolverFailure):
+                solve(x, y, max_pivots=0)
+
+    def test_sets_sharing_a_vertex_share_its_bits(self):
+        # Two opposite outliers with one x cancel in the multipliers, so the
+        # optimal vertex of the first 13 points stays optimal with them, and
+        # the fit is computed from the same basis rows in the same order.
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(15, 3))
+        y = rng.normal(size=15)
+        x[13] = x[14] = rng.normal(size=3)
+        y[13], y[14] = 100.0, -100.0
+        w_small, basis_small, _ = _lad_vertex(x[:13], y[:13])
+        w_big, basis_big, _ = _lad_vertex(x, y)
+        assert np.array_equal(basis_small, basis_big)
+        assert w_small.tobytes() == w_big.tobytes()
+
+
 class TestSubspaceFit:
     def test_axis_points(self):
         data = sf.PointDataset(np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]), 1)
@@ -161,57 +317,47 @@ class TestSubspaceFit:
 class TestLpSolve:
     def test_scalar_bound(self):
         # min x subject to x >= 3
-        lp = sf.DenseLP([1.0], [[-1.0]], [-3.0], [False])
-        sol = sf.lp_solve(lp)
+        lp = DenseLP([1.0], [[-1.0]], [-3.0], [False])
+        sol = lp_solve(lp)
         assert sol.x[0] == pytest.approx(3.0, abs=1e-12)
         assert sol.objective == pytest.approx(3.0, abs=1e-12)
 
     def test_matches_lad_solver(self):
         data = sf.RegressionDataset(np.array([[1.0], [1.0], [1.0]]), np.array([0.0, 1.0, 10.0]))
-        from satfit.subsolvers import _lad_lp
-
-        sol = sf.lp_solve(_lad_lp(data.x, data.y))
+        sol = lp_solve(_lad_lp(data.x, data.y))
         assert sol.objective == pytest.approx(10.0, abs=1e-9)
 
     def test_matches_minimax_solver(self):
         data = two_point_vertical()
-        from satfit.subsolvers import _minimax_lp
-
-        sol = sf.lp_solve(_minimax_lp(data.x, data.y))
+        sol = lp_solve(_minimax_lp(data.x, data.y))
         assert sol.objective == pytest.approx(1.0, abs=1e-9)
 
     def test_complementary_slackness(self):
         rng = np.random.default_rng(13)
-        from satfit.subsolvers import _lad_lp, _minimax_lp
-
         for _ in range(50):
             n = int(rng.integers(3, 10))
             d = int(rng.integers(1, 4))
             x = rng.normal(size=(n, d))
             y = rng.normal(size=n) * 3
             for build in (_lad_lp, _minimax_lp):
-                sol = sf.lp_solve(build(x, y))
+                sol = lp_solve(build(x, y))
                 assert sol.complementary_slackness() <= 1e-8
                 assert np.all(sol.slack >= -1e-8)
 
     def test_strong_duality(self):
         rng = np.random.default_rng(14)
-        from satfit.subsolvers import _lad_lp
-
         x = rng.normal(size=(6, 2))
         y = rng.normal(size=6)
         lp = _lad_lp(x, y)
-        sol = sf.lp_solve(lp)
+        sol = lp_solve(lp)
         assert sol.dual @ lp.b_ub == pytest.approx(sol.objective, abs=1e-8)
 
     def test_cycling_guard_raises(self):
-        from satfit.subsolvers import _lad_lp
-
         rng = np.random.default_rng(15)
         lp = _lad_lp(rng.normal(size=(6, 2)), rng.normal(size=6))
         with pytest.raises(sf.SolverFailure):
-            sf.lp_solve(lp, max_iterations=0)
+            lp_solve(lp, max_iterations=0)
 
     def test_inconsistent_shapes_rejected(self):
         with pytest.raises(ValueError):
-            sf.DenseLP([1.0, 2.0], [[-1.0]], [-3.0], [False])
+            DenseLP([1.0, 2.0], [[-1.0]], [-3.0], [False])
