@@ -5,18 +5,17 @@ candidate inlier set, and track the incumbent.
 Both solvers are exhaustive over all seeds of lifted points and are exact on
 data in general position, except for p = 0 subspace estimation, whose L2
 subproblem can miss the optimum (see :func:`exact_subspace`).  Seeds are
-enumerated in lexicographic order and ties between equal-objective solutions
-are broken by the smallest seed rank, then the smallest completion branch, so
-repeated runs are bit-identical.
+enumerated in lexicographic order and ties are broken by scan order (the
+first best candidate wins), so repeated runs are bit-identical.
 
-Each search has one per-seed pipeline, ``process_chunk(subsets, base_rank)``:
+Each search has one per-seed pipeline, ``process_chunk(subsets)``:
 the normals of a block of seeds come from one call of
 :func:`.geometry._batched_normals` (cross product for d = 2 regression,
 closed-form cofactors for 3x4 seeds, batched SVD above that), their margins
 from one matrix product, and only seeds that survive the incumbent bound
 enter the per-seed completion step.  The exact solvers feed it lexicographic
 blocks of the enumeration; the sampling variants in :mod:`.sampling` feed it
-blocks of random draws, ranked by iteration.
+blocks of random draws in iteration order.
 
 A completion step builds the boolean inlier masks of a seed's completion
 branches and hands them to the one branch loop, ``_Search._complete``.  In
@@ -83,7 +82,7 @@ _MAX_ONSET = 20
 _BRANCH_BLOCK = 1024
 
 # Seeds per block of the subspace scan and of the sampled draws; also their
-# progress period.
+# progress period.  Regression scans blocks of _RegressionSearch.seed_block.
 _BLOCK = 256
 
 _PARENT_POLL_S = 0.25  # seconds between a worker's checks that its parent is alive
@@ -170,16 +169,11 @@ def seed_enumerator(m: int, k: int) -> Iterator[tuple[int, ...]]:
     return combinations(range(m), k)
 
 
-def _lex_blocks(m: int, k: int, start: int, stop: int, size: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(rank of the first seed, seeds) blocks of ranks start..stop-1 of the enumeration."""
+def _lex_blocks(m: int, k: int, start: int, stop: int, size: int) -> Iterator[np.ndarray]:
+    """Blocks of at most ``size`` seeds of ranks start..stop-1 of the enumeration."""
     it = islice(combinations(range(m), k), start, None)
     for rank in range(start, stop, size):
-        yield rank, _combination_block(it, min(size, stop - rank), k)
-
-
-def _split_ranges(total: int, parts: int) -> list[tuple[int, int]]:
-    bounds = [(i * total) // parts for i in range(parts + 1)]
-    return [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+        yield _combination_block(it, min(size, stop - rank), k)
 
 
 def _pool_context():
@@ -208,11 +202,14 @@ def _exit_with_parent() -> None:
 class _Search:
     """Incumbent, counters, fit memo, scan loops and branch loop of both searches.
 
-    A subclass implements ``process_chunk(subsets, base_rank)``, its only
-    per-seed entry point, which hands each seed's branch masks to
-    :meth:`_complete`; ``_solve(mask)``, the (objective, solution) of one
-    inlier set; and ``_winner()``, the (model, inliers, certificate_boundary)
-    of ``best`` = (objective, seed rank, branch rank, solution).
+    The incumbent is (``j``, ``best``), the smallest objective met so far
+    and its solution (``None`` while ``j`` is the trivial eps^p n); it moves
+    only on a strictly smaller objective, so the first tie in scan order wins.
+    A subclass declares ``seed_block``, the seeds per block of its scan, and
+    implements ``process_chunk(subsets)``, its only per-seed entry point,
+    which hands each seed's branch masks to :meth:`_complete`;
+    ``_solve(mask)``, the (objective, solution) of one inlier set; and
+    ``_winner()``, the (model, inliers, certificate_boundary) of ``best``.
     """
 
     def __init__(self, zset, k: int, n: int, eps_p: float, min_size: int, count_bound: bool):
@@ -223,16 +220,16 @@ class _Search:
         self.min_size = min_size
         self.count_bound = count_bound
         self.j = eps_p * n
-        self.best: tuple | None = None
+        self.best = None
         self.stats = SearchStats()
         self.cancelled = False
         self.fitted: set[bytes] = set()  # packed masks of the fitted inlier sets
 
-    def _complete(self, rank: int, masks: np.ndarray, first_branch: int = 0) -> None:
+    def _complete(self, masks: np.ndarray) -> None:
         """Prune, reuse or solve the branches of one seed, in order.
 
-        Row i of ``masks`` is the inlier set S of branch ``first_branch + i``.
-        The count bound tests eps^p (n - |S|) >= J with the live incumbent J.
+        Each row of ``masks`` is the inlier set S of one branch.  The count
+        bound tests eps^p (n - |S|) >= J with the live incumbent J.
         """
         stats = self.stats
         stats.sign_completions += masks.shape[0]
@@ -251,17 +248,17 @@ class _Search:
             stats.subproblems_solved += 1
             if candidate < self.j:
                 self.j = candidate
-                self.best = (candidate, rank, first_branch + i, solution)
+                self.best = solution
 
     def scan(
         self,
-        blocks: Iterable[tuple[int, np.ndarray]],
+        blocks: Iterable[np.ndarray],
         progress: ProgressFn | None,
         should_stop: StopFn | None,
     ) -> None:
-        """Process (base rank, seeds) blocks in order, reporting and polling after each."""
-        for rank, block in blocks:
-            self.process_chunk(block, rank)
+        """Process blocks of seeds in order, reporting and polling after each."""
+        for block in blocks:
+            self.process_chunk(block)
             if progress is not None:
                 progress(self.stats.seeds_enumerated, self.j)
             if should_stop is not None and should_stop():
@@ -272,56 +269,54 @@ class _Search:
         self,
         start: int,
         stop: int,
-        chunk_size: int,
         progress: ProgressFn | None = None,
         should_stop: StopFn | None = None,
     ) -> None:
-        """Scan ranks start..stop-1 of the lexicographic enumeration in chunks."""
-        blocks = _lex_blocks(self.zset.size, self.k, start, stop, chunk_size)
+        """Scan ranks start..stop-1 of the lexicographic enumeration in blocks."""
+        blocks = _lex_blocks(self.zset.size, self.k, start, stop, self.seed_block)
         self.scan(blocks, progress, should_stop)
 
     def run_draws(self, subsets: np.ndarray, progress: ProgressFn | None) -> None:
-        """Scan drawn seeds (one per row, ranked by row) in blocks of ``_BLOCK``."""
-        blocks = ((r, subsets[r : r + _BLOCK]) for r in range(0, subsets.shape[0], _BLOCK))
+        """Scan drawn seeds (one per row, in row order) in blocks of ``_BLOCK``."""
+        blocks = (subsets[r : r + _BLOCK] for r in range(0, subsets.shape[0], _BLOCK))
         self.scan(blocks, progress, None)
 
     # -- aggregation across parallel tasks -----------------------------------
 
     def partial(self) -> dict:
-        return {"best": self.best, "stats": self.stats, "cancelled": self.cancelled}
+        return {"j": self.j, "best": self.best, "stats": self.stats}
 
     def merge_partial(self, part: dict) -> None:
+        """Add a range's counters; take its incumbent only if strictly better."""
         self.stats.merge(part["stats"])
-        self.cancelled = self.cancelled or part["cancelled"]
-        cand = part["best"]
-        if cand is not None and (self.best is None or cand[:3] < self.best[:3]):
-            self.best = cand
-            self.j = cand[0]
+        if part["j"] < self.j:
+            self.j, self.best = part["j"], part["best"]
 
     def solve(
         self,
         task: Callable[[tuple], dict],
         payload: tuple,
-        total: int,
         threads: int,
-        chunk_size: int,
         progress: ProgressFn | None,
         should_stop: StopFn | None,
     ) -> None:
-        """Scan all ``total`` seeds, in contiguous ranges over ``threads`` processes if > 1.
+        """Scan the whole enumeration, alone or over w = min(``threads``, cores) workers.
 
-        ``task((*payload, start, stop, chunk_size))`` scans one range in a
-        worker and returns its ``partial()``.  Partials are merged by
-        (objective, seed rank, branch rank), so the answer does not depend on
-        the schedule; with threads, ``progress`` runs once per range and
+        It forks only when w > 1 and there are at least four blocks of seeds;
+        ``task((*payload, start, stop))`` scans one of w contiguous ranges and
+        returns its ``partial()``, and merging those in rank order keeps the
+        first best candidate.  ``progress`` then runs once per range, and
         ``should_stop`` is not polled.
         """
-        if threads <= 1:
-            self.run_range(0, total, chunk_size, progress, should_stop)
+        total = math.comb(self.zset.size, self.k)
+        workers = min(int(threads), os.cpu_count() or 1)
+        if workers <= 1 or total < 4 * self.seed_block:
+            self.run_range(0, total, progress, should_stop)
             return
-        ranges = _split_ranges(total, threads)
-        payloads = [(*payload, a, b, chunk_size) for a, b in ranges]
-        with ProcessPoolExecutor(threads, _pool_context(), initializer=_exit_with_parent) as pool:
+        bounds = [(i * total) // workers for i in range(workers + 1)]
+        ranges = list(zip(bounds, bounds[1:]))
+        payloads = [(*payload, a, b) for a, b in ranges]
+        with ProcessPoolExecutor(workers, _pool_context(), initializer=_exit_with_parent) as pool:
             for (_, stop), part in zip(ranges, pool.map(task, payloads)):
                 self.merge_partial(part)
                 if progress is not None:
@@ -336,7 +331,7 @@ class _Search:
             )
         model, inliers, boundary = self._winner()
         return SolveReport(
-            objective=float(self.best[0]),
+            objective=float(self.j),
             model=model,
             inliers=inliers,
             approximate=approximate,
@@ -358,6 +353,8 @@ class _RegressionSearch(_Search):
     also its count bound, so the bound applies even without pruning; the
     solution is the set itself, and ``_winner`` fits its model once.
     """
+
+    seed_block = 2048
 
     def __init__(self, data: RegressionDataset, spec: LossSpec, *, prune: bool = True):
         super().__init__(
@@ -381,7 +378,7 @@ class _RegressionSearch(_Search):
         w = _regression_fit(self.data.x[mask], self.data.y[mask], self.p)
         return float(np.sum(loss(self.spec, self.data.y - self.data.x @ w))), w
 
-    def _handle_seed(self, rank: int, g: np.ndarray, g2: np.ndarray) -> None:
+    def _handle_seed(self, g: np.ndarray, g2: np.ndarray) -> None:
         """Complete one classified seed with first- and second-half margins g, g2.
 
         A point is an inlier when both lifted copies lie strictly below the
@@ -412,14 +409,13 @@ class _RegressionSearch(_Search):
             onset2 = masks[:, pos2] & below[:, n1:]
             masks &= below2
             masks[:, pos2] = onset2
-            self._complete(rank, masks, first)
+            self._complete(masks)
 
-    def process_chunk(self, subsets: np.ndarray, base_rank: int) -> None:
-        """Process a block of seeds; seed i has rank ``base_rank + i``."""
+    def process_chunk(self, subsets: np.ndarray) -> None:
+        """Process a block of seeds, in order."""
         stats = self.stats
         stats.seeds_enumerated += subsets.shape[0]
         h, degen = _batched_normals(self.zset.z[subsets])
-        _fix_signs_batch(h)
         h[h[:, 0] < 0] *= -1.0
         h1_small = h[:, 0] <= ON_HYPERPLANE_TOL
         g = h @ self.z1t
@@ -447,10 +443,10 @@ class _RegressionSearch(_Search):
             if self.prune and self.eps_p * (self.n - base[i]) > self.j + self.eps_p * n0[i]:
                 stats.inner_loops_skipped += 1
                 continue
-            self._handle_seed(base_rank + int(i), g[i], g2[i])
+            self._handle_seed(g[i], g2[i])
 
     def _winner(self) -> tuple[RegressionModel, np.ndarray, bool]:
-        solution = self.best[3]
+        solution = self.best
         if self.p != 0:
             model = RegressionModel(solution)
             return model, regression_inliers(self.data, model, self.spec), False
@@ -470,9 +466,9 @@ class _RegressionSearch(_Search):
 
 
 def _regression_range_task(payload) -> dict:
-    x, y, p, eps, prune, start, stop, chunk_size = payload
+    x, y, p, eps, prune, start, stop = payload
     search = _RegressionSearch(RegressionDataset(x, y), LossSpec(p, eps), prune=prune)
-    search.run_range(start, stop, chunk_size)
+    search.run_range(start, stop)
     return search.partial()
 
 
@@ -482,7 +478,6 @@ def exact_regression(
     *,
     threads: int = 1,
     prune: bool = True,
-    chunk_size: int = 2048,
     progress: ProgressFn | None = None,
     should_stop: StopFn | None = None,
 ) -> SolveReport:
@@ -494,27 +489,24 @@ def exact_regression(
     surviving candidate inlier set.  The returned objective is the global
     minimum for data in general position.
 
-    ``threads`` > 1 processes contiguous seed ranges in separate processes;
-    candidates are merged by (objective, seed rank, branch rank), so the
-    final model does not depend on the schedule.  ``prune=False`` disables
-    the incumbent bounds (for verification; the result must not change).
-    ``progress`` is invoked between chunks with (seeds processed, incumbent)
-    and ``should_stop`` is polled between chunks.  ``chunk_size=1`` is the
-    seed-by-seed scan with the live incumbent; every chunk size gives the
-    same answer and counters.
+    Seeds are scanned in blocks of 2,048 with the answer and counters of a
+    seed-by-seed scan; ties go to the first candidate in scan order.  With
+    ``threads`` > 1 and at least 8,192 seeds, min(``threads``, cores) worker
+    processes scan contiguous ranges; the answer does not depend on the
+    schedule, the solved/reused counters do (each worker has its own fit
+    memo).  ``prune=False`` disables the incumbent bounds (for verification;
+    the result must not change).  ``progress(seeds done, incumbent)`` and
+    ``should_stop`` run after every block (with workers, ``progress`` once
+    per range and ``should_stop`` never).
     """
     t0 = perf_counter()
-    total = math.comb(2 * data.n, data.d)
-    threads = max(1, int(threads)) if total >= 4 * chunk_size else 1
     search = _RegressionSearch(data, spec, prune=prune)
     payload = (data.x, data.y, spec.p, spec.epsilon, prune)
-    search.solve(_regression_range_task, payload, total, threads, chunk_size, progress, should_stop)
+    search.solve(_regression_range_task, payload, threads, progress, should_stop)
     return search.build_report(perf_counter() - t0, approximate=False)
 
 
-def approx_regression_p0(
-    data: RegressionDataset, spec: LossSpec, *, chunk_size: int = 4096
-) -> tuple[RegressionModel, float]:
+def approx_regression_p0(data: RegressionDataset, spec: LossSpec) -> tuple[RegressionModel, float]:
     """Outlier-count minimization without the completion loop.
 
     Scans every enumerated hyperplane with strictly positive first
@@ -533,7 +525,8 @@ def approx_regression_p0(
     xt = np.ascontiguousarray(data.x.T)
     best_j = np.inf
     best_w: np.ndarray | None = None
-    for _, block in _lex_blocks(zset.size, d, 0, math.comb(zset.size, d), chunk_size):
+    total, size = math.comb(zset.size, d), _RegressionSearch.seed_block
+    for block in _lex_blocks(zset.size, d, 0, total, size):
         h, degen = _batched_normals(zset.z[block])
         valid = np.flatnonzero(~degen & (np.abs(h[:, 0]) > ON_HYPERPLANE_TOL))
         if valid.size == 0:
@@ -568,6 +561,8 @@ def approx_regression_p0(
 class _SubspaceSearch(_Search):
     """Incumbent-tracking state shared by the exact and sampled subspace solvers."""
 
+    seed_block = _BLOCK
+
     def __init__(self, data: PointDataset, spec: LossSpec):
         if spec.p == 1:
             raise ValueError(
@@ -589,17 +584,17 @@ class _SubspaceSearch(_Search):
         bits = np.arange(2**self.k)[:, None] >> np.arange(self.k)
         self._branch_sel = np.repeat((bits & 1).astype(bool), 2, axis=0)
 
-    def process_chunk(self, subsets: np.ndarray, base_rank: int) -> None:
-        """Process a block of seeds; seed i has rank ``base_rank + i``."""
+    def process_chunk(self, subsets: np.ndarray) -> None:
+        """Process a block of seeds, in order."""
         self.stats.seeds_enumerated += subsets.shape[0]
         h, degen = _batched_normals(self.zset.z[subsets])
         _fix_signs_batch(h)
         self.stats.seeds_degenerate += int(np.count_nonzero(degen))
         vals = h @ self.zt
         for i in np.flatnonzero(~degen):
-            self._handle_seed(base_rank + int(i), subsets[i], vals[i])
+            self._handle_seed(subsets[i], vals[i])
 
-    def _handle_seed(self, rank: int, idx: np.ndarray, vals: np.ndarray) -> None:
+    def _handle_seed(self, idx: np.ndarray, vals: np.ndarray) -> None:
         """Complete one seed with margins ``vals``; all its branches form one block."""
         stats = self.stats
         zero = np.abs(vals) <= self.tol
@@ -613,7 +608,7 @@ class _SubspaceSearch(_Search):
         masks[0::2] = ~pos & ~zero
         masks[1::2] = pos & ~zero
         masks[:, idx] |= self._branch_sel
-        self._complete(rank, masks)
+        self._complete(masks)
 
     def _solve(self, mask: np.ndarray) -> tuple[float, np.ndarray]:
         basis = np.ascontiguousarray(_svd_basis(self.data.x[mask], self.ds)[0])
@@ -621,14 +616,14 @@ class _SubspaceSearch(_Search):
         return float(np.sum(loss(self.spec, r))), basis
 
     def _winner(self) -> tuple[SubspaceModel, np.ndarray, bool]:
-        model = SubspaceModel(self.best[3])
+        model = SubspaceModel(self.best)
         return model, subspace_inliers(self.data, model, self.spec), False
 
 
 def _subspace_range_task(payload) -> dict:
-    x, ds, p, eps, start, stop, chunk_size = payload
+    x, ds, p, eps, start, stop = payload
     search = _SubspaceSearch(PointDataset(x, ds), LossSpec(p, eps))
-    search.run_range(start, stop, chunk_size)
+    search.run_range(start, stop)
     return search.partial()
 
 
@@ -651,12 +646,11 @@ def exact_subspace(
     in general position; p = 0 results are flagged ``approximate``, because
     the SVD fit of a feasible inlier set can leave one of its points outside
     epsilon, so the reported outlier count may exceed the optimum.
+    ``threads`` is used as in :func:`exact_regression`, from 1,024 seeds on;
     ``progress`` and ``should_stop`` run every 256 seeds and after the last.
     """
     t0 = perf_counter()
-    total = math.comb(data.n, data.lifted_dim)
-    threads = max(1, int(threads)) if total >= 64 else 1
     search = _SubspaceSearch(data, spec)
     payload = (data.x, data.subspace_dim, spec.p, spec.epsilon)
-    search.solve(_subspace_range_task, payload, total, threads, _BLOCK, progress, should_stop)
+    search.solve(_subspace_range_task, payload, threads, progress, should_stop)
     return search.build_report(perf_counter() - t0, approximate=spec.p == 0)

@@ -7,10 +7,11 @@ the returned objective is always an upper bound on the global minimum and is
 reached whenever an optimal seed is drawn.  RANSAC instead fits a model
 directly to each drawn subset and scores it by its consensus (inlier count).
 
-Randomness comes from the counter-based Philox generator: iteration k uses
-the k-th child of ``SeedSequence(rng_seed)``, so runs are reproducible across
-platforms and iterations could be processed in parallel without changing the
-result.
+Randomness comes from the counter-based Philox generator: iteration k of
+every solver, RANSAC included, draws its sorted subset in :func:`_draw_seeds`
+from the k-th child of ``SeedSequence(rng_seed)``, so runs are reproducible
+across platforms and iterations could be processed in parallel without
+changing the result.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def sampled_regression(
     Each iteration draws d distinct lifted indices (without replacement
     within the draw, independently across iterations); the drawn seeds run
     through the per-seed pipeline of :func:`satfit.exact_regression` in
-    blocks of 256, ranked by iteration.  ``progress`` receives (seeds
+    blocks of 256, in iteration order.  ``progress`` receives (seeds
     processed, incumbent) after every block and after the last seed.
     """
     t0 = perf_counter()
@@ -101,7 +102,7 @@ def sampled_subspace(
     """Sampling variant of the exact subspace solver (seeds of size d(d+1)/2).
 
     The drawn seeds run through the per-seed pipeline of
-    :func:`satfit.exact_subspace` in blocks of 256, ranked by iteration;
+    :func:`satfit.exact_subspace` in blocks of 256, in iteration order;
     ``progress`` is called after every block and after the last seed.
     """
     t0 = perf_counter()
@@ -138,19 +139,17 @@ def ransac_regression(
     best_count = -1
     best_w: np.ndarray | None = None
     degenerate = 0
-    solved = 0
-    for rng in _iteration_rngs(cfg.rng_seed, cfg.n_iters):
-        idx = np.sort(rng.choice(n, size=size, replace=False))
+    for done, idx in enumerate(_draw_seeds(cfg.rng_seed, cfg.n_iters, n, size), 1):
         w, rank = _ls_fit(data.x[idx], data.y[idx])
-        solved += 1
         if rank < d:
             degenerate += 1
         count = int(np.count_nonzero(np.abs(data.y - data.x @ w) < eps))
         if count > best_count:
             best_count = count
             best_w = w
-        if progress is not None and (solved % _BLOCK == 0 or solved == cfg.n_iters):
-            progress(solved, float(n - best_count))
+        if progress is not None and (done % _BLOCK == 0 or done == cfg.n_iters):
+            progress(done, float(n - best_count))
+    solved = cfg.n_iters
     consensus = np.flatnonzero(np.abs(data.y - data.x @ best_w) < eps)
     if consensus.size:
         refit = _regression_fit(data.x[consensus], data.y[consensus], spec.p)

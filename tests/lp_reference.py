@@ -5,6 +5,12 @@ inequality form min cost @ v, a_ub @ v <= b_ub; ``_lad_lp`` and
 ``_minimax_lp`` state the two regression fits in that form.  The library's
 vertex solvers share no code with it, so the tests compare their objectives
 against it.
+
+It is a reference only for well-conditioned designs.  Its pivots take no
+care of round-off, so on nearly dependent columns (condition number around
+1e7, e.g. one column equal to another plus 1e-7 noise) it can stop at a
+wrong vertex, report an objective below the true optimum or raise
+``SolverFailure`` / ``LinAlgError``; ``TestLpSolve`` pins one such case.
 """
 
 from __future__ import annotations

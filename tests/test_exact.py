@@ -25,6 +25,49 @@ from helpers import axis_dataset, exact_fit_dataset
 COUNTERS = [f.name for f in dataclasses.fields(SearchStats)]
 
 
+def assert_same_report(a, b):
+    """Every field of two reports is equal, the wall time aside."""
+    for field in dataclasses.fields(a):
+        if field.name != "wall_time_seconds":
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            if field.name == "model":
+                x, y = dataclasses.astuple(x)[0], dataclasses.astuple(y)[0]
+            assert np.array_equal(x, y), field.name
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Fail the test if a search builds a process pool."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search started a process pool")
+
+    monkeypatch.setattr(exact, "ProcessPoolExecutor", refuse)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Pretend to have 2 cores and map pools in this process; list the pool sizes asked for."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, *args, **kwargs):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(exact, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return sizes
+
+
 def random_regression_instance(seed, n=9, d=2, r=0.3):
     cfg = GeneratorConfig(n=n, d=d, outlier_fraction=r, rng_seed=seed)
     return generate_regression(cfg)[0]
@@ -153,12 +196,11 @@ class TestExactRegression:
             else:
                 assert report.subproblems_reused > 0
 
-    def test_monotone_incumbent(self):
+    def test_monotone_incumbent(self, monkeypatch):
         data = random_regression_instance(2, n=10)
         seen = []
-        sf.exact_regression(
-            data, sf.LossSpec(2, 0.6), progress=lambda done, j: seen.append(j), chunk_size=8
-        )
+        monkeypatch.setattr(exact._RegressionSearch, "seed_block", 8)
+        sf.exact_regression(data, sf.LossSpec(2, 0.6), progress=lambda done, j: seen.append(j))
         assert all(a >= b for a, b in zip(seen, seen[1:]))
 
     def test_pruning_does_not_change_the_answer(self):
@@ -185,23 +227,27 @@ class TestExactRegression:
         assert np.array_equal(a.inliers, b.inliers)
         assert a.sign_completions == b.sign_completions
 
-    def test_matches_scalar_path(self):
-        # chunk_size=1 is the seed-by-seed scan with the live incumbent; the
-        # chunked scans must equal it bit for bit.  d = 2 seeds use the cross
-        # product, d = 3 seeds the cofactors; the collinear instance has
-        # seeds with more than d on-hyperplane points.  n = 9: 816 seeds at d = 3.
+    def test_matches_scalar_path(self, monkeypatch):
+        # Blocks of one seed are the seed-by-seed scan with the live
+        # incumbent; the blocked scans must equal it bit for bit.  d = 2 seeds
+        # use the cross product, d = 3 seeds the cofactors; the collinear
+        # instance has seeds with more than d on-hyperplane points.  n = 9:
+        # 816 seeds at d = 3.
+        def blocked(data, spec, size):
+            monkeypatch.setattr(exact._RegressionSearch, "seed_block", size)
+            report = sf.exact_regression(data, spec)
+            monkeypatch.undo()
+            return report
+
         instances = [random_regression_instance(4, d=d) for d in (2, 3)]
         instances.append(collinear_instance())
         for data in instances:
             d = data.d
             for p in (0, 2):
                 spec = sf.LossSpec(p, 0.8)
-                scalar = sf.exact_regression(data, spec, chunk_size=1)
+                scalar = blocked(data, spec, 1)
                 assert scalar.seeds_enumerated == math.comb(2 * data.n, d)
-                for chunked in (
-                    sf.exact_regression(data, spec, chunk_size=128),
-                    sf.exact_regression(data, spec),
-                ):
+                for chunked in (blocked(data, spec, 128), sf.exact_regression(data, spec)):
                     assert chunked.objective == scalar.objective
                     assert np.array_equal(chunked.model.w, scalar.model.w)
                     assert np.array_equal(chunked.inliers, scalar.inliers)
@@ -227,12 +273,13 @@ class TestExactRegression:
             for counter in COUNTERS:
                 assert getattr(blocked, counter) == getattr(whole, counter), (p, counter)
 
-    def test_threads_match_sequential(self):
-        data = random_regression_instance(5, n=12)
+    def test_threads_match_sequential(self, monkeypatch):
+        data = random_regression_instance(5, n=12)  # 276 seeds: forks with blocks of 32
+        monkeypatch.setattr(exact._RegressionSearch, "seed_block", 32)
         for p in (1, 2):
             spec = sf.LossSpec(p, 0.6)
             seq = sf.exact_regression(data, spec)
-            par = sf.exact_regression(data, spec, threads=2, chunk_size=32)
+            par = sf.exact_regression(data, spec, threads=2)
             assert par.objective == seq.objective
             assert np.array_equal(par.model.w, seq.model.w)
             assert np.array_equal(par.inliers, seq.inliers)
@@ -270,7 +317,7 @@ class TestExactRegression:
             for pid in filter(is_running, workers):
                 os.kill(pid, signal.SIGKILL)
 
-    def test_cancellation(self):
+    def test_cancellation(self, monkeypatch):
         data = random_regression_instance(6, n=12)
         calls = []
 
@@ -278,17 +325,18 @@ class TestExactRegression:
             calls.append(1)
             return len(calls) > 1
 
-        report = sf.exact_regression(data, sf.LossSpec(2, 0.5), chunk_size=16, should_stop=stop)
+        monkeypatch.setattr(exact._RegressionSearch, "seed_block", 16)
+        report = sf.exact_regression(data, sf.LossSpec(2, 0.5), should_stop=stop)
         assert report.cancelled
         assert report.seeds_enumerated < math.comb(24, 2)
 
-    def test_progress_reports_the_last_seed(self):
-        # 2,024 seeds: not a multiple of the 512-seed chunk
+    def test_progress_reports_the_last_seed(self, monkeypatch):
+        # 2,024 seeds: not a multiple of a 512-seed block
         data, _ = generate_regression(GeneratorConfig(n=12, d=3, outlier_fraction=0.3, rng_seed=8))
         seen = []
+        monkeypatch.setattr(exact._RegressionSearch, "seed_block", 512)
         report = sf.exact_regression(
-            data, sf.LossSpec(2, 0.8), chunk_size=512,
-            progress=lambda done, j: seen.append((done, j)),
+            data, sf.LossSpec(2, 0.8), progress=lambda done, j: seen.append((done, j))
         )
         assert [done for done, _ in seen] == [512, 1024, 1536, math.comb(24, 3)]
         assert seen[-1][1] == report.objective
@@ -442,7 +490,8 @@ class TestExactSubspace:
             assert drawn.objective == a.objective
 
     def test_threads_match_sequential(self):
-        cfg = SubspaceGeneratorConfig(n=9, d=2, subspace_dim=1, outlier_fraction=0.2, rng_seed=2)
+        # n = 20: 1,140 seeds, enough to fork
+        cfg = SubspaceGeneratorConfig(n=20, d=2, subspace_dim=1, outlier_fraction=0.2, rng_seed=2)
         data, _ = generate_subspace(cfg)
         for p in (0, 2):
             spec = sf.LossSpec(p, 0.5)
@@ -452,7 +501,8 @@ class TestExactSubspace:
             assert np.array_equal(par.model.basis, seq.model.basis)
             assert np.array_equal(par.inliers, seq.inliers)
             # each worker keeps its own fit memo, so a set fitted by both
-            # workers moves one branch from reused to solved
+            # workers moves one branch from reused to solved (here 4,058 sets
+            # are fitted with 2 threads against 2,319 with 1)
             memo = ("subproblems_solved", "subproblems_reused")
             for counter in COUNTERS:
                 if counter not in memo:
@@ -471,3 +521,57 @@ class TestExactSubspace:
         )
         assert [done for done, _ in seen] == [256, math.comb(14, 3)]
         assert seen[-1][1] == report.objective
+
+
+
+def small_regression():
+    return random_regression_instance(5, n=12)  # 276 seeds of 2 lifted points
+
+
+def small_subspace():
+    cfg = SubspaceGeneratorConfig(n=14, d=2, subspace_dim=1, outlier_fraction=0.3, rng_seed=8)
+    return generate_subspace(cfg)[0]  # 364 seeds of 3 lifted points
+
+
+SEARCHES = [
+    pytest.param(sf.exact_regression, small_regression, exact._RegressionSearch, id="regression"),
+    pytest.param(sf.exact_subspace, small_subspace, exact._SubspaceSearch, id="subspace"),
+]
+
+
+@pytest.mark.parametrize("solver, instance, search", SEARCHES)
+class TestForkRule:
+    """The searches fork min(threads, cores) workers, and only from four blocks of seeds on."""
+
+    def test_below_four_blocks_threads_change_nothing(self, no_pool, solver, instance, search):
+        data = instance()
+        for p in (0, 2):
+            spec = sf.LossSpec(p, 0.5)
+            seq = solver(data, spec)
+            assert seq.seeds_enumerated < 4 * search.seed_block
+            assert_same_report(solver(data, spec, threads=2), seq)
+
+    def test_forks_from_four_blocks_on(self, pool_sizes, monkeypatch, solver, instance, search):
+        data = instance()
+        spec = sf.LossSpec(2, 0.5)
+        total = solver(data, spec).seeds_enumerated
+        monkeypatch.setattr(search, "seed_block", total // 4 + 1)
+        solver(data, spec, threads=2)
+        assert pool_sizes == []
+        monkeypatch.setattr(search, "seed_block", total // 4)
+        solver(data, spec, threads=2)
+        assert pool_sizes == [2]
+
+    def test_workers_are_capped_at_the_core_count(
+        self, pool_sizes, monkeypatch, solver, instance, search
+    ):
+        data = instance()
+        spec = sf.LossSpec(2, 0.5)
+        seq = solver(data, spec)
+        monkeypatch.setattr(search, "seed_block", 16)
+        par = solver(data, spec, threads=64)
+        assert pool_sizes == [2]  # os.cpu_count() is patched to 2
+        assert par.objective == seq.objective
+        assert np.array_equal(dataclasses.astuple(par.model)[0], dataclasses.astuple(seq.model)[0])
+        assert np.array_equal(par.inliers, seq.inliers)
+        assert par.seeds_enumerated == seq.seeds_enumerated

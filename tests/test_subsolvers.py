@@ -361,3 +361,21 @@ class TestLpSolve:
     def test_inconsistent_shapes_rejected(self):
         with pytest.raises(ValueError):
             DenseLP([1.0, 2.0], [[-1.0]], [-3.0], [False])
+
+    @pytest.mark.xfail(
+        raises=AssertionError,
+        strict=True,
+        reason="the dense simplex loses the LAD optimum on nearly dependent columns; "
+        "lp_reference is a reference for well-conditioned designs only",
+    )
+    def test_nearly_dependent_columns(self):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(11, 5))
+        x[:, 1] = x[:, 0] + 1e-7 * rng.normal(size=11)
+        y = rng.normal(size=11)
+        reference = lad_reference(x, y)
+        fit = sf.solve_lad(sf.RegressionDataset(x, y), np.arange(11))
+        vertex = float(np.sum(np.abs(y - x @ fit.w)))
+        if vertex != pytest.approx(reference, rel=1e-6):  # a broken reference is not the known defect
+            pytest.fail(f"the enumeration ({reference}) and the vertex solver ({vertex}) disagree")
+        assert lp_solve(_lad_lp(x, y)).objective == pytest.approx(reference, rel=1e-6)
