@@ -195,6 +195,15 @@ def _positive_float(label: str, value: float) -> float:
     return float(value)
 
 
+def _write_report(report: SolveReport, command: str, args, data, spec: LossSpec, **extra) -> int:
+    """Write the JSON report of a ``regress`` or ``subspace`` run to ``--output``."""
+    context = {"input": args.data, "method": args.method, "p": spec.p,
+               "epsilon": spec.epsilon, "n": data.n, "d": data.d, **extra}
+    _write_json(_report_payload(report, command, context), args.output)
+    print(f"wrote {args.output} (objective {report.objective:.9g})", file=sys.stderr)
+    return EXIT_OK
+
+
 def _cmd_regress(args: argparse.Namespace) -> int:
     epsilon = _positive_float("--epsilon", args.epsilon)
     spec = LossSpec(args.p, epsilon)
@@ -209,21 +218,7 @@ def _cmd_regress(args: argparse.Namespace) -> int:
             report = sampled_regression(data, spec, cfg, progress=progress)
         else:
             report = ransac_regression(data, spec, cfg, progress=progress)
-    doc = _report_payload(
-        report,
-        "regress",
-        {
-            "input": args.data,
-            "method": args.method,
-            "p": spec.p,
-            "epsilon": spec.epsilon,
-            "n": data.n,
-            "d": data.d,
-        },
-    )
-    _write_json(doc, args.output)
-    print(f"wrote {args.output} (objective {report.objective:.9g})", file=sys.stderr)
-    return EXIT_OK
+    return _write_report(report, "regress", args, data, spec)
 
 
 def _cmd_subspace(args: argparse.Namespace) -> int:
@@ -237,22 +232,7 @@ def _cmd_subspace(args: argparse.Namespace) -> int:
     else:
         cfg = SamplingConfig(args.iters, args.rng_seed)
         report = sampled_subspace(data, spec, cfg, progress=progress)
-    doc = _report_payload(
-        report,
-        "subspace",
-        {
-            "input": args.data,
-            "method": args.method,
-            "p": spec.p,
-            "epsilon": spec.epsilon,
-            "n": data.n,
-            "d": data.d,
-            "subspace_dim": data.subspace_dim,
-        },
-    )
-    _write_json(doc, args.output)
-    print(f"wrote {args.output} (objective {report.objective:.9g})", file=sys.stderr)
-    return EXIT_OK
+    return _write_report(report, "subspace", args, data, spec, subspace_dim=data.subspace_dim)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -416,9 +396,6 @@ def main(argv=None) -> int:
     except (SolverFailure, NoHyperplaneError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except _DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -8,14 +8,15 @@ subproblem can miss the optimum (see :func:`exact_subspace`).  Seeds are
 enumerated in lexicographic order and ties are broken by scan order (the
 first best candidate wins), so repeated runs are bit-identical.
 
-Each search has one per-seed pipeline, ``process_chunk(subsets)``:
-the normals of a block of seeds come from one call of
-:func:`.geometry._batched_normals` (cross product for d = 2 regression,
-closed-form cofactors for 3x4 seeds, batched SVD above that), their margins
-from one matrix product, and only seeds that survive the incumbent bound
-enter the per-seed completion step.  The exact solvers feed it lexicographic
-blocks of the enumeration; the sampling variants in :mod:`.sampling` feed it
-blocks of random draws in iteration order.
+Each search has one per-seed pipeline, ``process_chunk(subsets)``: the
+normals of a block of seeds come from :func:`.geometry._batched_normals`
+(cross product for d = 2 regression, closed-form cofactors for 3x4 seeds,
+batched SVD above that), their orientation and their below / on masks from
+the lifted classification of :mod:`.geometry` (``_orient``, ``_classify``),
+and only seeds that survive the incumbent bound enter the per-seed
+completion step.  The exact solvers feed it lexicographic blocks of the
+enumeration; the sampling variants in :mod:`.sampling` blocks of random
+draws in iteration order.
 
 A completion step builds the boolean inlier masks of a seed's completion
 branches and hands them to the one branch loop, ``_Search._complete``.  In
@@ -58,7 +59,8 @@ from .core import (
 from .geometry import (
     ON_HYPERPLANE_TOL,
     _batched_normals,
-    _fix_signs_batch,
+    _classify,
+    _orient,
     lift_regression,
     lift_subspace,
 )
@@ -171,7 +173,7 @@ def seed_enumerator(m: int, k: int) -> Iterator[tuple[int, ...]]:
 
 def _lex_blocks(m: int, k: int, start: int, stop: int, size: int) -> Iterator[np.ndarray]:
     """Blocks of at most ``size`` seeds of ranks start..stop-1 of the enumeration."""
-    it = islice(combinations(range(m), k), start, None)
+    it = islice(seed_enumerator(m, k), start, None)
     for rank in range(start, stop, size):
         yield _combination_block(it, min(size, stop - rank), k)
 
@@ -366,10 +368,6 @@ class _RegressionSearch(_Search):
         self.prune = prune
         self.p = spec.p
         self.eps = spec.epsilon
-        self.z1t = np.ascontiguousarray(self.zset.z[: self.n].T)
-        self.tol1 = ON_HYPERPLANE_TOL * self.zset.scales[: self.n]
-        self.tol2 = ON_HYPERPLANE_TOL * self.zset.scales[self.n :]
-        self.two_eps = 2.0 * self.eps
 
     def _solve(self, mask: np.ndarray) -> tuple[float, np.ndarray]:
         if self.p == 0:
@@ -378,51 +376,39 @@ class _RegressionSearch(_Search):
         w = _regression_fit(self.data.x[mask], self.data.y[mask], self.p)
         return float(np.sum(loss(self.spec, self.data.y - self.data.x @ w))), w
 
-    def _handle_seed(self, g: np.ndarray, g2: np.ndarray) -> None:
-        """Complete one classified seed with first- and second-half margins g, g2.
+    def _handle_seed(self, below: np.ndarray, on: np.ndarray) -> None:
+        """Complete one seed from its lifted masks ``below`` and ``on`` (length 2n).
 
         A point is an inlier when both lifted copies lie strictly below the
-        hyperplane.  Branch b puts the t-th on-hyperplane point (first half,
-        then second) below when bit n0 - 1 - t of b is 0, the order of
-        ``product((-1, 1), repeat=n0)``.
+        hyperplane.  Branch b puts the t-th on-hyperplane point (in lifted
+        order: first half, then second) below when bit n0 - 1 - t of b is 0,
+        the order of ``product((-1, 1), repeat=n0)``.
         """
-        zero1 = np.abs(g) <= self.tol1
-        zero2 = np.abs(g2) <= self.tol2
-        pos1 = np.flatnonzero(zero1)
-        pos2 = np.flatnonzero(zero2)
-        n1 = pos1.size
-        n0 = n1 + pos2.size
+        pos = np.flatnonzero(on)
+        n0 = pos.size
         if n0 > _MAX_ONSET:
             raise NoHyperplaneError(
                 f"{n0} points lie on one candidate hyperplane; the data is far "
                 "from general position and the completion loop would not terminate"
             )
-        below1 = g < -self.tol1
-        below2 = g2 < -self.tol2
         shifts = np.arange(n0 - 1, -1, -1)
         for first in range(0, 1 << n0, _BRANCH_BLOCK):
             branches = np.arange(first, min(first + _BRANCH_BLOCK, 1 << n0))
-            below = ((branches[:, None] >> shifts) & 1) == 0
-            masks = np.empty((branches.size, self.n), dtype=bool)
-            masks[:] = below1
-            masks[:, pos1] = below[:, :n1]
-            onset2 = masks[:, pos2] & below[:, n1:]
-            masks &= below2
-            masks[:, pos2] = onset2
-            self._complete(masks)
+            lifted = np.empty((branches.size, on.size), dtype=bool)
+            lifted[:] = below
+            lifted[:, pos] = ((branches[:, None] >> shifts) & 1) == 0
+            self._complete(lifted[:, : self.n] & lifted[:, self.n :])
 
     def process_chunk(self, subsets: np.ndarray) -> None:
         """Process a block of seeds, in order."""
         stats = self.stats
         stats.seeds_enumerated += subsets.shape[0]
         h, degen = _batched_normals(self.zset.z[subsets])
-        h[h[:, 0] < 0] *= -1.0
+        _orient(self.zset, h)
+        below, on = _classify(self.zset, h)
         h1_small = h[:, 0] <= ON_HYPERPLANE_TOL
-        g = h @ self.z1t
-        g2 = -g - self.two_eps * h[:, :1]
-        base = np.count_nonzero((g < -self.tol1) & (g2 < -self.tol2), axis=1)
-        n0 = np.count_nonzero(np.abs(g) <= self.tol1, axis=1)
-        n0 += np.count_nonzero(np.abs(g2) <= self.tol2, axis=1)
+        base = np.count_nonzero(below[:, : self.n] & below[:, self.n :], axis=1)
+        n0 = np.count_nonzero(on, axis=1)
         valid = ~degen & ~h1_small
         stats.seeds_degenerate += int(np.count_nonzero(degen))
         stats.seeds_skipped += int(np.count_nonzero(h1_small & ~degen))
@@ -443,7 +429,7 @@ class _RegressionSearch(_Search):
             if self.prune and self.eps_p * (self.n - base[i]) > self.j + self.eps_p * n0[i]:
                 stats.inner_loops_skipped += 1
                 continue
-            self._handle_seed(g[i], g2[i])
+            self._handle_seed(below[i], on[i])
 
     def _winner(self) -> tuple[RegressionModel, np.ndarray, bool]:
         solution = self.best
@@ -511,34 +497,29 @@ def approx_regression_p0(data: RegressionDataset, spec: LossSpec) -> tuple[Regre
 
     Scans every enumerated hyperplane with strictly positive first
     coordinate and keeps the model read off the normal itself; the winner is
-    within ``2 d`` outliers of the optimum.  Models read off a hyperplane
-    leave their seed points exactly on the threshold, so those d points are
-    counted as outliers by index (lifted row i is data point i mod n), not by
-    the round-off of their computed errors.  The scan also considers the
-    exact interpolations through d data points, which covers noiseless data
-    and the trivial regime where only d points are approximable.
+    within ``2 d`` outliers of the optimum.  Each hyperplane is classified
+    as the searches classify it, and its objective is n minus the number of
+    points whose two lifted copies both lie strictly below it.  Seed points
+    lie on the hyperplane, so they count as outliers, not by the round-off
+    of their computed errors.  The scan also considers the exact
+    interpolations through d data points, which covers noiseless data and
+    the trivial regime where only d points are approximable.
     """
     if spec.p != 0:
         raise ValueError("this shortcut is defined for p = 0 only")
     zset = lift_regression(data, spec)
     n, d = data.n, data.d
-    xt = np.ascontiguousarray(data.x.T)
-    best_j = np.inf
-    best_w: np.ndarray | None = None
+    best_j, best_w = np.inf, None
     total, size = math.comb(zset.size, d), _RegressionSearch.seed_block
     for block in _lex_blocks(zset.size, d, 0, total, size):
         h, degen = _batched_normals(zset.z[block])
-        valid = np.flatnonzero(~degen & (np.abs(h[:, 0]) > ON_HYPERPLANE_TOL))
-        if valid.size == 0:
-            continue
-        w = h[valid, 1:] / h[valid, :1]
-        inside = np.abs(data.y[None, :] - w @ xt) < spec.epsilon
-        inside[np.arange(valid.size)[:, None], block[valid] % n] = False
-        j = n - np.count_nonzero(inside, axis=1)
+        _orient(zset, h)
+        below = _classify(zset, h)[0]
+        usable = ~degen & (h[:, 0] > ON_HYPERPLANE_TOL)
+        j = np.where(usable, n - np.count_nonzero(below[:, :n] & below[:, n:], axis=1), np.inf)
         i = int(np.argmin(j))  # argmin returns the first minimizer
         if j[i] < best_j:
-            best_j = float(j[i])
-            best_w = w[i].copy()
+            best_j, best_w = float(j[i]), h[i, 1:] / h[i, 0]
     for subset in combinations(range(n), d):
         idx = np.asarray(subset, dtype=np.intp)
         try:
@@ -576,8 +557,6 @@ class _SubspaceSearch(_Search):
         self.data = data
         self.spec = spec
         self.ds = data.subspace_dim
-        self.zt = np.ascontiguousarray(self.zset.z.T)
-        self.tol = ON_HYPERPLANE_TOL * self.zset.scales
         # Seed-point selection of every completion branch, in branch order:
         # the subsets of the seed in binary counting order (bit k selects
         # seed point k), each taken with orientation -1, then +1.
@@ -588,25 +567,23 @@ class _SubspaceSearch(_Search):
         """Process a block of seeds, in order."""
         self.stats.seeds_enumerated += subsets.shape[0]
         h, degen = _batched_normals(self.zset.z[subsets])
-        _fix_signs_batch(h)
+        _orient(self.zset, h)
         self.stats.seeds_degenerate += int(np.count_nonzero(degen))
-        vals = h @ self.zt
+        below, on = _classify(self.zset, h)
         for i in np.flatnonzero(~degen):
-            self._handle_seed(subsets[i], vals[i])
+            self._handle_seed(subsets[i], below[i], on[i])
 
-    def _handle_seed(self, idx: np.ndarray, vals: np.ndarray) -> None:
-        """Complete one seed with margins ``vals``; all its branches form one block."""
+    def _handle_seed(self, idx: np.ndarray, below: np.ndarray, on: np.ndarray) -> None:
+        """Complete one seed from its masks ``below``, ``on``; its branches form one block."""
         stats = self.stats
-        zero = np.abs(vals) <= self.tol
-        pos = vals > 0
-        onset = int(np.count_nonzero(zero))
+        onset = int(np.count_nonzero(on))
         stats.max_onset_size = max(stats.max_onset_size, onset)
-        stats.onset_outside_seed += onset - int(np.count_nonzero(zero[idx]))
+        stats.onset_outside_seed += onset - int(np.count_nonzero(on[idx]))
         # Inlier mask of every branch: the points strictly on the branch's
         # side plus its selection of seed points.
         masks = np.empty((self._branch_sel.shape[0], self.n), dtype=bool)
-        masks[0::2] = ~pos & ~zero
-        masks[1::2] = pos & ~zero
+        masks[0::2] = below
+        masks[1::2] = ~(below | on)
         masks[:, idx] |= self._branch_sel
         self._complete(masks)
 

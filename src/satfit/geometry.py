@@ -14,8 +14,11 @@ hyperplanes through the origin:
 
 Candidate hyperplanes are generated from seeds of ``m - 1`` lifted points
 (``m`` the lifted dimension): the unit normal spans the null space of the
-seed rows.  Points whose margin is within ``ON_HYPERPLANE_TOL`` (relative to
-``max(1, ||z||)``) are classified 0 and must be resolved by the caller.
+seed rows.  The one lifted classification, which the searches,
+``approx_regression_p0`` and the public helpers all run, is
+:func:`_batched_normals`, :func:`_orient` and :func:`_classify`: a point is
+on a hyperplane when its margin is within ``ON_HYPERPLANE_TOL`` (relative to
+``max(1, ||z||)``) of zero, and the caller must resolve it.
 """
 
 from __future__ import annotations
@@ -67,12 +70,18 @@ class LiftedSet:
     n_points: int
     epsilon: float
     scales: np.ndarray = field(init=False, repr=False)
+    tol: np.ndarray = field(init=False, repr=False)
+    zt: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.z = np.asarray(self.z, dtype=float)
         # Margin tolerances are scaled per point so huge lifted coordinates
         # (e.g. gross outliers) do not defeat the on-hyperplane test.
         self.scales = np.maximum(1.0, np.linalg.norm(self.z, axis=1))
+        self.tol = ON_HYPERPLANE_TOL * self.scales
+        # Rows whose margins are a matrix product (see _margins), transposed once.
+        head = self.z[: self.n_points] if self.kind == "regression" else self.z
+        self.zt = np.ascontiguousarray(head.T)
 
     @property
     def size(self) -> int:
@@ -111,9 +120,7 @@ def veronese(x: np.ndarray) -> np.ndarray:
     Components are ordered ``x1^2, x1*x2, ..., x1*xd, x2^2, x2*x3, ...,
     xd^2`` and the output has length ``d(d+1)/2``.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    first, second = _monomial_pairs(x.shape[0])
-    return x[first] * x[second]
+    return _veronese_rows(np.asarray(x, dtype=float).ravel()[None])[0]
 
 
 def _veronese_rows(x: np.ndarray) -> np.ndarray:
@@ -233,7 +240,7 @@ def _batched_normals(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the smallest singular value is at most ``max(m-1, m) * eps`` times the
     largest.  A null space of dimension > 1 cannot pin down a single
     hyperplane, so such seeds are degenerate.  Returns the raw directions
-    (sign not yet fixed, see :func:`_fix_signs_batch`) and the degeneracy
+    (sign not yet fixed, see :func:`_orient`) and the degeneracy
     mask.
     """
     if a.shape[1:] == (3, 4):
@@ -261,18 +268,53 @@ def _fix_signs_batch(h: np.ndarray) -> None:
     h[lead < 0] *= -1.0
 
 
-def signed_values(zset: LiftedSet, normal: np.ndarray) -> np.ndarray:
-    """Margins ``normal @ z_i`` for every lifted point.
+def _orient(zset: LiftedSet, h: np.ndarray) -> None:
+    """The one orientation rule, in place on a stack of normals (B, m).
 
-    For the regression kind the second half is obtained from the identity
-    ``normal @ z_(i+n) = -normal @ z_i - 2 * eps * normal[0]`` instead of a
-    second pass over the data.
+    Regression normals get ``h[0] >= 0``, as the orientation argument needs;
+    subspace normals, whose two sides are both explored, a deterministic sign.
     """
-    normal = np.asarray(normal, dtype=float)
     if zset.kind == "regression":
-        g = zset.z[: zset.n_points] @ normal
-        return np.concatenate([g, -g - 2.0 * zset.epsilon * normal[0]])
-    return zset.z @ normal
+        h[h[:, 0] < 0] *= -1.0
+    else:
+        _fix_signs_batch(h)
+
+
+def _margins(zset: LiftedSet, h: np.ndarray) -> list[np.ndarray]:
+    """Margins of a stack of normals (B, m) as column blocks, in lifted order.
+
+    For the regression kind the first half is a matrix product and the
+    second comes from the identity ``h @ z_(i+n) = -h @ z_i - 2 eps h[0]``.
+    """
+    g = h @ zset.zt
+    if zset.kind != "regression":
+        return [g]
+    second = np.negative(g)
+    return [g, np.subtract(second, 2.0 * zset.epsilon * h[:, :1], out=second)]
+
+
+def _classify(zset: LiftedSet, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean masks (B, size) of the lifted points below and on each hyperplane.
+
+    The one on-hyperplane test: a point is on the hyperplane when its margin
+    is within ``ON_HYPERPLANE_TOL * max(1, ||z||)`` of zero, below it when the
+    margin is smaller still.  The searches call it on blocks of oriented
+    normals, the public helpers on a one-row stack.
+    """
+    below = np.empty((h.shape[0], zset.size), dtype=bool)
+    on = np.empty_like(below)
+    start = 0
+    for m in _margins(zset, h):
+        cols = slice(start, start + m.shape[1])
+        start = cols.stop
+        np.less(m, -zset.tol[cols], out=below[:, cols])
+        np.less_equal(np.abs(m, out=m), zset.tol[cols], out=on[:, cols])
+    return below, on
+
+
+def signed_values(zset: LiftedSet, normal: np.ndarray) -> np.ndarray:
+    """Margins ``normal @ z_i`` for every lifted point (a one-row :func:`_margins`)."""
+    return np.concatenate(_margins(zset, np.asarray(normal, dtype=float)[None]), axis=1)[0]
 
 
 def hyperplane_through(zset: LiftedSet, subset) -> Hyperplane | None:
@@ -280,9 +322,8 @@ def hyperplane_through(zset: LiftedSet, subset) -> Hyperplane | None:
 
     The seed must contain exactly ``dim - 1`` distinct lifted indices.
     Returns None when the seed rows are rank-deficient (the caller skips and
-    counts such seeds).  For the regression kind the normal is flipped so its
-    first coordinate is nonnegative; for the subspace kind both orientations
-    are explored downstream, so the deterministic sign fix is kept as is.
+    counts such seeds).  The normal is oriented, and its onset found, by the
+    code the searches run on their blocks (:func:`_orient`, :func:`_classify`).
     """
     idx = tuple(int(i) for i in subset)
     if len(idx) != zset.dim - 1 or len(set(idx)) != len(idx):
@@ -290,13 +331,9 @@ def hyperplane_through(zset: LiftedSet, subset) -> Hyperplane | None:
     h, degen = _batched_normals(zset.z[None, list(idx)])
     if degen[0]:
         return None
-    _fix_signs_batch(h)
-    h = h[0]
-    if zset.kind == "regression" and h[0] < 0:
-        np.negative(h, out=h)
-    vals = signed_values(zset, h)
-    onset = np.flatnonzero(np.abs(vals) <= ON_HYPERPLANE_TOL * zset.scales)
-    return Hyperplane(h, onset, idx)
+    _orient(zset, h)
+    onset = np.flatnonzero(_classify(zset, h)[1][0])
+    return Hyperplane(h[0], onset, idx)
 
 
 def classify(zset: LiftedSet, normal: np.ndarray) -> np.ndarray:
@@ -310,10 +347,8 @@ def classify(zset: LiftedSet, normal: np.ndarray) -> np.ndarray:
     norm = np.linalg.norm(normal)
     if norm == 0.0:
         raise ValueError("normal must be nonzero")
-    vals = signed_values(zset, normal / norm)
-    out = np.where(vals > 0, 1, -1).astype(np.int8)
-    out[np.abs(vals) <= ON_HYPERPLANE_TOL * zset.scales] = 0
-    return out
+    below, on = _classify(zset, (normal / norm)[None])
+    return np.where(on[0], 0, np.where(below[0], -1, 1)).astype(np.int8)
 
 
 def inliers_from_signs(

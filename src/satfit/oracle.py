@@ -1,12 +1,15 @@
 """Brute-force certification of global optima on small instances.
 
-The oracle never touches the lifted geometry.  For p = 1 regression it
-shares no solver with the search either: the objective is piecewise linear
-in w, so it is evaluated at every vertex of the arrangement of the
-hyperplanes r_i(w) in {0, +eps, -eps}.  For p = 0 and p = 2 regression and
-for subspaces it enumerates candidate inlier subsets directly, fits the
-fixed-classification subproblem on each, evaluates the full objective of the
-fitted model, and returns the minimum.
+The oracle never touches the lifted geometry.  For p = 1 regression the
+objective is piecewise linear in w, so it is evaluated at every vertex of
+the arrangement of the hyperplanes r_i(w) in {0, +eps, -eps}.  For p = 0
+and p = 2 regression and for subspaces it enumerates candidate inlier
+subsets directly, fits the fixed-classification subproblem on each,
+evaluates the full objective of the fitted model, and returns the minimum.
+Only the p = 0 regression fit is a solver of the search
+(:func:`.subsolvers._minimax_fit`); p = 2 subsets are fitted by
+``np.linalg.lstsq`` and subspace subsets by the top eigenvectors of their
+scatter matrix from ``np.linalg.eigh``.
 
 For p = 0 a subset only counts when its minimax fit places every subset
 point strictly inside the threshold, with a guard band of ``tau`` around the
@@ -37,7 +40,7 @@ from .core import (
     subspace_residuals,
 )
 from .geometry import ON_HYPERPLANE_TOL
-from .subsolvers import _ls_fit, _minimax_fit, _svd_basis
+from .subsolvers import _minimax_fit
 
 __all__ = ["OracleResult", "oracle_regression", "oracle_subspace"]
 
@@ -91,7 +94,7 @@ def oracle_regression(data: RegressionDataset, spec: LossSpec) -> OracleResult:
     evaluated = 0
     for subset in _subsets_descending(n, d):
         idx = np.asarray(subset, dtype=np.intp)
-        w = _ls_fit(data.x[idx], data.y[idx])[0]
+        w = np.linalg.lstsq(data.x[idx], data.y[idx], rcond=None)[0]
         evaluated += 1
         objective = float(np.sum(loss(spec, data.y - data.x @ w)))
         if best is None or objective < best[0]:
@@ -199,7 +202,8 @@ def oracle_subspace(data: PointDataset, spec: LossSpec) -> OracleResult:
     """Exhaustively certified minimum of the saturated subspace loss.
 
     Enumerates every candidate inlier subset of size >= the subspace
-    dimension and fits each with the squared-residual subspace solver.  For
+    dimension and fits each with the top eigenvectors of its scatter matrix
+    ``x_S.T @ x_S``, the squared-residual optimum.  For
     p = 0 a subset counts only when the fitted basis keeps every subset
     point strictly inside the threshold.  Supports p in {0, 2}; refuses
     datasets with more than 16 points.
@@ -219,7 +223,8 @@ def oracle_subspace(data: PointDataset, spec: LossSpec) -> OracleResult:
     evaluated = 0
     for subset in _subsets_descending(n, ds):
         idx = np.asarray(subset, dtype=np.intp)
-        basis, _ = _svd_basis(data.x[idx], ds)
+        xs = data.x[idx]
+        basis = np.linalg.eigh(xs.T @ xs)[1][:, ::-1][:, :ds]
         evaluated += 1
         model = SubspaceModel(basis)
         residuals = subspace_residuals(data, model)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import satfit as sf
+from satfit import exact
 from satfit.geometry import (
     _EPS,
     ON_HYPERPLANE_TOL,
@@ -280,6 +281,78 @@ class TestClassify:
         z = sf.lift_regression(data, sf.LossSpec(0, 0.3))
         with pytest.raises(ValueError):
             sf.classify(z, np.zeros(3))
+
+
+def _signs(below, on):
+    return np.where(on, 0, np.where(below, -1, 1)).astype(np.int8)
+
+
+class TestSharedClassification:
+    """The public helpers equal the blocks the searches classify, bit for bit."""
+
+    def _recorded_blocks(self, monkeypatch, search_cls, solve):
+        # (seeds, oriented normals, below, on) of every block process_chunk classifies
+        blocks, current = [], []
+        chunk, classify_block = search_cls.process_chunk, exact._classify
+
+        def record_chunk(self, subsets):
+            current[:] = [subsets]
+            return chunk(self, subsets)
+
+        def record_classify(zset, h):
+            below, on = classify_block(zset, h)
+            blocks.append((current[0], h.copy(), below, on))
+            return below, on
+
+        monkeypatch.setattr(search_cls, "process_chunk", record_chunk)
+        monkeypatch.setattr(exact, "_classify", record_classify)
+        solve()
+        return blocks
+
+    def _check(self, zset, blocks):
+        checked = 0
+        for subsets, h, below, on in blocks:
+            for i, seed in enumerate(subsets):
+                hp = sf.hyperplane_through(zset, seed)
+                if hp is None:
+                    continue
+                assert np.array_equal(hp.normal, h[i]), seed
+                assert np.array_equal(hp.onset, np.flatnonzero(on[i])), seed
+                assert np.array_equal(sf.classify(zset, hp.normal), _signs(below[i], on[i])), seed
+                checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_regression_helpers_match_the_search_blocks(self, monkeypatch, d):
+        rng = np.random.default_rng(30 + d)
+        data = small_regression(rng, n=9, d=d)
+        spec = sf.LossSpec(2, 0.7)
+        blocks = self._recorded_blocks(
+            monkeypatch, exact._RegressionSearch, lambda: sf.exact_regression(data, spec)
+        )
+        self._check(sf.lift_regression(data, spec), blocks)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_subspace_helpers_match_the_search_blocks(self, monkeypatch, d):
+        rng = np.random.default_rng(40 + d)
+        data = sf.PointDataset(rng.normal(size=(9, d)), 1)
+        spec = sf.LossSpec(2, 0.5)
+        blocks = self._recorded_blocks(
+            monkeypatch, exact._SubspaceSearch, lambda: sf.exact_subspace(data, spec)
+        )
+        self._check(sf.lift_subspace(data, spec), blocks)
+
+    def test_paired_copy_seed_has_zero_first_coordinate(self):
+        # at d = 2 the two copies of point i span e_0, so the normal through
+        # them has h[0] == 0 exactly; the orientation rule leaves it as is and
+        # the search skips every such seed
+        rng = np.random.default_rng(50)
+        data = small_regression(rng, n=8, d=2)
+        spec = sf.LossSpec(2, 0.6)
+        z = sf.lift_regression(data, spec)
+        for i in range(data.n):
+            assert sf.hyperplane_through(z, (i, i + data.n)).normal[0] == 0.0
+        assert sf.exact_regression(data, spec).seeds_skipped == data.n
 
 
 class TestInliersFromSigns:
