@@ -165,14 +165,16 @@ def _write_json(doc: dict, path: str) -> None:
         fh.write("\n")
 
 
-def _default_threads() -> int:
-    env = os.environ.get("SATFIT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+def _threads(args: argparse.Namespace) -> int:
+    """``--threads``, else ``SATFIT_THREADS``, else the core count; a given value must be >= 1."""
+    given, source = args.threads, "--threads"
+    if given is None:
+        given, source = os.environ.get("SATFIT_THREADS"), "SATFIT_THREADS"
+        if not given:
+            return os.cpu_count() or 1
+    if not str(given).strip().isdecimal() or int(given) < 1:
+        raise _UsageError(f"{source} must be a positive integer, got {given!r}")
+    return int(given)
 
 
 def _progress_printer(enabled: bool):
@@ -206,9 +208,9 @@ def _write_report(report: SolveReport, command: str, args, data, spec: LossSpec,
 
 def _cmd_regress(args: argparse.Namespace) -> int:
     epsilon = _positive_float("--epsilon", args.epsilon)
+    threads = _threads(args)
     spec = LossSpec(args.p, epsilon)
     data = read_regression_csv(args.data)
-    threads = args.threads or _default_threads()
     progress = _progress_printer(args.verbose)
     if args.method == "exact":
         report = exact_regression(data, spec, threads=threads, progress=progress)
@@ -223,9 +225,9 @@ def _cmd_regress(args: argparse.Namespace) -> int:
 
 def _cmd_subspace(args: argparse.Namespace) -> int:
     epsilon = _positive_float("--epsilon", args.epsilon)
+    threads = _threads(args)
     spec = LossSpec(args.p, epsilon)
     data = read_points_csv(args.data, args.ds)
-    threads = args.threads or _default_threads()
     progress = _progress_printer(args.verbose)
     if args.method == "exact":
         report = exact_subspace(data, spec, threads=threads, progress=progress)
@@ -301,7 +303,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         LossSpec(p, epsilon),
         sampling,
         exact_budget=args.exact_budget,
-        threads=args.threads or _default_threads(),
+        threads=_threads(args),
     )
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(rows_to_csv(rows))

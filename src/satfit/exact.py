@@ -10,7 +10,7 @@ first best candidate wins), so repeated runs are bit-identical.
 
 Each search has one per-seed pipeline, ``process_chunk(subsets)``: the
 normals of a block of seeds come from :func:`.geometry._batched_normals`
-(cross product for d = 2 regression, closed-form cofactors for 3x4 seeds,
+(the signed maximal minors of the seed rows up to lifted dimension 9, a
 batched SVD above that), their orientation and their below / on masks from
 the lifted classification of :mod:`.geometry` (``_orient``, ``_classify``),
 and only seeds that survive the incumbent bound enter the per-seed
@@ -501,35 +501,32 @@ def approx_regression_p0(data: RegressionDataset, spec: LossSpec) -> tuple[Regre
     as the searches classify it, and its objective is n minus the number of
     points whose two lifted copies both lie strictly below it.  Seed points
     lie on the hyperplane, so they count as outliers, not by the round-off
-    of their computed errors.  The scan also considers the exact
-    interpolations through d data points, which covers noiseless data and
-    the trivial regime where only d points are approximable.
+    of their computed errors.  A second scan takes the normals of the
+    d-subsets of data rows ``[y_i, -x_i]``, the interpolations through d
+    points, which covers noiseless data and the regime where only d points
+    are approximable; there errors are counted directly.
     """
     if spec.p != 0:
         raise ValueError("this shortcut is defined for p = 0 only")
     zset = lift_regression(data, spec)
     n, d = data.n, data.d
     best_j, best_w = np.inf, None
-    total, size = math.comb(zset.size, d), _RegressionSearch.seed_block
-    for block in _lex_blocks(zset.size, d, 0, total, size):
-        h, degen = _batched_normals(zset.z[block])
-        _orient(zset, h)
-        below = _classify(zset, h)[0]
-        usable = ~degen & (h[:, 0] > ON_HYPERPLANE_TOL)
-        j = np.where(usable, n - np.count_nonzero(below[:, :n] & below[:, n:], axis=1), np.inf)
-        i = int(np.argmin(j))  # argmin returns the first minimizer
-        if j[i] < best_j:
-            best_j, best_w = float(j[i]), h[i, 1:] / h[i, 0]
-    for subset in combinations(range(n), d):
-        idx = np.asarray(subset, dtype=np.intp)
-        try:
-            w = np.linalg.solve(data.x[idx], data.y[idx])
-        except np.linalg.LinAlgError:
-            continue
-        j = float(n - np.count_nonzero(np.abs(data.y - data.x @ w) < spec.epsilon))
-        if j < best_j:
-            best_j = j
-            best_w = w
+    for points, lifted in ((zset.z, True), (np.column_stack([data.y, -data.x]), False)):
+        size = points.shape[0]
+        for block in _lex_blocks(size, d, 0, math.comb(size, d), _RegressionSearch.seed_block):
+            h, degen = _batched_normals(points[block])
+            _orient(zset, h)
+            usable = ~degen & (h[:, 0] > ON_HYPERPLANE_TOL)
+            w = h[:, 1:] / np.where(usable, h[:, 0], 1.0)[:, None]
+            if lifted:
+                below = _classify(zset, h)[0]
+                inliers = below[:, :n] & below[:, n:]
+            else:
+                inliers = np.abs(data.y - w @ data.x.T) < spec.epsilon
+            j = np.where(usable, n - np.count_nonzero(inliers, axis=1), np.inf)
+            i = int(np.argmin(j))  # argmin returns the first minimizer
+            if j[i] < best_j:
+                best_j, best_w = float(j[i]), w[i].copy()
     if best_w is None:
         raise NoHyperplaneError("no usable hyperplane seed was found")
     return RegressionModel(best_w), float(best_j)

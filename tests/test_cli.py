@@ -66,6 +66,32 @@ class TestRegress:
         assert main(["regress", "--method", "magic", "--p", "0", "--epsilon", "0.1",
                      str(data_file)]) == 2
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_is_usage_error(self, tmp_path, threads):
+        data_file = tmp_path / "data.csv"
+        write_exact_fit_csv(data_file)
+        out = tmp_path / "report.json"
+        assert main(["regress", "--p", "0", "--epsilon", "0.1", str(data_file),
+                     "--threads", threads, "--output", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_malformed_threads_variable_is_usage_error(self, tmp_path, monkeypatch, value):
+        data_file = tmp_path / "data.csv"
+        write_exact_fit_csv(data_file)
+        out = tmp_path / "report.json"
+        monkeypatch.setenv("SATFIT_THREADS", value)
+        assert main(["regress", "--p", "0", "--epsilon", "0.1", str(data_file),
+                     "--output", str(out)]) == 2
+        assert not out.exists()
+
+    def test_threads_variable_sets_the_default(self, tmp_path, monkeypatch):
+        data_file = tmp_path / "data.csv"
+        write_exact_fit_csv(data_file)
+        monkeypatch.setenv("SATFIT_THREADS", "1")
+        assert main(["regress", "--p", "0", "--epsilon", "0.1", str(data_file),
+                     "--output", str(tmp_path / "report.json")]) == 0
+
     def test_sampled_rerun_is_identical_except_timing(self, tmp_path):
         data_file = tmp_path / "data.csv"
         write_exact_fit_csv(data_file)
@@ -109,6 +135,15 @@ class TestSubspace:
         write_axis_csv(data_file)
         assert main(["subspace", "--p", "1", "--ds", "1", "--epsilon", "0.1",
                      str(data_file)]) == 2
+
+    def test_threads_below_one_is_usage_error(self, tmp_path, monkeypatch):
+        data_file = tmp_path / "pts.csv"
+        write_axis_csv(data_file)
+        args = ["subspace", "--p", "2", "--ds", "1", "--epsilon", "0.5", str(data_file),
+                "--output", str(tmp_path / "report.json")]
+        assert main(args + ["--threads", "0"]) == 2
+        monkeypatch.setenv("SATFIT_THREADS", "abc")
+        assert main(args) == 2
 
     def test_sampled_deterministic(self, tmp_path):
         data_file = tmp_path / "points.csv"
@@ -188,6 +223,16 @@ class TestBench:
                      "--r-values", "0.1", "--trials", "1", "--epsilon", "1.0",
                      "--output", str(out)])
         assert code == 5
+
+    def test_threads_below_one_is_usage_error(self, tmp_path, monkeypatch):
+        out = tmp_path / "bench.csv"
+        args = ["bench", "--methods", "sampled", "--r-values", "0.2", "--trials", "1",
+                "--n", "20", "--d", "2", "--epsilon", "1.0", "--iters", "10",
+                "--output", str(out)]
+        assert main(args + ["--threads", "0"]) == 2
+        monkeypatch.setenv("SATFIT_THREADS", "-1")
+        assert main(args) == 2
+        assert not out.exists()
 
     def test_fig1_preset_resolves(self, tmp_path):
         # only check the preset plumbing, scaled down to stay fast

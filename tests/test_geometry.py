@@ -6,9 +6,9 @@ from satfit import exact
 from satfit.geometry import (
     _EPS,
     ON_HYPERPLANE_TOL,
+    _MAX_MINORS_DIM,
     LiftedSet,
     _batched_normals,
-    _cofactor_normals,
     _fix_signs_batch,
 )
 from helpers import exact_fit_dataset, random_orthonormal
@@ -158,10 +158,21 @@ class TestHyperplaneThrough:
         with pytest.raises(ValueError):
             sf.hyperplane_through(z, [1, 1])
 
+    def test_out_of_range_seed_rejected(self):
+        # a negative index must not wrap around to the last lifted rows
+        data = small_regression(np.random.default_rng(0), n=4)
+        z = sf.lift_regression(data, sf.LossSpec(0, 0.3))
+        for seed in ([-1, 0], [0, 99], [0, z.size]):
+            with pytest.raises(ValueError):
+                sf.hyperplane_through(z, seed)
 
-def _edge_seed(s):
-    # unit rows spanning a volume of exactly s: the cofactor vector is (0, 0, 0, -s)
-    return np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [1.0, 0.0, s, 0.0]])
+
+def _edge_seed(m, s):
+    # rows e_0 .. e_(m-3) and e_0 + s e_(m-2), unit rows in floating point that
+    # span a volume of exactly s: the minors vector is (0, ..., 0, +-s)
+    a = np.eye(m - 1, m)
+    a[-1, 0], a[-1, m - 2] = 1.0, s
+    return a
 
 
 def _seed_set(a):
@@ -170,78 +181,111 @@ def _seed_set(a):
     return LiftedSet("subspace", a, a.shape[0], 1.0)
 
 
-def _degenerate_seeds():
-    rng = np.random.default_rng(21)
-    r0, r1 = rng.normal(size=(2, 4))
+def _degenerate_seeds(m):
+    # (m-1) x m seeds of rank below m - 1; a lone row (m = 2) only when it is zero
+    if m == 2:
+        return {"zero row": np.zeros((1, 2))}
+    base = np.random.default_rng(21).normal(size=(m - 2, m))
+    ints = np.random.default_rng(22).integers(-3, 4, size=(m - 2, m)).astype(float)
     return {
-        "duplicate row": np.array([r0, r1, r0]),
-        "zero row": np.array([r0, np.zeros(4), r1]),
-        "coplanar rows": np.array([[1.0, 2.0, 0.0, 1.0], [0.0, 1.0, 3.0, -1.0], [2.0, 3.0, -3.0, 3.0]]),
-        "coplanar float rows": np.array([r0, r1, 0.3 * r0 - 1.7 * r1]),
+        "duplicate row": np.vstack([base, base[:1]]),
+        "zero row": np.vstack([base[:1], np.zeros((1, m)), base[1:]]),
+        "coplanar rows": np.vstack([ints, 2.0 * ints[:1] - ints[-1:]]),
+        "coplanar float rows": np.vstack([base, 0.3 * base[:1] - 1.7 * base[-1:]]),
     }
 
 
-class TestCofactorNormals:
-    def test_agrees_with_the_svd_null_vector(self):
+_DIMS = range(2, 12)  # lifted dimensions on both sides of the minors / SVD switch
+_MINORS_DIMS = range(2, _MAX_MINORS_DIM + 1)
+
+
+class TestBatchedNormals:
+    @pytest.mark.parametrize("m", _DIMS)
+    def test_agrees_with_the_svd_null_vector(self, m):
         rng = np.random.default_rng(17)
-        a = rng.normal(size=(500, 3, 4)) * rng.uniform(0.01, 100.0, size=(500, 3, 1))
-        h, degen = _cofactor_normals(a)
+        a = rng.normal(size=(500, m - 1, m)) * rng.uniform(0.01, 100.0, size=(500, m - 1, 1))
+        h, degen = _batched_normals(a)
         assert not degen.any()
         svd_h = np.linalg.svd(a)[2][:, -1, :].copy()
         _fix_signs_batch(h)
         _fix_signs_batch(svd_h)
         assert np.allclose(h, svd_h, rtol=0, atol=1e-10)
 
-    def test_unit_norm_and_orthogonal_to_the_rows(self):
+    @pytest.mark.parametrize("m", _DIMS)
+    def test_unit_norm_and_orthogonal_to_the_rows(self, m):
         rng = np.random.default_rng(18)
-        a = rng.normal(size=(500, 3, 4)) * rng.uniform(0.01, 100.0, size=(500, 3, 1))
-        h, _ = _cofactor_normals(a)
+        a = rng.normal(size=(500, m - 1, m)) * rng.uniform(0.01, 100.0, size=(500, m - 1, 1))
+        h, _ = _batched_normals(a)
         assert np.allclose(np.linalg.norm(h, axis=1), 1.0, rtol=0, atol=1e-12)
         margins = np.abs(np.einsum("bij,bj->bi", a, h))
         assert np.all(margins <= 1e-12 * np.linalg.norm(a, axis=2))
 
-    @pytest.mark.parametrize("case", sorted(_degenerate_seeds()))
-    def test_rank_deficient_seeds_are_degenerate(self, case):
-        a = _degenerate_seeds()[case]
-        assert _cofactor_normals(a[None])[1][0]
-        assert sf.hyperplane_through(_seed_set(a), range(3)) is None
+    @pytest.mark.parametrize(
+        "m, case", [(m, case) for m in _DIMS for case in sorted(_degenerate_seeds(m))]
+    )
+    def test_rank_deficient_seeds_are_degenerate(self, m, case):
+        a = _degenerate_seeds(m)[case]
+        assert _batched_normals(a[None])[1][0]
+        assert sf.hyperplane_through(_seed_set(a), range(m - 1)) is None
 
-    @pytest.mark.parametrize("scale", [1e150, 1e-150])
-    def test_scale_free(self, scale):
+    @pytest.mark.parametrize(
+        "m, scale",
+        [(m, s) for m in _DIMS for s in (1e150, 1e-150)]
+        + [(m, s) for m in _MINORS_DIMS for s in (1e200, 1e-200)],
+    )
+    def test_scale_free(self, m, scale):
         rng = np.random.default_rng(19)
-        seeds = [rng.normal(size=(3, 4)) for _ in range(50)] + list(_degenerate_seeds().values())
-        a = np.array(seeds)
-        h, degen = _cofactor_normals(a)
-        hs, degens = _cofactor_normals(a * scale)
+        degenerate = list(_degenerate_seeds(m).values())
+        a = np.array([rng.normal(size=(m - 1, m)) for _ in range(50)] + degenerate)
+        h, degen = _batched_normals(a)
+        hs, degens = _batched_normals(a * scale)
         assert np.all(np.isfinite(hs))
         assert np.array_equal(degen, degens)
-        assert degen.sum() == len(_degenerate_seeds())
-        assert np.allclose(hs, h, rtol=0, atol=1e-14)
+        assert degen.sum() == len(degenerate)
+        # the SVD (m >= 10) returns an arbitrary vector of a null space of
+        # dimension > 1, and rescales extreme inputs by a rounded factor
+        keep = ~degen if m > _MAX_MINORS_DIM else slice(None)
+        atol = 1e-14 if m <= _MAX_MINORS_DIM else 1e-13
+        assert np.allclose(hs[keep], h[keep], rtol=0, atol=atol)
 
-    def test_degeneracy_bound_at_its_edge(self):
-        # the rule is ||cofactors of the unit rows|| <= 4 eps, inclusive
-        bound = 4.0 * _EPS
+    @pytest.mark.parametrize("m", range(3, _MAX_MINORS_DIM + 1))
+    def test_degeneracy_bound_at_its_edge(self, m):
+        # the rule is ||minors|| <= m eps prod(||row||), inclusive; a lone row
+        # (m = 2) has no such edge, its normal is degenerate only when it is
+        # zero.  The scales are exact, so the scaled seed keeps its volume
+        # ratio s; a decimal scale would round the entry s * scale and move it.
+        bound = m * _EPS
         for s, expected in ((np.nextafter(bound, 0.0), True), (bound, True),
                             (np.nextafter(bound, 1.0), False)):
-            for scale in (1.0, 1e150, 1e-150):
-                h, degen = _cofactor_normals(_edge_seed(s)[None] * scale)
+            for scale in (1.0, 2.0**500, 2.0**-500, 2.0**700, 2.0**-700):
+                h, degen = _batched_normals(_edge_seed(m, s)[None] * scale)
                 assert degen[0] == expected, (s, scale)
-        h, _ = _cofactor_normals(_edge_seed(np.nextafter(bound, 1.0))[None])
-        assert np.array_equal(np.abs(h[0]), [0.0, 0.0, 0.0, 1.0])
+        h, _ = _batched_normals(_edge_seed(m, np.nextafter(bound, 1.0))[None])
+        assert np.array_equal(np.abs(h[0]), np.eye(m)[-1])
 
-    def test_one_seed_calls_match_the_batch_bit_for_bit(self):
+    @pytest.mark.parametrize("m", _DIMS)
+    def test_one_seed_calls_match_the_batch_bit_for_bit(self, m):
         # hyperplane_through, the one-seed entry point, returns the normal the
-        # searches compute in their blocks: cross product (2x3 seeds),
-        # cofactors (3x4) and SVD (4x5)
+        # searches compute in their blocks, from the minors (m <= 9) and from
+        # the SVD (m >= 10) alike
         rng = np.random.default_rng(20)
-        for m in (3, 4, 5):
-            a = rng.normal(size=(300, m - 1, m))
-            h, degen = _batched_normals(a)
-            _fix_signs_batch(h)
-            assert not degen.any()
-            for i in range(a.shape[0]):
-                normal = sf.hyperplane_through(_seed_set(a[i]), range(m - 1)).normal
-                assert np.array_equal(normal, h[i]), (m, i)
+        a = rng.normal(size=(300, m - 1, m))
+        h, degen = _batched_normals(a)
+        _fix_signs_batch(h)
+        assert not degen.any()
+        for i in range(a.shape[0]):
+            normal = sf.hyperplane_through(_seed_set(a[i]), range(m - 1)).normal
+            assert np.array_equal(normal, h[i]), (m, i)
+
+    def test_two_row_normals_are_the_cross_product(self):
+        # exact power-of-two row scaling leaves the d = 2 normals bit-identical
+        # to the normalized np.cross, the cross-product rule unchanged
+        rng = np.random.default_rng(23)
+        a = rng.normal(size=(500, 2, 3)) * rng.uniform(0.01, 100.0, size=(500, 2, 1))
+        h, degen = _batched_normals(a)
+        cross = np.cross(a[:, 0], a[:, 1])
+        assert not degen.any()
+        assert np.array_equal(h, cross / np.linalg.norm(cross, axis=1)[:, None])
 
 
 class TestClassify:
