@@ -56,22 +56,6 @@ EXIT_IO = 3
 EXIT_SOLVER = 4
 EXIT_BUDGET = 5
 
-_FIG1_PRESET = {
-    "n": 200,
-    "d": 4,
-    "trials": 100,
-    "iters": 3000,
-    "p": 2,
-    "epsilon": 3.0 * math.sqrt(0.1),
-    "r_values": "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8",
-    "methods": "sampled,ransac",
-}
-
-
-class _UsageError(ValueError):
-    """Semantically invalid flag values."""
-
-
 class _DataError(OSError):
     """Unreadable or malformed input file."""
 
@@ -81,7 +65,7 @@ class _DataError(OSError):
 
 
 def _read_rows(path: str) -> tuple[list[str], list[list[float]]]:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -173,7 +157,7 @@ def _threads(args: argparse.Namespace) -> int:
         if not given:
             return os.cpu_count() or 1
     if not str(given).strip().isdecimal() or int(given) < 1:
-        raise _UsageError(f"{source} must be a positive integer, got {given!r}")
+        raise ValueError(f"{source} must be a positive integer, got {given!r}")
     return int(given)
 
 
@@ -191,61 +175,36 @@ def _progress_printer(enabled: bool):
 # Subcommands
 
 
-def _positive_float(label: str, value: float) -> float:
-    if not (value > 0 and math.isfinite(value)):
-        raise _UsageError(f"{label} must be positive and finite, got {value}")
-    return float(value)
+def _cmd_solve(args: argparse.Namespace) -> int:
+    """Run ``regress`` or ``subspace``: read, solve with ``--method``, write the JSON report.
 
-
-def _write_report(report: SolveReport, command: str, args, data, spec: LossSpec, **extra) -> int:
-    """Write the JSON report of a ``regress`` or ``subspace`` run to ``--output``."""
+    The subcommand supplies ``read(args)``, its ``solvers`` by method name
+    and ``context(data)``, its extra report fields.
+    """
+    spec = LossSpec(args.p, args.epsilon)
+    threads = _threads(args)
+    data = args.read(args)
+    progress = _progress_printer(args.verbose)
+    solver = args.solvers[args.method]
+    if args.method == "exact":
+        report = solver(data, spec, threads=threads, progress=progress)
+    else:
+        cfg = SamplingConfig(args.iters, args.rng_seed, args.subset_size)
+        report = solver(data, spec, cfg, progress=progress)
     context = {"input": args.data, "method": args.method, "p": spec.p,
-               "epsilon": spec.epsilon, "n": data.n, "d": data.d, **extra}
-    _write_json(_report_payload(report, command, context), args.output)
+               "epsilon": spec.epsilon, "n": data.n, "d": data.d, **args.context(data)}
+    _write_json(_report_payload(report, args.command, context), args.output)
     print(f"wrote {args.output} (objective {report.objective:.9g})", file=sys.stderr)
     return EXIT_OK
 
 
-def _cmd_regress(args: argparse.Namespace) -> int:
-    epsilon = _positive_float("--epsilon", args.epsilon)
-    threads = _threads(args)
-    spec = LossSpec(args.p, epsilon)
-    data = read_regression_csv(args.data)
-    progress = _progress_printer(args.verbose)
-    if args.method == "exact":
-        report = exact_regression(data, spec, threads=threads, progress=progress)
-    else:
-        cfg = SamplingConfig(args.iters, args.rng_seed, args.subset_size)
-        if args.method == "sampled":
-            report = sampled_regression(data, spec, cfg, progress=progress)
-        else:
-            report = ransac_regression(data, spec, cfg, progress=progress)
-    return _write_report(report, "regress", args, data, spec)
-
-
-def _cmd_subspace(args: argparse.Namespace) -> int:
-    epsilon = _positive_float("--epsilon", args.epsilon)
-    threads = _threads(args)
-    spec = LossSpec(args.p, epsilon)
-    data = read_points_csv(args.data, args.ds)
-    progress = _progress_printer(args.verbose)
-    if args.method == "exact":
-        report = exact_subspace(data, spec, threads=threads, progress=progress)
-    else:
-        cfg = SamplingConfig(args.iters, args.rng_seed)
-        report = sampled_subspace(data, spec, cfg, progress=progress)
-    return _write_report(report, "subspace", args, data, spec, subspace_dim=data.subspace_dim)
-
-
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if not 0.0 <= args.r < 1.0:
-        raise _UsageError(f"--r must lie in [0, 1), got {args.r}")
     w0 = None
     if args.w0:
         try:
             w0 = tuple(float(v) for v in args.w0.split(","))
         except ValueError:
-            raise _UsageError(f"--w0 must be a comma-separated float list, got {args.w0!r}")
+            raise ValueError(f"--w0 must be a comma-separated float list, got {args.w0!r}")
     cfg = GeneratorConfig(
         n=args.n,
         d=args.d,
@@ -272,36 +231,18 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _resolved(args: argparse.Namespace, key: str, fallback):
-    value = getattr(args, key)
-    if value is not None:
-        return value
-    if args.fig1 and key in _FIG1_PRESET:
-        return _FIG1_PRESET[key]
-    return fallback
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
-    methods = [m.strip() for m in _resolved(args, "methods", "sampled,ransac").split(",")]
-    r_values = [float(v) for v in _resolved(args, "r_values", "0.1,0.2,0.3,0.4").split(",")]
-    trials = int(_resolved(args, "trials", 10))
-    n = int(_resolved(args, "n", 200))
-    d = int(_resolved(args, "d", 4))
-    p = int(_resolved(args, "p", 2))
-    epsilon = _positive_float("--epsilon", float(_resolved(args, "epsilon", _FIG1_PRESET["epsilon"])))
-    iters = int(_resolved(args, "iters", 3000))
-    subset_size = args.subset_size if args.subset_size is not None else 2 * d
-    if p not in (0, 1, 2):
-        raise _UsageError(f"--p must be 0, 1 or 2, got {p}")
-    base = GeneratorConfig(n=n, d=d, outlier_fraction=0.0, rng_seed=args.rng_seed)
-    sampling = SamplingConfig(iters, args.rng_seed, subset_size)
+    if args.trials is None:
+        args.trials = 100 if args.fig1 else 10
+    if args.r_values is None:
+        args.r_values = "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8" if args.fig1 else "0.1,0.2,0.3,0.4"
     rows = run_sweep(
-        methods,
-        r_values,
-        trials,
-        base,
-        LossSpec(p, epsilon),
-        sampling,
+        [m.strip() for m in args.methods.split(",")],
+        [float(v) for v in args.r_values.split(",")],
+        args.trials,
+        GeneratorConfig(n=args.n, d=args.d, outlier_fraction=0.0, rng_seed=args.rng_seed),
+        LossSpec(args.p, args.epsilon),
+        SamplingConfig(args.iters, args.rng_seed, args.subset_size),
         exact_budget=args.exact_budget,
         threads=_threads(args),
     )
@@ -322,31 +263,41 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    reg = sub.add_parser("regress", help="robust linear regression on a CSV dataset")
+    solve = argparse.ArgumentParser(add_help=False)
+    solve.add_argument("--epsilon", type=float, required=True)
+    solve.add_argument("--rng-seed", type=int, default=0)
+    solve.add_argument("--threads", type=int, default=None)
+    solve.add_argument("--output", default="report.json")
+    solve.add_argument("--verbose", action="store_true")
+    solve.set_defaults(func=_cmd_solve)
+
+    reg = sub.add_parser("regress", parents=[solve],
+                         help="robust linear regression on a CSV dataset")
     reg.add_argument("data", help="CSV file with header x1,...,xd,y")
     reg.add_argument("--method", choices=("exact", "sampled", "ransac"), default="exact")
     reg.add_argument("--p", type=int, choices=(0, 1, 2), required=True)
-    reg.add_argument("--epsilon", type=float, required=True)
     reg.add_argument("--iters", type=int, default=3000)
-    reg.add_argument("--rng-seed", type=int, default=0)
     reg.add_argument("--subset-size", type=int, default=None)
-    reg.add_argument("--threads", type=int, default=None)
-    reg.add_argument("--output", default="report.json")
-    reg.add_argument("--verbose", action="store_true")
-    reg.set_defaults(func=_cmd_regress)
+    reg.set_defaults(
+        read=lambda args: read_regression_csv(args.data),
+        solvers={"exact": exact_regression, "sampled": sampled_regression,
+                 "ransac": ransac_regression},
+        context=lambda data: {},
+    )
 
-    ssp = sub.add_parser("subspace", help="robust subspace estimation on a CSV point cloud")
+    ssp = sub.add_parser("subspace", parents=[solve],
+                         help="robust subspace estimation on a CSV point cloud")
     ssp.add_argument("data", help="CSV file with header x1,...,xd")
     ssp.add_argument("--method", choices=("exact", "sampled"), default="exact")
     ssp.add_argument("--p", type=int, choices=(0, 2), required=True)
     ssp.add_argument("--ds", type=int, required=True, help="target subspace dimension")
-    ssp.add_argument("--epsilon", type=float, required=True)
     ssp.add_argument("--iters", type=int, default=500)
-    ssp.add_argument("--rng-seed", type=int, default=0)
-    ssp.add_argument("--threads", type=int, default=None)
-    ssp.add_argument("--output", default="report.json")
-    ssp.add_argument("--verbose", action="store_true")
-    ssp.set_defaults(func=_cmd_subspace)
+    ssp.set_defaults(
+        read=lambda args: read_points_csv(args.data, args.ds),
+        solvers={"exact": exact_subspace, "sampled": sampled_subspace},
+        context=lambda data: {"subspace_dim": data.subspace_dim},
+        subset_size=None,
+    )
 
     gen = sub.add_parser("gen", help="generate a synthetic regression dataset")
     gen.add_argument("--n", type=int, required=True)
@@ -362,19 +313,22 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=_cmd_gen)
 
     ben = sub.add_parser("bench", help="method comparison sweep, CSV out")
-    ben.add_argument("--methods", default=None, help="comma list from exact,sampled,ransac")
-    ben.add_argument("--r-values", dest="r_values", default=None)
-    ben.add_argument("--trials", type=int, default=None)
-    ben.add_argument("--n", type=int, default=None)
-    ben.add_argument("--d", type=int, default=None)
-    ben.add_argument("--p", type=int, default=None)
-    ben.add_argument("--epsilon", type=float, default=None)
-    ben.add_argument("--iters", type=int, default=None)
+    ben.add_argument("--methods", default="sampled,ransac",
+                     help="comma list from exact,sampled,ransac")
+    ben.add_argument("--r-values", dest="r_values", default=None,
+                     help="comma list of outlier fractions (default 0.1,...,0.4)")
+    ben.add_argument("--trials", type=int, default=None, help="trials per r (default 10)")
+    ben.add_argument("--n", type=int, default=200)
+    ben.add_argument("--d", type=int, default=4)
+    ben.add_argument("--p", type=int, choices=(0, 1, 2), default=2)
+    ben.add_argument("--epsilon", type=float, default=3.0 * math.sqrt(0.1))
+    ben.add_argument("--iters", type=int, default=3000)
     ben.add_argument("--subset-size", type=int, default=None)
     ben.add_argument("--rng-seed", type=int, default=0)
     ben.add_argument("--threads", type=int, default=None)
     ben.add_argument("--exact-budget", type=int, default=DEFAULT_EXACT_BUDGET)
-    ben.add_argument("--fig1", action="store_true", help="preset: d=4, 100 trials, 3000 iterations")
+    ben.add_argument("--fig1", action="store_true",
+                     help="the paper's fig. 1 grid: 100 trials, r = 0.1,...,0.8, unless given")
     ben.add_argument("--output", default="bench.csv")
     ben.set_defaults(func=_cmd_bench)
 
@@ -389,9 +343,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except BudgetExceededError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_BUDGET

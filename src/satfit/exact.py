@@ -304,15 +304,16 @@ class _Search:
     ) -> None:
         """Scan the whole enumeration, alone or over w = min(``threads``, cores) workers.
 
-        It forks only when w > 1 and there are at least four blocks of seeds;
-        ``task((*payload, start, stop))`` scans one of w contiguous ranges and
-        returns its ``partial()``, and merging those in rank order keeps the
-        first best candidate.  ``progress`` then runs once per range, and
-        ``should_stop`` is not polled.
+        It forks only when w > 1, there are at least four blocks of seeds and
+        no ``should_stop`` is given, so that a cancellable run polls after
+        every block whatever ``threads`` is; ``task((*payload, start, stop))``
+        scans one of w contiguous ranges and returns its ``partial()``, and
+        merging those in rank order keeps the first best candidate.
+        ``progress`` then runs once per range.
         """
         total = math.comb(self.zset.size, self.k)
         workers = min(int(threads), os.cpu_count() or 1)
-        if workers <= 1 or total < 4 * self.seed_block:
+        if workers <= 1 or total < 4 * self.seed_block or should_stop is not None:
             self.run_range(0, total, progress, should_stop)
             return
         bounds = [(i * total) // workers for i in range(workers + 1)]
@@ -404,7 +405,7 @@ class _RegressionSearch(_Search):
         stats = self.stats
         stats.seeds_enumerated += subsets.shape[0]
         h, degen = _batched_normals(self.zset.z[subsets])
-        _orient(self.zset, h)
+        _orient(h)
         below, on = _classify(self.zset, h)
         h1_small = h[:, 0] <= ON_HYPERPLANE_TOL
         base = np.count_nonzero(below[:, : self.n] & below[:, self.n :], axis=1)
@@ -477,13 +478,15 @@ def exact_regression(
 
     Seeds are scanned in blocks of 2,048 with the answer and counters of a
     seed-by-seed scan; ties go to the first candidate in scan order.  With
-    ``threads`` > 1 and at least 8,192 seeds, min(``threads``, cores) worker
-    processes scan contiguous ranges; the answer does not depend on the
-    schedule, the solved/reused counters do (each worker has its own fit
-    memo).  ``prune=False`` disables the incumbent bounds (for verification;
-    the result must not change).  ``progress(seeds done, incumbent)`` and
-    ``should_stop`` run after every block (with workers, ``progress`` once
-    per range and ``should_stop`` never).
+    ``threads`` > 1, at least 8,192 seeds and no ``should_stop``,
+    min(``threads``, cores) worker processes scan contiguous ranges; the
+    answer does not depend on the schedule, the solved/reused counters do
+    (each worker has its own fit memo).  ``prune=False`` disables the
+    incumbent bounds (for verification; the result must not change).
+    ``progress(seeds done, incumbent)`` and ``should_stop`` run after every
+    block (with workers, ``progress`` once per range); a run given
+    ``should_stop`` scans sequentially, so it can be cancelled at any
+    thread count.
     """
     t0 = perf_counter()
     search = _RegressionSearch(data, spec, prune=prune)
@@ -515,7 +518,7 @@ def approx_regression_p0(data: RegressionDataset, spec: LossSpec) -> tuple[Regre
         size = points.shape[0]
         for block in _lex_blocks(size, d, 0, math.comb(size, d), _RegressionSearch.seed_block):
             h, degen = _batched_normals(points[block])
-            _orient(zset, h)
+            _orient(h)
             usable = ~degen & (h[:, 0] > ON_HYPERPLANE_TOL)
             w = h[:, 1:] / np.where(usable, h[:, 0], 1.0)[:, None]
             if lifted:
@@ -564,7 +567,7 @@ class _SubspaceSearch(_Search):
         """Process a block of seeds, in order."""
         self.stats.seeds_enumerated += subsets.shape[0]
         h, degen = _batched_normals(self.zset.z[subsets])
-        _orient(self.zset, h)
+        _orient(h)
         self.stats.seeds_degenerate += int(np.count_nonzero(degen))
         below, on = _classify(self.zset, h)
         for i in np.flatnonzero(~degen):
@@ -620,8 +623,9 @@ def exact_subspace(
     in general position; p = 0 results are flagged ``approximate``, because
     the SVD fit of a feasible inlier set can leave one of its points outside
     epsilon, so the reported outlier count may exceed the optimum.
-    ``threads`` is used as in :func:`exact_regression`, from 1,024 seeds on;
-    ``progress`` and ``should_stop`` run every 256 seeds and after the last.
+    ``threads`` is used as in :func:`exact_regression`, from 1,024 seeds on
+    and only without ``should_stop``; ``progress`` and ``should_stop`` run
+    every 256 seeds and after the last.
     """
     t0 = perf_counter()
     search = _SubspaceSearch(data, spec)

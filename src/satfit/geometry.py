@@ -258,24 +258,14 @@ def _batched_normals(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return h, degen
 
 
-def _fix_signs_batch(h: np.ndarray) -> None:
-    """Make the first non-negligible coordinate of each row positive, in place."""
-    absh = np.abs(h)
-    thr = 1e-12 * absh.max(axis=1)
-    lead = h[np.arange(h.shape[0]), np.argmax(absh > thr[:, None], axis=1)]
-    h[lead < 0] *= -1.0
+def _orient(h: np.ndarray) -> None:
+    """The one orientation rule, in place on a stack of normals (B, m): ``h[0] >= 0``.
 
-
-def _orient(zset: LiftedSet, h: np.ndarray) -> None:
-    """The one orientation rule, in place on a stack of normals (B, m).
-
-    Regression normals get ``h[0] >= 0``, as the orientation argument needs;
-    subspace normals, whose two sides are both explored, a deterministic sign.
+    Regression needs this sign for its orientation argument; subspace
+    search explores both sides of each hyperplane and only needs a
+    deterministic one.
     """
-    if zset.kind == "regression":
-        h[h[:, 0] < 0] *= -1.0
-    else:
-        _fix_signs_batch(h)
+    h[h[:, 0] < 0] *= -1.0
 
 
 def _margins(zset: LiftedSet, h: np.ndarray) -> list[np.ndarray]:
@@ -330,7 +320,7 @@ def hyperplane_through(zset: LiftedSet, subset) -> Hyperplane | None:
     h, degen = _batched_normals(zset.z[None, list(idx)])
     if degen[0]:
         return None
-    _orient(zset, h)
+    _orient(h)
     onset = np.flatnonzero(_classify(zset, h)[1][0])
     return Hyperplane(h[0], onset, idx)
 

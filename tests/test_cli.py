@@ -1,9 +1,12 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
-from satfit.cli import main, read_regression_csv
+from satfit import cli
+from satfit.cli import main, read_points_csv, read_regression_csv
 from helpers import axis_dataset, exact_fit_dataset
 
 
@@ -23,6 +26,20 @@ def load_without_timing(path):
     doc = json.loads(path.read_text())
     doc.pop("wall_time_seconds", None)
     return doc
+
+
+class TestCsvFiles:
+    @pytest.mark.parametrize("write, read", [
+        (write_exact_fit_csv, read_regression_csv),
+        (write_axis_csv, lambda path: read_points_csv(path, 1)),
+    ], ids=["regression", "points"])
+    def test_leading_byte_order_mark_is_accepted(self, tmp_path, write, read):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write(plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        a, b = read(str(plain)), read(str(marked))
+        for field in dataclasses.fields(a):
+            assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
 
 
 class TestRegress:
@@ -46,6 +63,14 @@ class TestRegress:
         data_file = tmp_path / "data.csv"
         write_exact_fit_csv(data_file)
         assert main(["regress", "--p", "0", "--epsilon", "0", str(data_file)]) == 2
+
+    def test_nan_epsilon_is_usage_error(self, tmp_path):
+        data_file = tmp_path / "data.csv"
+        write_exact_fit_csv(data_file)
+        out = tmp_path / "report.json"
+        assert main(["regress", "--p", "0", "--epsilon", "nan", str(data_file),
+                     "--output", str(out)]) == 2
+        assert not out.exists()
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["regress", "--p", "0", "--epsilon", "0.1", str(tmp_path / "no.csv")]) == 3
@@ -192,6 +217,11 @@ class TestGen:
         sidecar = json.loads((tmp_path / "clean.meta.json").read_text())
         assert sidecar["outlier_indices"] == []
 
+    def test_outlier_fraction_outside_unit_interval_is_usage_error(self, tmp_path):
+        out = tmp_path / "data.csv"
+        assert main(["gen", "--n", "10", "--d", "1", "--r", "1.5", "--output", str(out)]) == 2
+        assert not out.exists()
+
     def test_regenerate_identical_files(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -199,6 +229,24 @@ class TestGen:
             main(["gen", "--n", "15", "--d", "2", "--r", "0.2", "--rng-seed", "9",
                   "--output", str(out)])
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.fixture
+def sweep_calls(monkeypatch):
+    """Replace ``run_sweep`` in the CLI by a recorder of what it is given; no solve runs."""
+    calls = []
+
+    def record(methods, r_values, trials, base, spec, sampling, *, exact_budget, threads):
+        calls.append({
+            "methods": list(methods), "r_values": list(r_values), "trials": trials,
+            "n": base.n, "d": base.d, "rng_seed": base.rng_seed, "p": spec.p,
+            "epsilon": spec.epsilon, "iters": sampling.n_iters,
+            "exact_budget": exact_budget, "threads": threads,
+        })
+        return []
+
+    monkeypatch.setattr(cli, "run_sweep", record)
+    return calls
 
 
 class TestBench:
@@ -243,3 +291,57 @@ class TestBench:
         assert main(args) == 0
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 1 + 2  # sampled and ransac from the preset
+
+    def test_plain_bench_defaults(self, tmp_path, sweep_calls):
+        assert main(["bench", "--threads", "1", "--output", str(tmp_path / "b.csv")]) == 0
+        [call] = sweep_calls
+        assert call["methods"] == ["sampled", "ransac"]
+        assert call["r_values"] == [0.1, 0.2, 0.3, 0.4]
+        assert (call["trials"], call["n"], call["d"], call["p"]) == (10, 200, 4, 2)
+        assert call["epsilon"] == 3.0 * math.sqrt(0.1)
+        assert call["iters"] == 3000
+
+    def test_fig1_sets_only_trials_and_r_values(self, tmp_path, sweep_calls):
+        out = str(tmp_path / "b.csv")
+        assert main(["bench", "--threads", "1", "--output", out]) == 0
+        assert main(["bench", "--fig1", "--threads", "1", "--output", out]) == 0
+        plain, fig1 = sweep_calls
+        assert fig1["trials"] == 100
+        assert fig1["r_values"] == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
+        for key in ("trials", "r_values"):
+            del plain[key], fig1[key]
+        assert fig1 == plain
+
+    def test_explicit_flags_override_the_preset(self, tmp_path, sweep_calls):
+        assert main(["bench", "--fig1", "--methods", "ransac", "--r-values", "0.5",
+                     "--trials", "3", "--n", "30", "--d", "2", "--p", "1",
+                     "--epsilon", "0.7", "--iters", "50", "--threads", "1",
+                     "--output", str(tmp_path / "b.csv")]) == 0
+        [call] = sweep_calls
+        assert call["methods"] == ["ransac"]
+        assert call["r_values"] == [0.5]
+        assert (call["trials"], call["n"], call["d"], call["p"]) == (3, 30, 2, 1)
+        assert (call["epsilon"], call["iters"]) == (0.7, 50)
+
+    def test_ransac_subset_size_defaults_to_twice_d(self, tmp_path):
+        args = ["bench", "--methods", "ransac", "--r-values", "0.3", "--trials", "2",
+                "--n", "20", "--d", "2", "--epsilon", "1.0", "--iters", "30",
+                "--rng-seed", "4", "--threads", "1"]
+        rows = []
+        for name, extra in (("a.csv", []), ("b.csv", ["--subset-size", "4"])):
+            out = tmp_path / name
+            assert main(args + extra + ["--output", str(out)]) == 0
+            rows.append([line.rsplit(",", 1)[0] for line in out.read_text().splitlines()])
+        assert len(rows[0]) == 3
+        assert rows[0] == rows[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--trials", "0"],
+        ["bench", "--r-values", ""],
+        ["bench", "--p", "3"],
+        ["bench", "--epsilon", "0"],
+    ])
+    def test_invalid_values_are_usage_errors(self, tmp_path, argv):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--output", str(out)]) == 2
+        assert not out.exists()

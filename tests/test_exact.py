@@ -562,6 +562,26 @@ class TestForkRule:
         solver(data, spec, threads=2)
         assert pool_sizes == [2]
 
+    def test_should_stop_scans_sequentially(
+        self, pool_sizes, monkeypatch, solver, instance, search
+    ):
+        data = instance()
+        spec = sf.LossSpec(2, 0.5)
+        total = solver(data, spec).seeds_enumerated
+        monkeypatch.setattr(search, "seed_block", total // 4)
+        polls = []
+
+        def stop():
+            polls.append(1)
+            return len(polls) > 1
+
+        report = solver(data, spec, threads=2, should_stop=stop)
+        assert report.cancelled
+        assert report.seeds_enumerated == 2 * (total // 4)
+        assert pool_sizes == []
+        solver(data, spec, threads=2)
+        assert pool_sizes == [2]
+
     def test_workers_are_capped_at_the_core_count(
         self, pool_sizes, monkeypatch, solver, instance, search
     ):

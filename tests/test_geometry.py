@@ -9,7 +9,7 @@ from satfit.geometry import (
     _MAX_MINORS_DIM,
     LiftedSet,
     _batched_normals,
-    _fix_signs_batch,
+    _orient,
 )
 from helpers import exact_fit_dataset, random_orthonormal
 
@@ -207,8 +207,8 @@ class TestBatchedNormals:
         h, degen = _batched_normals(a)
         assert not degen.any()
         svd_h = np.linalg.svd(a)[2][:, -1, :].copy()
-        _fix_signs_batch(h)
-        _fix_signs_batch(svd_h)
+        _orient(h)
+        _orient(svd_h)
         assert np.allclose(h, svd_h, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("m", _DIMS)
@@ -271,7 +271,7 @@ class TestBatchedNormals:
         rng = np.random.default_rng(20)
         a = rng.normal(size=(300, m - 1, m))
         h, degen = _batched_normals(a)
-        _fix_signs_batch(h)
+        _orient(h)
         assert not degen.any()
         for i in range(a.shape[0]):
             normal = sf.hyperplane_through(_seed_set(a[i]), range(m - 1)).normal
