@@ -5,8 +5,10 @@ candidate inlier set, and track the incumbent.
 Both solvers are exhaustive over all seeds of lifted points and are exact on
 data in general position, except for p = 0 subspace estimation, whose L2
 subproblem can miss the optimum (see :func:`exact_subspace`).  Seeds are
-enumerated in lexicographic order and ties are broken by scan order (the
-first best candidate wins), so repeated runs are bit-identical.
+enumerated in lexicographic order, unranked a block of ranks at a time, and
+ties are broken by scan order (the first best candidate wins), so repeated
+runs are bit-identical.  An enumeration of 2**63 seeds or more is refused
+with a ``ValueError`` before any seed is processed.
 
 Each search has one per-seed pipeline, ``process_chunk(subsets)``: the
 normals of a block of seeds come from :func:`.geometry._batched_normals`
@@ -32,6 +34,7 @@ replaces the incumbent.
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import os
@@ -39,7 +42,7 @@ import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
-from itertools import combinations, islice
+from itertools import combinations
 from time import perf_counter, sleep
 from typing import Callable, Iterable, Iterator
 
@@ -95,10 +98,6 @@ StopFn = Callable[[], bool]
 
 class NoHyperplaneError(RuntimeError):
     """No seed produced a usable hyperplane; the data violates genericity."""
-
-
-def _combination_block(it: Iterator[tuple[int, ...]], count: int, k: int) -> np.ndarray:
-    return np.fromiter(it, dtype=np.dtype((np.intp, k)), count=count)
 
 
 @dataclass
@@ -171,11 +170,52 @@ def seed_enumerator(m: int, k: int) -> Iterator[tuple[int, ...]]:
     return combinations(range(m), k)
 
 
+@functools.lru_cache(maxsize=32)
+def _rank_tables(m: int, k: int) -> tuple[int, tuple[np.ndarray, ...]]:
+    """C(m, k), the seed count, and per position i = k..1 the counts C(a, i), a < m.
+
+    C(a, i) is the cumulative count sum_{t<a} C(t, i - 1).  Ranks are int64,
+    so a count of 2**63 or more raises ``ValueError``.  The tables are
+    computed as Python ints and clamped to 2**63 - 1, above every rank,
+    which keeps each one sorted and changes no lookup.
+    """
+    total = math.comb(m, k)
+    if total >= 2**63:
+        raise ValueError(
+            f"{total:,} seeds (the {k}-subsets of {m} points) are too many to "
+            "enumerate; ranks must stay below 2**63"
+        )
+    tables = tuple(
+        np.array([min(math.comb(a, i), 2**63 - 1) for a in range(m)], dtype=np.int64)
+        for i in range(k, 0, -1)
+    )
+    for table in tables:  # shared by every caller through the cache
+        table.flags.writeable = False
+    return total, tables
+
+
+def _combination_block(m: int, k: int, start: int, stop: int) -> np.ndarray:
+    """Seeds of ranks start..stop-1 of the lexicographic k-subsets of range(m).
+
+    Rank r is unranked through the combinatorial number system: with
+    x = C(m, k) - 1 - r, the greedy a_i = max {a : C(a, i) <= x}, then
+    x -= C(a_i, i), for i = k..1, gives the seed's elements m - 1 - a_i in
+    increasing order.  One ``searchsorted`` per position serves the block.
+    """
+    out = np.empty((stop - start, k), dtype=np.intp)
+    total, tables = _rank_tables(m, k)
+    x = (total - 1) - np.arange(start, stop, dtype=np.int64)
+    for col, table in enumerate(tables):
+        a = np.searchsorted(table, x, side="right") - 1
+        x -= table[a]
+        out[:, col] = (m - 1) - a
+    return out
+
+
 def _lex_blocks(m: int, k: int, start: int, stop: int, size: int) -> Iterator[np.ndarray]:
     """Blocks of at most ``size`` seeds of ranks start..stop-1 of the enumeration."""
-    it = islice(seed_enumerator(m, k), start, None)
     for rank in range(start, stop, size):
-        yield _combination_block(it, min(size, stop - rank), k)
+        yield _combination_block(m, k, rank, min(rank + size, stop))
 
 
 def _pool_context():
@@ -311,7 +351,7 @@ class _Search:
         merging those in rank order keeps the first best candidate.
         ``progress`` then runs once per range.
         """
-        total = math.comb(self.zset.size, self.k)
+        total, _ = _rank_tables(self.zset.size, self.k)
         workers = min(int(threads), os.cpu_count() or 1)
         if workers <= 1 or total < 4 * self.seed_block or should_stop is not None:
             self.run_range(0, total, progress, should_stop)
@@ -516,7 +556,8 @@ def approx_regression_p0(data: RegressionDataset, spec: LossSpec) -> tuple[Regre
     best_j, best_w = np.inf, None
     for points, lifted in ((zset.z, True), (np.column_stack([data.y, -data.x]), False)):
         size = points.shape[0]
-        for block in _lex_blocks(size, d, 0, math.comb(size, d), _RegressionSearch.seed_block):
+        total, _ = _rank_tables(size, d)  # the lifted scan, first, has the larger count
+        for block in _lex_blocks(size, d, 0, total, _RegressionSearch.seed_block):
             h, degen = _batched_normals(points[block])
             _orient(h)
             usable = ~degen & (h[:, 0] > ON_HYPERPLANE_TOL)

@@ -176,6 +176,19 @@ def test_criterion_6_complexity_scaling():
     )
 
 
+def test_criterion_6_seed_count_scaling():
+    # the deterministic shape under criterion 6's wall times: every d-subset
+    # of the 2n lifted points is a seed, C(2n, 2) of them at d = 2
+    spec = sf.LossSpec(2, 3 * math.sqrt(0.1))
+    counts = {}
+    for n in (80, 160):
+        cfg = GeneratorConfig(n=n, d=2, outlier_fraction=0.4, rng_seed=11)
+        data, _ = generate_regression(cfg)
+        counts[n] = sf.exact_regression(data, spec).seeds_enumerated
+        assert counts[n] == math.comb(2 * n, 2)
+    _report("criterion 6", f"seeds {counts[80]:,} -> {counts[160]:,}")
+
+
 def test_criterion_7_sampling_beats_ransac_when_heavily_contaminated():
     spec = sf.LossSpec(2, 3 * math.sqrt(0.1))
     wins = 0

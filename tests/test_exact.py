@@ -9,6 +9,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import satfit as sf
 from satfit.experiments import (
@@ -118,6 +119,122 @@ class TestSeedEnumerator:
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
             sf.seed_enumerator(3, 4)
+
+
+# (m, k) with 0 <= k <= m
+lex_shapes = st.integers(0, 12).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m)))
+
+
+class TestCombinationBlock:
+    """Seeds are unranked a block at a time; blocks are slices of ``seed_enumerator``."""
+
+    @given(shape=lex_shapes, draw=st.data())
+    def test_block_is_the_slice_of_the_enumeration(self, shape, draw):
+        m, k = shape
+        combos = list(combinations(range(m), k))
+        start = draw.draw(st.integers(0, len(combos)))
+        stop = draw.draw(st.integers(start, len(combos)))
+        block = exact._combination_block(m, k, start, stop)
+        assert block.dtype == np.intp
+        assert block.shape == (stop - start, k)
+        assert [tuple(row) for row in block.tolist()] == combos[start:stop]
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 30])
+    def test_edge_sizes(self, m):
+        for k in (1, m):
+            combos = list(combinations(range(m), k))
+            total = len(combos)
+            for start, stop in ((0, total), (0, 0), (total, total), (total - 1, total)):
+                block = exact._combination_block(m, k, start, stop)
+                assert block.shape == (stop - start, k)
+                assert [tuple(row) for row in block.tolist()] == combos[start:stop]
+            # the last, partial block of a blocked scan
+            size = total // 3 + 1
+            blocks = list(exact._lex_blocks(m, k, 0, total, size))
+            assert blocks[-1].shape[0] == total - size * (len(blocks) - 1)
+            assert [tuple(r) for b in blocks for r in b.tolist()] == combos
+
+    @given(
+        shape=lex_shapes,
+        cuts=st.lists(st.floats(0, 1), max_size=5),
+        size=st.integers(1, 40),
+    )
+    def test_forked_ranges_join_to_the_enumeration(self, shape, cuts, size):
+        m, k = shape
+        total = math.comb(m, k)
+        bounds = sorted({0, total, *(int(c * total) for c in cuts)})
+        joined = [
+            tuple(row)
+            for start, stop in zip(bounds, bounds[1:])
+            for block in exact._lex_blocks(m, k, start, stop, size)
+            for row in block.tolist()
+        ]
+        assert joined == list(sf.seed_enumerator(m, k))
+
+    def test_exact_enum_shape_at_block_edges(self):
+        # the lifted enumeration of the benchmark's d = 3, n = 60 regression
+        m, k, size = 120, 3, exact._RegressionSearch.seed_block
+        ref = np.fromiter(combinations(range(m), k), dtype=np.dtype((np.intp, k)))
+        total = ref.shape[0]
+        assert total == math.comb(m, k) == 280_840
+        blocks = list(exact._lex_blocks(m, k, 0, total, size))
+        assert [b.shape[0] for b in blocks] == [size] * (total // size) + [total % size]
+        assert np.array_equal(np.concatenate(blocks), ref)
+        for edge in range(size, total, size):
+            block = exact._combination_block(m, k, edge - 1, edge + 1)
+            assert np.array_equal(block, ref[edge - 1 : edge + 1])
+        block = exact._combination_block(m, k, size - 1, size + 1)
+        assert block.tolist() == [[0, 19, 96], [0, 19, 97]]
+        assert exact._combination_block(m, k, total - 1, total).tolist() == [[117, 118, 119]]
+
+
+class TestSeedCountLimit:
+    """Ranks are int64: an enumeration of 2**63 seeds or more is refused before any block."""
+
+    @pytest.fixture
+    def no_blocks(self, monkeypatch, pool_sizes):
+        def refuse(*args):
+            raise AssertionError("a block of seeds was enumerated")
+
+        monkeypatch.setattr(exact, "_combination_block", refuse)
+        return pool_sizes
+
+    def test_regression(self, no_blocks):
+        rng = np.random.default_rng(0)
+        data = sf.RegressionDataset(rng.normal(size=(5000, 6)), rng.normal(size=5000))
+        count = f"{math.comb(10_000, 6):,} seeds"
+        for p in (0, 2):
+            with pytest.raises(ValueError, match=count):
+                sf.exact_regression(data, sf.LossSpec(p, 0.5), threads=2)
+        with pytest.raises(ValueError, match=count):
+            sf.approx_regression_p0(data, sf.LossSpec(0, 0.5))
+        assert no_blocks == []
+
+    def test_subspace(self, no_blocks):
+        rng = np.random.default_rng(0)
+        data = sf.PointDataset(rng.normal(size=(5000, 3)), 1)
+        with pytest.raises(ValueError, match=f"{math.comb(5000, 6):,} seeds"):
+            sf.exact_subspace(data, sf.LossSpec(2, 0.5), threads=2)
+        assert no_blocks == []
+
+    def test_largest_counts_below_the_limit_unrank(self):
+        # C(100, 90) < 2**63, but the tables hold C(a, i) far above it
+        m, k = 100, 90
+        total = math.comb(m, k)
+        assert total < 2**63 < math.comb(m - 1, 50)
+        assert exact._combination_block(m, k, 0, 1)[0].tolist() == list(range(k))
+        assert exact._combination_block(m, k, total - 1, total)[0].tolist() == list(range(m - k, m))
+        for r in (1, total // 3, total // 2, total - 2):
+            seed = exact._combination_block(m, k, r, r + 1)[0].tolist()
+            # the seeds before it: those that first differ at position j, with a smaller entry
+            before = sum(
+                math.comb(m - 1 - t, k - 1 - j)
+                for j, c in enumerate(seed)
+                for t in range(seed[j - 1] + 1 if j else 0, c)
+            )
+            assert before == r
+        with pytest.raises(ValueError, match="seeds"):
+            exact._combination_block(67, 33, 0, 1)  # C(67, 33) > 2**63
 
 
 class TestExactRegression:
