@@ -48,7 +48,7 @@ __all__ = [
     "write_regression_csv",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -134,10 +134,7 @@ def _report_payload(report: SolveReport, command: str, context: dict) -> dict:
         "model": model_doc,
         "inliers": [int(i) + 1 for i in report.inliers],
         "approximate": report.approximate,
-        "flags": {
-            "certificate_boundary": report.certificate_boundary,
-            "cancelled": report.cancelled,
-        },
+        "flags": {"cancelled": report.cancelled},
         "counters": {f.name: getattr(report, f.name) for f in dataclasses.fields(SearchStats)},
         "wall_time_seconds": report.wall_time_seconds,
     }

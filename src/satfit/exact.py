@@ -39,7 +39,6 @@ import math
 import multiprocessing
 import os
 import threading
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from itertools import combinations
@@ -116,10 +115,11 @@ class SearchStats:
       branches fitted and scored, branches rejected before that (inlier set
       too small, or count bound), and branches skipped because the same
       search (or worker) had fitted their inlier set.  They add up to
-      ``sign_completions``.  For p = 0 regression the objective n - |S| is
-      the count bound, so a branch is solved, without a fit, exactly when it
-      improves the incumbent, none is reused, and the minimax fit of the
-      final model is not counted;
+      ``sign_completions``.  For p = 0 regression each solved branch is one
+      minimax fit, the winner's included; none is reused on generic data,
+      where every branch's set S is feasible: its fit leaves at most
+      n - |S| outliers, so the incumbent drops to at most that count and S
+      fails the count bound from then on;
     * ``max_onset_size``: largest number of on-hyperplane points over all
       usable seeds;
     * ``onset_outside_seed``: subspace runs only, on-hyperplane points that
@@ -146,19 +146,12 @@ class SearchStats:
 
 @dataclass(kw_only=True)
 class SolveReport(SearchStats):
-    """Outcome of a solver run: the answer plus the :class:`SearchStats` counters.
-
-    ``certificate_boundary`` is set on p = 0 regression runs when the final
-    minimax fit attains a maximum error within tolerance of the threshold
-    (or above it), meaning the reported inlier set sits on the boundary of
-    feasibility.
-    """
+    """Outcome of a solver run: the answer plus the :class:`SearchStats` counters."""
 
     objective: float
     model: RegressionModel | SubspaceModel | None
     inliers: np.ndarray
     approximate: bool
-    certificate_boundary: bool
     cancelled: bool
     wall_time_seconds: float
 
@@ -251,7 +244,7 @@ class _Search:
     implements ``process_chunk(subsets)``, its only per-seed entry point,
     which hands each seed's branch masks to :meth:`_complete`;
     ``_solve(mask)``, the (objective, solution) of one inlier set; and
-    ``_winner()``, the (model, inliers, certificate_boundary) of ``best``.
+    ``_winner()``, the (model, inliers) of ``best``.
     """
 
     def __init__(self, zset, k: int, n: int, eps_p: float, min_size: int, count_bound: bool):
@@ -372,13 +365,12 @@ class _Search:
                 "(or, for regression, orientation-ambiguous), which signals "
                 "non-generic data"
             )
-        model, inliers, boundary = self._winner()
+        model, inliers = self._winner()
         return SolveReport(
             objective=float(self.j),
             model=model,
             inliers=inliers,
             approximate=approximate,
-            certificate_boundary=boundary,
             cancelled=self.cancelled,
             wall_time_seconds=wall,
             **asdict(self.stats),
@@ -392,9 +384,10 @@ class _Search:
 class _RegressionSearch(_Search):
     """Incumbent-tracking state shared by the exact and sampled regression solvers.
 
-    For p = 0 the objective of an inlier set is its outlier count, which is
-    also its count bound, so the bound applies even without pruning; the
-    solution is the set itself, and ``_winner`` fits its model once.
+    For p = 0 the count bound applies even without pruning, which keeps
+    pruned and unpruned runs bit-identical.  It stays exact: the minimax fit
+    of a feasible set S leaves at most n - |S| outliers, so an optimal
+    inlier set passes the bound until the optimum is reached.
     """
 
     seed_block = 2048
@@ -408,12 +401,8 @@ class _RegressionSearch(_Search):
         self.spec = spec
         self.prune = prune
         self.p = spec.p
-        self.eps = spec.epsilon
 
     def _solve(self, mask: np.ndarray) -> tuple[float, np.ndarray]:
-        if self.p == 0:
-            idx = np.flatnonzero(mask)
-            return float(self.n - idx.size), idx
         w = _regression_fit(self.data.x[mask], self.data.y[mask], self.p)
         return float(np.sum(loss(self.spec, self.data.y - self.data.x @ w))), w
 
@@ -472,24 +461,9 @@ class _RegressionSearch(_Search):
                 continue
             self._handle_seed(below[i], on[i])
 
-    def _winner(self) -> tuple[RegressionModel, np.ndarray, bool]:
-        solution = self.best
-        if self.p != 0:
-            model = RegressionModel(solution)
-            return model, regression_inliers(self.data, model, self.spec), False
-        x, y = self.data.x[solution], self.data.y[solution]
-        w = _regression_fit(x, y, 0)
-        value = float(np.max(np.abs(y - x @ w)))
-        tau = ON_HYPERPLANE_TOL * max(1.0, self.eps)
-        boundary = value >= self.eps - tau
-        if value >= self.eps + tau:
-            warnings.warn(
-                "the best inlier set admits no model with all errors "
-                "strictly inside the threshold; reporting it anyway",
-                RuntimeWarning,
-                stacklevel=4,
-            )
-        return RegressionModel(w), solution, bool(boundary)
+    def _winner(self) -> tuple[RegressionModel, np.ndarray]:
+        model = RegressionModel(self.best)
+        return model, regression_inliers(self.data, model, self.spec)
 
 
 def _regression_range_task(payload) -> dict:
@@ -633,9 +607,9 @@ class _SubspaceSearch(_Search):
         r = _projection_residuals(self.data.x, basis)
         return float(np.sum(loss(self.spec, r))), basis
 
-    def _winner(self) -> tuple[SubspaceModel, np.ndarray, bool]:
+    def _winner(self) -> tuple[SubspaceModel, np.ndarray]:
         model = SubspaceModel(self.best)
-        return model, subspace_inliers(self.data, model, self.spec), False
+        return model, subspace_inliers(self.data, model, self.spec)
 
 
 def _subspace_range_task(payload) -> dict:

@@ -166,7 +166,6 @@ def ransac_regression(
         seeds_degenerate=degenerate,
         subproblems_solved=solved,
         approximate=True,
-        certificate_boundary=False,
         cancelled=False,
         wall_time_seconds=perf_counter() - t0,
     )

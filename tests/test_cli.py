@@ -53,7 +53,8 @@ class TestRegress:
         )
         assert code == 0
         doc = json.loads(out.read_text())
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
+        assert doc["flags"] == {"cancelled": False}
         assert doc["objective"] == 1.0
         assert doc["inliers"] == [1, 2, 3, 4]  # report files are 1-based
         assert doc["model"]["w"] == pytest.approx([2.0], abs=1e-9)

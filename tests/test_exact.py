@@ -74,6 +74,17 @@ def random_regression_instance(seed, n=9, d=2, r=0.3):
     return generate_regression(cfg)[0]
 
 
+def integer_regression_instances(count=300, seed=5):
+    """Small instances with integer x and y, far from general position, and an epsilon each."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n, d = int(rng.integers(6, 10)), int(rng.integers(1, 4))
+        eps = float(rng.choice([0.5, 1.0, 2.0]))
+        x = rng.integers(-3, 4, size=(n, d)).astype(float)
+        y = rng.integers(-4, 5, size=n).astype(float)
+        yield sf.RegressionDataset(x, y), eps
+
+
 def stat_fields(pid):
     """Fields of /proc/<pid>/stat after the command name (state first), or None if gone."""
     try:
@@ -243,7 +254,6 @@ class TestExactRegression:
         assert report.objective == 1.0
         assert report.inliers.tolist() == [0, 1, 2, 3]
         assert report.model.w[0] == pytest.approx(2.0, abs=1e-9)
-        assert not report.certificate_boundary
 
     def test_exact_fit_p2(self):
         report = sf.exact_regression(exact_fit_dataset(), sf.LossSpec(2, 0.1))
@@ -307,8 +317,9 @@ class TestExactRegression:
                 == report.sign_completions
             )
             if p == 0:
-                # The p = 0 objective is the count bound itself: a set met
-                # again cannot pass the bound it set the incumbent to.
+                # The minimax fit of a feasible set S leaves at most
+                # n - |S| outliers, so the incumbent drops to at most that
+                # count and S fails the count bound when it is met again.
                 assert report.subproblems_reused == 0
             else:
                 assert report.subproblems_reused > 0
@@ -375,6 +386,24 @@ class TestExactRegression:
         report = sf.exact_regression(collinear_instance(), sf.LossSpec(2, 0.8))
         assert report.max_onset_size > collinear_instance().d
         assert report.objective == pytest.approx(2 * 0.8**2, abs=1e-12)  # the two outliers
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_objective_is_the_loss_of_the_model_on_integer_data(self, p):
+        # Integer data puts several points on one candidate hyperplane and
+        # at errors of exactly epsilon, where a set can be feasible only on
+        # the boundary; the reported objective must still be what the
+        # returned model scores.
+        for data, eps in integer_regression_instances():
+            spec = sf.LossSpec(p, eps)
+            report = sf.exact_regression(data, spec)
+            assert report.objective == sf.regression_objective(data, report.model, spec)
+
+    @pytest.mark.filterwarnings("ignore:.*floating-point ambiguous:RuntimeWarning")
+    def test_p0_model_is_no_worse_than_the_oracle_on_integer_data(self):
+        for data, eps in integer_regression_instances():
+            spec = sf.LossSpec(0, eps)
+            model = sf.exact_regression(data, spec).model
+            assert sf.regression_objective(data, model, spec) <= sf.oracle_regression(data, spec).objective
 
     def test_branch_blocks_do_not_change_the_answer(self, monkeypatch):
         data = collinear_instance()  # seeds with 7 on-hyperplane points: 128 branches
