@@ -263,11 +263,13 @@ def _check_subspace_model(data: PointDataset, model: SubspaceModel) -> None:
 def _projection_residuals(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Row distances ``||x_i - B B^T x_i||``, unchecked; ``basis`` must be C-contiguous.
 
-    The exact subspace search scores its candidate bases with this, so its
-    objectives equal :func:`subspace_objective` bit for bit.
+    ``basis`` is one (d, ds) basis, giving (n,) distances, or a stack of
+    them, (B, d, ds), giving (B, n); each row of a stack equals the one-basis
+    call bit for bit.  The exact subspace search scores its candidate bases
+    with this, so its objectives equal :func:`subspace_objective` bit for bit.
     """
-    proj = (x @ basis) @ basis.T
-    return np.linalg.norm(x - proj, axis=1)
+    proj = (x @ basis) @ np.swapaxes(basis, -1, -2)
+    return np.linalg.norm(x - proj, axis=-1)
 
 
 def subspace_residuals(data: PointDataset, model: SubspaceModel) -> np.ndarray:

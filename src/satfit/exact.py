@@ -20,16 +20,22 @@ completion step.  The exact solvers feed it lexicographic blocks of the
 enumeration; the sampling variants in :mod:`.sampling` blocks of random
 draws in iteration order.
 
-A completion step builds the boolean inlier masks of a seed's completion
-branches and hands them to the one branch loop, ``_Search._complete``.  In
-branch order, it prunes an inlier set S that is too small or fails the count
-bound eps^p (n - |S|) >= J where that applies (regression); skips a set
-fitted before, keyed by its packed mask; and fits and scores the rest with
-the subproblem that p selects: the SVD subspace fit, or
+A completion step builds the boolean inlier masks of completion branches,
+regression one seed at a time in calls of at most ``_BRANCH_BLOCK`` rows,
+the subspace search those of every usable seed of a block in calls of at
+most ``_BRANCH_CELLS // n`` rows, and hands them to the one branch loop,
+``_Search._complete``.  In row order, it prunes an inlier set S that is too
+small or fails the count bound eps^p (n - |S|) >= J where that applies
+(regression); skips a set fitted before, keyed by its packed mask; and fits
+and scores the rest with the subproblem that p selects:
 :func:`.subsolvers._regression_fit` (minimax, LAD or least squares for
-p = 0, 1, 2).  Skipping a repeat cannot change the answer: it would
-reproduce an objective already seen, and only a strictly smaller objective
-replaces the incumbent.
+p = 0, 1, 2) or the SVD subspace fit.  While the count bound is on, each new
+set is fitted at once, since its objective can prune the next row;
+otherwise new sets are fitted in stacks of at most ``_STACK_CELLS // n``,
+the subspace fit with one stacked SVD per set size, bit for bit the one-set
+results.  Skipping a repeat cannot change the answer: it would reproduce an
+objective already seen, and only a strictly smaller objective replaces the
+incumbent.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
-from itertools import combinations
+from itertools import combinations, groupby
 from time import perf_counter, sleep
 from typing import Callable, Iterable, Iterator
 
@@ -84,6 +90,23 @@ _MAX_ONSET = 20
 # Regression branches per block of inlier masks: a seed with _MAX_ONSET
 # on-hyperplane points must not hold 2**_MAX_ONSET masks at once.
 _BRANCH_BLOCK = 1024
+
+# Mask cells (rows times n) per _complete call of the subspace search: a
+# call takes max(1, _BRANCH_CELLS // n) rows, so the masks held at once are
+# _BRANCH_CELLS bytes, or one seed's branches where those are more, and at
+# small n one call covers many seeds (13,107 rows at n = 10), which amortizes
+# the call's fixed cost.
+_BRANCH_CELLS = 1 << 17
+
+# Mask cells per stack of new inlier sets fitted and scored together (without
+# the count bound): a stack takes max(1, _STACK_CELLS // n) sets, so its
+# (sets, n, d) float temporaries stay at most 256 KiB times d.  A stack has a
+# fixed cost, which small stacks repeat; stacks of several MB run slower per
+# set, since each fresh allocation of 128 KiB or more is mapped anew by glibc
+# and faults its pages in on use.  Stacking pays most when a call holds many
+# new sets of one size, as in small-n exact enumeration; at large n, where a
+# stack holds one set, it costs what one fit per set did.
+_STACK_CELLS = 1 << 15
 
 # Seeds per block of the subspace scan and of the sampled draws; also their
 # progress period.  Regression scans blocks of _RegressionSearch.seed_block.
@@ -242,9 +265,9 @@ class _Search:
     only on a strictly smaller objective, so the first tie in scan order wins.
     A subclass declares ``seed_block``, the seeds per block of its scan, and
     implements ``process_chunk(subsets)``, its only per-seed entry point,
-    which hands each seed's branch masks to :meth:`_complete`;
-    ``_solve(mask)``, the (objective, solution) of one inlier set; and
-    ``_winner()``, the (model, inliers) of ``best``.
+    which hands branch masks to :meth:`_complete`; ``_solve_many(masks)``,
+    the objectives and solutions of a stack of inlier sets, in row order;
+    and ``_winner()``, the (model, inliers) of ``best``.
     """
 
     def __init__(self, zset, k: int, n: int, eps_p: float, min_size: int, count_bound: bool):
@@ -254,6 +277,9 @@ class _Search:
         self.eps_p = eps_p
         self.min_size = min_size
         self.count_bound = count_bound
+        # New sets per _solve_many call: one under the count bound, whose
+        # live incumbent can prune the next row.
+        self.stack = 1 if count_bound else max(1, _STACK_CELLS // n)
         self.j = eps_p * n
         self.best = None
         self.stats = SearchStats()
@@ -261,26 +287,43 @@ class _Search:
         self.fitted: set[bytes] = set()  # packed masks of the fitted inlier sets
 
     def _complete(self, masks: np.ndarray) -> None:
-        """Prune, reuse or solve the branches of one seed, in order.
+        """Prune, reuse or fit the branches in ``masks``, in row order.
 
-        Each row of ``masks`` is the inlier set S of one branch.  The count
-        bound tests eps^p (n - |S|) >= J with the live incumbent J.
+        Each row is the inlier set S of one branch.  The count bound tests
+        eps^p (n - |S|) >= J with the live incumbent J, so while it is on
+        each new set is fitted at once: its objective can prune the next
+        row.  Otherwise new sets are fitted together, ``stack`` at a time,
+        by ``_solve_many``, and the first strictly smaller objective in row
+        order wins, as it would one row at a time.
         """
         stats = self.stats
         stats.sign_completions += masks.shape[0]
         counts = np.count_nonzero(masks, axis=1).tolist()
         packed = np.packbits(masks, axis=1)
         keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
+        new = []
         for i, cnt in enumerate(counts):
             if cnt < self.min_size or (self.count_bound and self.eps_p * (self.n - cnt) >= self.j):
                 stats.subproblems_pruned += 1
-                continue
-            if keys[i] in self.fitted:
+            elif keys[i] in self.fitted:
                 stats.subproblems_reused += 1
-                continue
-            self.fitted.add(keys[i])
-            candidate, solution = self._solve(masks[i])
-            stats.subproblems_solved += 1
+            else:
+                self.fitted.add(keys[i])
+                if self.stack == 1:  # a view, without the copy of masks[new]
+                    self._fit(masks[i : i + 1])
+                    continue
+                new.append(i)
+                if len(new) == self.stack:
+                    self._fit(masks[new])
+                    new = []
+        if new:
+            self._fit(masks[new])
+
+    def _fit(self, masks: np.ndarray) -> None:
+        """Fit and score the inlier sets in ``masks``; keep the first strictly better one."""
+        objectives, solutions = self._solve_many(masks)
+        self.stats.subproblems_solved += len(objectives)
+        for candidate, solution in zip(objectives, solutions):
             if candidate < self.j:
                 self.j = candidate
                 self.best = solution
@@ -402,9 +445,14 @@ class _RegressionSearch(_Search):
         self.prune = prune
         self.p = spec.p
 
-    def _solve(self, mask: np.ndarray) -> tuple[float, np.ndarray]:
-        w = _regression_fit(self.data.x[mask], self.data.y[mask], self.p)
-        return float(np.sum(loss(self.spec, self.data.y - self.data.x @ w))), w
+    def _solve_many(self, masks: np.ndarray) -> tuple[list[float], list[np.ndarray]]:
+        """Fit and score a stack of inlier sets, one set at a time."""
+        objectives, solutions = [], []
+        for mask in masks:
+            w = _regression_fit(self.data.x[mask], self.data.y[mask], self.p)
+            objectives.append(float(np.sum(loss(self.spec, self.data.y - self.data.x @ w))))
+            solutions.append(w)
+        return objectives, solutions
 
     def _handle_seed(self, below: np.ndarray, on: np.ndarray) -> None:
         """Complete one seed from its lifted masks ``below`` and ``on`` (length 2n).
@@ -572,40 +620,64 @@ class _SubspaceSearch(_Search):
         self.data = data
         self.spec = spec
         self.ds = data.subspace_dim
-        # Seed-point selection of every completion branch, in branch order:
-        # the subsets of the seed in binary counting order (bit k selects
-        # seed point k), each taken with orientation -1, then +1.
-        bits = np.arange(2**self.k)[:, None] >> np.arange(self.k)
-        self._branch_sel = np.repeat((bits & 1).astype(bool), 2, axis=0)
+        # Seed-point selection of every completion branch, one column per
+        # branch in branch order: the subsets of the seed in binary counting
+        # order (bit k selects seed point k), each taken with orientation
+        # -1, then +1.
+        bits = np.arange(2**self.k) >> np.arange(self.k)[:, None]
+        self._branch_sel = np.repeat((bits & 1).astype(bool), 2, axis=1)
 
     def process_chunk(self, subsets: np.ndarray) -> None:
-        """Process a block of seeds, in order."""
-        self.stats.seeds_enumerated += subsets.shape[0]
+        """Process a block of seeds, in order.
+
+        The branches of every usable seed reach :meth:`_complete` in seed
+        order, then branch order, in calls of at most ``_BRANCH_CELLS // n``
+        rows (at least one).
+        """
+        stats = self.stats
+        stats.seeds_enumerated += subsets.shape[0]
         h, degen = _batched_normals(self.zset.z[subsets])
         _orient(h)
-        self.stats.seeds_degenerate += int(np.count_nonzero(degen))
+        stats.seeds_degenerate += int(np.count_nonzero(degen))
         below, on = _classify(self.zset, h)
-        for i in np.flatnonzero(~degen):
-            self._handle_seed(subsets[i], below[i], on[i])
+        idx, below, on = subsets[~degen], below[~degen], on[~degen]
+        onset = np.count_nonzero(on, axis=1)
+        stats.max_onset_size = max(stats.max_onset_size, int(onset.max(initial=0)))
+        on_seed = np.count_nonzero(np.take_along_axis(on, idx, axis=1))
+        stats.onset_outside_seed += int(onset.sum() - on_seed)
+        # Inlier masks of every branch of a group of seeds: the points
+        # strictly on the branch's side plus its selection of seed points.
+        branches = self._branch_sel.shape[1]
+        rows = max(1, _BRANCH_CELLS // self.n)
+        per_call = max(1, rows // branches)
+        for first in range(0, idx.shape[0], per_call):
+            seeds = slice(first, first + per_call)
+            masks = np.empty((len(idx[seeds]), branches, self.n), dtype=bool)
+            masks[:, 0::2] = below[seeds, None]
+            masks[:, 1::2] = ~(below[seeds] | on[seeds])[:, None]
+            masks[np.arange(len(masks))[:, None], :, idx[seeds]] |= self._branch_sel
+            masks = masks.reshape(-1, self.n)
+            for row in range(0, masks.shape[0], rows):
+                self._complete(masks[row : row + rows])
 
-    def _handle_seed(self, idx: np.ndarray, below: np.ndarray, on: np.ndarray) -> None:
-        """Complete one seed from its masks ``below``, ``on``; its branches form one block."""
-        stats = self.stats
-        onset = int(np.count_nonzero(on))
-        stats.max_onset_size = max(stats.max_onset_size, onset)
-        stats.onset_outside_seed += onset - int(np.count_nonzero(on[idx]))
-        # Inlier mask of every branch: the points strictly on the branch's
-        # side plus its selection of seed points.
-        masks = np.empty((self._branch_sel.shape[0], self.n), dtype=bool)
-        masks[0::2] = below
-        masks[1::2] = ~(below | on)
-        masks[:, idx] |= self._branch_sel
-        self._complete(masks)
-
-    def _solve(self, mask: np.ndarray) -> tuple[float, np.ndarray]:
-        basis = np.ascontiguousarray(_svd_basis(self.data.x[mask], self.ds)[0])
-        r = _projection_residuals(self.data.x, basis)
-        return float(np.sum(loss(self.spec, r))), basis
+    def _solve_many(self, masks: np.ndarray) -> tuple[list[float], list[np.ndarray]]:
+        """Fit and score a stack of inlier sets: one stacked SVD per set size."""
+        x = self.data.x
+        sizes = np.count_nonzero(masks, axis=1)
+        order = np.argsort(sizes, kind="stable")
+        # The points of every set, the sets taken by size: each size is one
+        # contiguous (count, size, d) block.
+        points = x[np.flatnonzero(masks[order]) % self.n]
+        bases = np.empty((masks.shape[0], x.shape[1], self.ds))
+        row = cell = 0
+        for size, group in groupby(sizes[order].tolist()):
+            count = len(list(group))
+            sets = points[cell : cell + count * size].reshape(count, size, -1)
+            bases[order[row : row + count]] = _svd_basis(sets, self.ds)[0]
+            row += count
+            cell += count * size
+        objectives = np.sum(loss(self.spec, _projection_residuals(x, bases)), axis=1)
+        return objectives.tolist(), list(bases)
 
     def _winner(self) -> tuple[SubspaceModel, np.ndarray]:
         model = SubspaceModel(self.best)

@@ -349,15 +349,19 @@ def _regression_fit(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
 # Subspace subproblem
 
 
-def _svd_basis(points: np.ndarray, ds: int) -> tuple[np.ndarray, float]:
+def _svd_basis(points: np.ndarray, ds: int) -> tuple[np.ndarray, np.ndarray | float]:
     """Top-ds left singular vectors of the matrix with the points as columns.
 
-    Returns the basis and the gap ``sigma_ds - sigma_(ds+1)`` (infinity when
-    there is no singular value beyond the cut).
+    ``points`` is one (k, d) set or a stack of B sets of one size k,
+    (B, k, d); the stack takes one batched SVD call, and each of its bases
+    equals the one-set call bit for bit (a set is never padded, since zero
+    columns change the last bits).  Returns the (d, ds) basis, or the
+    (B, d, ds) stack, and the gap ``sigma_ds - sigma_(ds+1)`` per set
+    (infinity when there is no singular value beyond the cut).
     """
-    u, s, _ = np.linalg.svd(points.T, full_matrices=False)
-    gap = float(s[ds - 1] - s[ds]) if s.shape[0] > ds else np.inf
-    return u[:, :ds], gap
+    u, s, _ = np.linalg.svd(np.swapaxes(points, -1, -2), full_matrices=False)
+    gap = s[..., ds - 1] - s[..., ds] if s.shape[-1] > ds else np.inf
+    return u[..., :ds], gap
 
 
 def solve_subspace_p2(

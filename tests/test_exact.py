@@ -635,6 +635,75 @@ class TestExactSubspace:
             drawn = sf.sampled_subspace(data, spec, sf.SamplingConfig(2000, 0))
             assert drawn.objective == a.objective
 
+    @pytest.mark.parametrize("size", [1, 7, 256])
+    @pytest.mark.parametrize("p", [0, 2])
+    def test_seed_blocks_do_not_change_the_report(self, p, size):
+        # A block's branches are completed together, and forked workers cut
+        # blocks at arbitrary ranks; the report must not depend on the cuts.
+        # n = 10, d = 2: 120 seeds; n = 9, d = 3: 84 seeds.
+        for d, ds, n in ((2, 1, 10), (3, 2, 9)):
+            cfg = SubspaceGeneratorConfig(
+                n=n, d=d, subspace_dim=ds, outlier_fraction=0.3, rng_seed=4
+            )
+            data, _ = generate_subspace(cfg)
+            spec = sf.LossSpec(p, 0.6)
+            whole = sf.exact_subspace(data, spec)
+            search = _SubspaceSearch(data, spec)
+            total = math.comb(n, data.lifted_dim)
+            for block in exact._lex_blocks(n, data.lifted_dim, 0, total, size):
+                search.process_chunk(block)
+            report = search.build_report(whole.wall_time_seconds, approximate=p == 0)
+            assert_same_report(report, whole)
+            assert all(type(getattr(report, counter)) is int for counter in COUNTERS)
+
+    def test_branch_rows_do_not_change_the_report(self, monkeypatch):
+        # Calls of at most _BRANCH_CELLS // n rows and stacks of at most
+        # _STACK_CELLS // n new sets, at least one of each: 1 and 3 rows
+        # split every seed, 100 rows split d = 4 seeds (2,048 branches) but
+        # hold whole d = 2 ones.
+        instances = [
+            SubspaceGeneratorConfig(n=9, d=2, subspace_dim=1, outlier_fraction=0.3, rng_seed=6),
+            SubspaceGeneratorConfig(n=11, d=4, subspace_dim=2, outlier_fraction=0.3, rng_seed=6),
+        ]
+        for cfg in instances:
+            data, _ = generate_subspace(cfg)
+            for p in (0, 2):
+                spec = sf.LossSpec(p, 0.6)
+                whole = sf.exact_subspace(data, spec)
+                for rows, stack in ((1, 1), (3, 2), (100, 7), (100, 100)):
+                    monkeypatch.setattr(exact, "_BRANCH_CELLS", rows * data.n)
+                    monkeypatch.setattr(exact, "_STACK_CELLS", stack * data.n)
+                    assert_same_report(sf.exact_subspace(data, spec), whole)
+                    monkeypatch.undo()
+
+    @pytest.mark.parametrize("n, ds", [(11, 1), (11, 3), (12, 1), (12, 3)])
+    def test_d4_matches_oracle(self, n, ds):
+        # 2,048 branches per seed, the most of any subspace search here.
+        cfg = SubspaceGeneratorConfig(
+            n=n, d=4, subspace_dim=ds, outlier_fraction=0.3, rng_seed=n + ds
+        )
+        data, _ = generate_subspace(cfg)
+        spec = sf.LossSpec(2, 0.5)
+        report = sf.exact_subspace(data, spec)
+        usable = report.seeds_enumerated - report.seeds_degenerate
+        assert report.sign_completions == usable * 2048
+        reference = sf.oracle_subspace(data, spec)
+        assert report.objective == pytest.approx(reference.objective, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [0, 2])
+    def test_objective_is_the_loss_of_the_model(self, p):
+        # The stacked scoring must report what the returned model scores.
+        for d, ds, n in ((2, 1, 9), (3, 1, 9), (3, 2, 9), (4, 2, 11)):
+            for seed in range(4):
+                cfg = SubspaceGeneratorConfig(
+                    n=n, d=d, subspace_dim=ds, outlier_fraction=0.3, rng_seed=seed
+                )
+                data, _ = generate_subspace(cfg)
+                for eps in (0.5, 2.0):
+                    spec = sf.LossSpec(p, eps)
+                    report = sf.exact_subspace(data, spec)
+                    assert report.objective == sf.subspace_objective(data, report.model, spec)
+
     def test_threads_match_sequential(self):
         # n = 20: 1,140 seeds, enough to fork
         cfg = SubspaceGeneratorConfig(n=20, d=2, subspace_dim=1, outlier_fraction=0.2, rng_seed=2)

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 import satfit as sf
+from satfit.core import _projection_residuals
 from satfit.subsolvers import (
     NonUniqueBasisWarning,
     RankDeficientFitWarning,
     _chebyshev_vertex,
     _lad_vertex,
+    _svd_basis,
 )
 from lp_reference import DenseLP, _lad_lp, _minimax_lp, lp_solve
 from helpers import (
@@ -301,6 +303,36 @@ class TestSubspaceFit:
         for _ in range(100):
             rival = sf.SubspaceModel(random_orthonormal(rng, 3, 1))
             assert best <= np.sum(sf.subspace_residuals(data, rival)[subset] ** 2) + 1e-12
+
+    def test_stacked_fits_and_scores_equal_the_one_set_calls(self):
+        # The exact subspace search fits the new inlier sets of a call as one
+        # stack per set size and scores all of them as one stack; it returns
+        # the answers of a set-by-set loop only while every stacked result
+        # equals the one-set call bit for bit.  A numpy or BLAS release that
+        # breaks this must fail here.
+        rng = np.random.default_rng(17)
+        spec = sf.LossSpec(2, 0.7)
+        for _ in range(300):
+            d = int(rng.integers(2, 5))
+            ds = int(rng.integers(1, d))
+            n = int(rng.integers(d + 1, 16))
+            x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-2, 2, size=(n, 1))
+            size = int(rng.integers(ds, n + 1))
+            count = int(rng.integers(1, 40))
+            sets = np.array([np.sort(rng.choice(n, size, replace=False)) for _ in range(count)])
+            bases, gaps = _svd_basis(x[sets], ds)
+            bases = np.ascontiguousarray(bases)
+            gaps = np.broadcast_to(gaps, (count,))
+            residuals = _projection_residuals(x, bases)
+            scores = np.sum(sf.loss(spec, residuals), axis=1)
+            for b, subset in enumerate(sets):
+                basis, gap = _svd_basis(x[subset], ds)
+                basis = np.ascontiguousarray(basis)
+                assert np.array_equal(bases[b], basis), (d, ds, n, size)
+                assert gaps[b] == gap
+                one = _projection_residuals(x, basis)
+                assert np.array_equal(residuals[b], one), (d, ds, n, size)
+                assert scores[b] == float(np.sum(sf.loss(spec, one)))
 
     def test_tied_spectrum_is_flagged(self):
         data = sf.PointDataset(np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]]), 1)
