@@ -20,22 +20,25 @@ completion step.  The exact solvers feed it lexicographic blocks of the
 enumeration; the sampling variants in :mod:`.sampling` blocks of random
 draws in iteration order.
 
-A completion step builds the boolean inlier masks of completion branches,
-regression one seed at a time in calls of at most ``_BRANCH_BLOCK`` rows,
-the subspace search those of every usable seed of a block in calls of at
-most ``_BRANCH_CELLS // n`` rows, and hands them to the one branch loop,
-``_Search._complete``.  In row order, it prunes an inlier set S that is too
+A completion step builds the inlier sets of its branches as rows of
+W = ceil(n / 64) ``uint64`` words, point i being bit i % 64 of word i // 64,
+with the size of each set: regression packs the masks of one seed at a time
+in calls of at most ``_BRANCH_BLOCK`` rows; the subspace search ORs the
+selected seed points into the packed sides of every usable seed of a block,
+one call per group of seeds whose words fit in ``_BRANCH_CELLS`` bits.  It
+hands them to the one branch loop, ``_Search._complete``, which prunes an inlier set S that is too
 small or fails the count bound eps^p (n - |S|) >= J where that applies
-(regression); skips a set fitted before, keyed by its packed mask; and fits
-and scores the rest with the subproblem that p selects:
+(regression); skips a set fitted before, keyed by the bytes of its words;
+and fits and scores the rest with the subproblem that p selects:
 :func:`.subsolvers._regression_fit` (minimax, LAD or least squares for
 p = 0, 1, 2) or the SVD subspace fit.  While the count bound is on, each new
 set is fitted at once, since its objective can prune the next row;
-otherwise new sets are fitted in stacks of at most ``_STACK_CELLS // n``,
-the subspace fit with one stacked SVD per set size, bit for bit the one-set
-results.  Skipping a repeat cannot change the answer: it would reproduce an
-objective already seen, and only a strictly smaller objective replaces the
-incumbent.
+otherwise the first row of each set is found with one sort, and only the new
+sets are unpacked and fitted, in row order, in stacks of at most
+``_STACK_CELLS // n``, the subspace fit with one stacked SVD per set size,
+bit for bit the one-set results.  Skipping a repeat cannot change the
+answer: it would reproduce an objective already seen, and only a strictly
+smaller objective replaces the incumbent.
 """
 
 from __future__ import annotations
@@ -91,12 +94,13 @@ _MAX_ONSET = 20
 # on-hyperplane points must not hold 2**_MAX_ONSET masks at once.
 _BRANCH_BLOCK = 1024
 
-# Mask cells (rows times n) per _complete call of the subspace search: a
-# call takes max(1, _BRANCH_CELLS // n) rows, so the masks held at once are
-# _BRANCH_CELLS bytes, or one seed's branches where those are more, and at
-# small n one call covers many seeds (13,107 rows at n = 10), which amortizes
-# the call's fixed cost.
-_BRANCH_CELLS = 1 << 17
+# Bits of branch words (rows times 64 W) per _complete call of the subspace
+# search: a call takes the branches of max(1, _BRANCH_CELLS // (64 W b))
+# seeds of b branches, so its words take at most 128 KiB, or one seed's
+# branches where those are more, and it unpacks the masks of its new sets one
+# stack at a time.  At small n one call covers many seeds (16,384 rows at
+# n = 10), which amortizes the call's fixed cost.
+_BRANCH_CELLS = 1 << 20
 
 # Mask cells per stack of new inlier sets fitted and scored together (without
 # the count bound): a stack takes max(1, _STACK_CELLS // n) sets, so its
@@ -234,6 +238,22 @@ def _lex_blocks(m: int, k: int, start: int, stop: int, size: int) -> Iterator[np
         yield _combination_block(m, k, rank, min(rank + size, stop))
 
 
+def _pack(masks: np.ndarray) -> np.ndarray:
+    """Boolean masks (rows, n) as rows of ceil(n / 64) little-endian words.
+
+    Point i is bit i % 64 of word i // 64; the bits past n are 0.
+    """
+    rows, n = masks.shape
+    packed = np.zeros((rows, 8 * -(-n // 64)), dtype=np.uint8)
+    packed[:, : -(-n // 8)] = np.packbits(masks, axis=1, bitorder="little")
+    return packed.view("<u8")
+
+
+def _unpack(words: np.ndarray, n: int) -> np.ndarray:
+    """The (rows, n) boolean masks of rows of :func:`_pack` words."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
+
+
 def _pool_context():
     try:
         return multiprocessing.get_context("fork")
@@ -265,9 +285,10 @@ class _Search:
     only on a strictly smaller objective, so the first tie in scan order wins.
     A subclass declares ``seed_block``, the seeds per block of its scan, and
     implements ``process_chunk(subsets)``, its only per-seed entry point,
-    which hands branch masks to :meth:`_complete`; ``_solve_many(masks)``,
-    the objectives and solutions of a stack of inlier sets, in row order;
-    and ``_winner()``, the (model, inliers) of ``best``.
+    which hands branch words and set sizes to :meth:`_complete`;
+    ``_solve_many(masks)``, the objectives and solutions of a stack of inlier
+    sets, in row order; and ``_winner()``, the (model, inliers) of ``best``.
+    Fitted sets are remembered by the bytes of their packed words.
     """
 
     def __init__(self, zset, k: int, n: int, eps_p: float, min_size: int, count_bound: bool):
@@ -280,44 +301,72 @@ class _Search:
         # New sets per _solve_many call: one under the count bound, whose
         # live incumbent can prune the next row.
         self.stack = 1 if count_bound else max(1, _STACK_CELLS // n)
+        # Odd multipliers of the row hash that sorts rows of several words.
+        words = -(-n // 64)
+        self.hash = np.random.default_rng(0).integers(2**64, size=words, dtype=np.uint64) | 1
         self.j = eps_p * n
         self.best = None
         self.stats = SearchStats()
         self.cancelled = False
-        self.fitted: set[bytes] = set()  # packed masks of the fitted inlier sets
+        self.fitted: set[bytes] = set()  # packed words of the fitted inlier sets
 
-    def _complete(self, masks: np.ndarray) -> None:
-        """Prune, reuse or fit the branches in ``masks``, in row order.
+    def _complete(self, words: np.ndarray, counts: np.ndarray) -> None:
+        """Prune, reuse or fit the branches in ``words``, as a row-order scan would.
 
-        Each row is the inlier set S of one branch.  The count bound tests
-        eps^p (n - |S|) >= J with the live incumbent J, so while it is on
-        each new set is fitted at once: its objective can prune the next
-        row.  Otherwise new sets are fitted together, ``stack`` at a time,
-        by ``_solve_many``, and the first strictly smaller objective in row
-        order wins, as it would one row at a time.
+        Row i holds the packed inlier set S of one branch, ``counts[i]`` its
+        size |S|.  The count bound tests eps^p (n - |S|) >= J with the live
+        incumbent J, so while it is on the rows are taken one at a time and
+        each new set is fitted at once: its objective can prune the next row.
+        Otherwise the first row of each set is found at once, and the new
+        sets among them are fitted together, ``stack`` at a time, by
+        ``_solve_many``; the first strictly smaller objective in row order
+        wins, as it would one row at a time.
         """
         stats = self.stats
-        stats.sign_completions += masks.shape[0]
-        counts = np.count_nonzero(masks, axis=1).tolist()
-        packed = np.packbits(masks, axis=1)
-        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel().tolist()
+        stats.sign_completions += counts.size
+        if self.count_bound:
+            for i, cnt in enumerate(counts.tolist()):
+                if cnt < self.min_size or self.eps_p * (self.n - cnt) >= self.j:
+                    stats.subproblems_pruned += 1
+                elif (key := words[i].tobytes()) in self.fitted:
+                    stats.subproblems_reused += 1
+                else:
+                    self.fitted.add(key)
+                    self._fit(_unpack(words[i : i + 1], self.n))
+            return
+        rows = np.flatnonzero(counts >= self.min_size)
+        stats.subproblems_pruned += counts.size - rows.size
+        if not rows.size:
+            return
+        firsts = words[rows[self._first_rows(words[rows])]]
+        keys = firsts.view(np.dtype((np.void, firsts.itemsize * firsts.shape[1])))
         new = []
-        for i, cnt in enumerate(counts):
-            if cnt < self.min_size or (self.count_bound and self.eps_p * (self.n - cnt) >= self.j):
-                stats.subproblems_pruned += 1
-            elif keys[i] in self.fitted:
-                stats.subproblems_reused += 1
-            else:
-                self.fitted.add(keys[i])
-                if self.stack == 1:  # a view, without the copy of masks[new]
-                    self._fit(masks[i : i + 1])
-                    continue
+        for i, key in enumerate(keys.ravel().tolist()):
+            if key not in self.fitted:
+                self.fitted.add(key)
                 new.append(i)
-                if len(new) == self.stack:
-                    self._fit(masks[new])
-                    new = []
-        if new:
-            self._fit(masks[new])
+        stats.subproblems_reused += rows.size - len(new)
+        for first in range(0, len(new), self.stack):
+            self._fit(_unpack(firsts[new[first : first + self.stack]], self.n))
+
+    def _first_rows(self, words: np.ndarray) -> np.ndarray:
+        """Indices of the first row of each distinct row of ``words``, in row order.
+
+        One sort groups equal rows.  A row of one word is its own sort key;
+        longer rows sort by a hash of their words, and each row is then
+        checked against its predecessor in its group; where two different
+        rows share a hash, an exact sort of the rows replaces the hash.
+        """
+        key = words[:, 0] if words.shape[1] == 1 else (words * self.hash).sum(axis=1)
+        order = np.argsort(key)
+        key = key[order]
+        same = key[1:] == key[:-1]  # the row is in its predecessor's group
+        if words.shape[1] > 1:
+            ranked = words[order]
+            if (same & (ranked[1:] != ranked[:-1]).any(axis=1)).any():
+                return np.sort(np.unique(words, axis=0, return_index=True)[1])
+        starts = np.flatnonzero(np.concatenate(([True], ~same)))
+        return np.sort(np.minimum.reduceat(order, starts))
 
     def _fit(self, masks: np.ndarray) -> None:
         """Fit and score the inlier sets in ``masks``; keep the first strictly better one."""
@@ -475,7 +524,8 @@ class _RegressionSearch(_Search):
             lifted = np.empty((branches.size, on.size), dtype=bool)
             lifted[:] = below
             lifted[:, pos] = ((branches[:, None] >> shifts) & 1) == 0
-            self._complete(lifted[:, : self.n] & lifted[:, self.n :])
+            masks = lifted[:, : self.n] & lifted[:, self.n :]
+            self._complete(_pack(masks), np.count_nonzero(masks, axis=1))
 
     def process_chunk(self, subsets: np.ndarray) -> None:
         """Process a block of seeds, in order."""
@@ -620,19 +670,13 @@ class _SubspaceSearch(_Search):
         self.data = data
         self.spec = spec
         self.ds = data.subspace_dim
-        # Seed-point selection of every completion branch, one column per
-        # branch in branch order: the subsets of the seed in binary counting
-        # order (bit k selects seed point k), each taken with orientation
-        # -1, then +1.
-        bits = np.arange(2**self.k) >> np.arange(self.k)[:, None]
-        self._branch_sel = np.repeat((bits & 1).astype(bool), 2, axis=1)
 
     def process_chunk(self, subsets: np.ndarray) -> None:
         """Process a block of seeds, in order.
 
         The branches of every usable seed reach :meth:`_complete` in seed
-        order, then branch order, in calls of at most ``_BRANCH_CELLS // n``
-        rows (at least one).
+        order, then branch order, in calls whose words take at most
+        ``_BRANCH_CELLS`` bits (at least one seed's branches).
         """
         stats = self.stats
         stats.seeds_enumerated += subsets.shape[0]
@@ -645,20 +689,11 @@ class _SubspaceSearch(_Search):
         stats.max_onset_size = max(stats.max_onset_size, int(onset.max(initial=0)))
         on_seed = np.count_nonzero(np.take_along_axis(on, idx, axis=1))
         stats.onset_outside_seed += int(onset.sum() - on_seed)
-        # Inlier masks of every branch of a group of seeds: the points
-        # strictly on the branch's side plus its selection of seed points.
-        branches = self._branch_sel.shape[1]
-        rows = max(1, _BRANCH_CELLS // self.n)
-        per_call = max(1, rows // branches)
+        seed_bits = 64 * -(-self.n // 64) << (self.k + 1)  # the words of a seed's branches
+        per_call = max(1, _BRANCH_CELLS // seed_bits)
         for first in range(0, idx.shape[0], per_call):
             seeds = slice(first, first + per_call)
-            masks = np.empty((len(idx[seeds]), branches, self.n), dtype=bool)
-            masks[:, 0::2] = below[seeds, None]
-            masks[:, 1::2] = ~(below[seeds] | on[seeds])[:, None]
-            masks[np.arange(len(masks))[:, None], :, idx[seeds]] |= self._branch_sel
-            masks = masks.reshape(-1, self.n)
-            for row in range(0, masks.shape[0], rows):
-                self._complete(masks[row : row + rows])
+            self._complete(*_branch_words(below[seeds], on[seeds], idx[seeds]))
 
     def _solve_many(self, masks: np.ndarray) -> tuple[list[float], list[np.ndarray]]:
         """Fit and score a stack of inlier sets: one stacked SVD per set size."""
@@ -682,6 +717,42 @@ class _SubspaceSearch(_Search):
     def _winner(self) -> tuple[SubspaceModel, np.ndarray]:
         model = SubspaceModel(self.best)
         return model, subspace_inliers(self.data, model, self.spec)
+
+
+def _branch_words(
+    below: np.ndarray, on: np.ndarray, seeds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Packed inlier sets and their sizes of every completion branch of a group of seeds.
+
+    ``below`` and ``on`` are the (g, n) masks of g seeds, ``seeds`` their
+    (g, k) distinct point indices.  Rows run in seed order, then branch
+    order: the subsets of the seed in binary counting order (bit j selects
+    seed point j), each taken with the points strictly below, then strictly
+    above the hyperplane.  A branch's set is its side plus its selected seed
+    points; the sides are packed once, and each level j of the subsets ORs
+    seed point j into a copy of the levels before it.  Returns the
+    (g * 2**k * 2, W) words of :func:`_pack` and the sizes.
+    """
+    g, k = seeds.shape
+    sides = np.stack([below, ~(below | on)])
+    packed = _pack(sides.reshape(2 * g, -1)).reshape(2, g, -1)
+    width = packed.shape[2]
+    # Built with the seed axis last, where each level is one pass over
+    # contiguous runs, then moved to the front.
+    words = np.empty((1 << k, 2, width, g), dtype="<u8")
+    words[0] = packed.transpose(0, 2, 1)
+    counts = np.empty((1 << k, 2, g), dtype=np.intp)
+    counts[0] = np.count_nonzero(sides, axis=2)
+    # a selected seed point adds to the size of a side that does not hold it
+    adds = ~sides[:, np.arange(g)[:, None], seeds].transpose(2, 0, 1)
+    bits = np.zeros((k, width, g), dtype="<u8")
+    shifts = (seeds.T % 64).astype(np.uint64)
+    bits[np.arange(k)[:, None], seeds.T // 64, np.arange(g)] = np.uint64(1) << shifts
+    for j in range(k):
+        lo, hi = 1 << j, 2 << j
+        np.bitwise_or(words[:lo], bits[j], out=words[lo:hi])
+        np.add(counts[:lo], adds[j], out=counts[lo:hi])
+    return words.transpose(3, 0, 1, 2).reshape(-1, width), counts.transpose(2, 0, 1).reshape(-1)
 
 
 def _subspace_range_task(payload) -> dict:

@@ -20,6 +20,7 @@ from satfit.experiments import (
 )
 from satfit import exact
 from satfit.exact import SearchStats, _SubspaceSearch
+from satfit.sampling import _draw_seeds
 from helpers import axis_dataset, exact_fit_dataset
 
 
@@ -657,10 +658,9 @@ class TestExactSubspace:
             assert all(type(getattr(report, counter)) is int for counter in COUNTERS)
 
     def test_branch_rows_do_not_change_the_report(self, monkeypatch):
-        # Calls of at most _BRANCH_CELLS // n rows and stacks of at most
-        # _STACK_CELLS // n new sets, at least one of each: 1 and 3 rows
-        # split every seed, 100 rows split d = 4 seeds (2,048 branches) but
-        # hold whole d = 2 ones.
+        # Calls of the branches of max(1, _BRANCH_CELLS // (64 W b)) seeds of
+        # b branches and stacks of at most _STACK_CELLS // n new sets, at
+        # least one of each: 1, 3 and 100 seeds per call (W = 1 here).
         instances = [
             SubspaceGeneratorConfig(n=9, d=2, subspace_dim=1, outlier_fraction=0.3, rng_seed=6),
             SubspaceGeneratorConfig(n=11, d=4, subspace_dim=2, outlier_fraction=0.3, rng_seed=6),
@@ -670,8 +670,8 @@ class TestExactSubspace:
             for p in (0, 2):
                 spec = sf.LossSpec(p, 0.6)
                 whole = sf.exact_subspace(data, spec)
-                for rows, stack in ((1, 1), (3, 2), (100, 7), (100, 100)):
-                    monkeypatch.setattr(exact, "_BRANCH_CELLS", rows * data.n)
+                for seeds, stack in ((1, 1), (3, 2), (100, 7), (100, 100)):
+                    monkeypatch.setattr(exact, "_BRANCH_CELLS", seeds * 64 << (data.lifted_dim + 1))
                     monkeypatch.setattr(exact, "_STACK_CELLS", stack * data.n)
                     assert_same_report(sf.exact_subspace(data, spec), whole)
                     monkeypatch.undo()
@@ -737,6 +737,138 @@ class TestExactSubspace:
         assert [done for done, _ in seen] == [256, math.comb(14, 3)]
         assert seen[-1][1] == report.objective
 
+
+
+def reference_branch_masks(below, on, seeds):
+    """The (rows, n) inlier masks of every branch, built one boolean cell per point."""
+    g, k = seeds.shape
+    bits = np.arange(2**k) >> np.arange(k)[:, None]
+    sel = np.repeat((bits & 1).astype(bool), 2, axis=1)
+    masks = np.empty((g, 2 << k, below.shape[1]), dtype=bool)
+    masks[:, 0::2] = below[:, None]
+    masks[:, 1::2] = ~(below | on)[:, None]
+    masks[np.arange(g)[:, None], :, seeds] |= sel
+    return masks.reshape(-1, below.shape[1])
+
+
+def padded_packbits(masks):
+    """``np.packbits`` of the mask rows, zero-padded to whole 64-bit words."""
+    packed = np.packbits(masks, axis=1, bitorder="little")
+    pad = -packed.shape[1] % 8
+    return np.pad(packed, ((0, 0), (0, pad)))
+
+
+class TestBranchLoop:
+    """Branch rows are packed words; ``_complete`` scans them as a row-by-row loop would."""
+
+    @given(
+        n=st.sampled_from([1, 63, 64, 65, 129]),
+        k=st.integers(1, 6),
+        groups=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        on_rate=st.sampled_from([0.0, 0.1, 0.5]),
+    )
+    def test_branch_words_are_the_packed_masks(self, n, k, groups, seed, on_rate):
+        # Seed points may lie below, on or above the hyperplane here.
+        rng = np.random.default_rng(seed)
+        k = min(k, n)
+        below = rng.random((groups, n)) < 0.5
+        on = ~below & (rng.random((groups, n)) < on_rate)
+        seeds = np.array([np.sort(rng.choice(n, size=k, replace=False)) for _ in range(groups)])
+        words, counts = exact._branch_words(below, on, seeds)
+        masks = reference_branch_masks(below, on, seeds)
+        assert words.shape == (groups << (k + 1), -(-n // 64))
+        assert np.array_equal(words.view(np.uint8), padded_packbits(masks))
+        assert np.array_equal(counts, np.count_nonzero(masks, axis=1))
+        assert np.array_equal(exact._unpack(words, n), masks)
+
+    @staticmethod
+    def reference_scan(search, rows, counts):
+        """(fitted rows, pruned, reused) of a one-row-at-a-time scan of a Python set."""
+        fitted, pruned, reused = [], 0, 0
+        seen, j = set(search.fitted), search.j
+        for row, cnt in zip(rows, counts):
+            if cnt < search.min_size or (search.count_bound and search.eps_p * (search.n - cnt) >= j):
+                pruned += 1
+            elif row.tobytes() in seen:
+                reused += 1
+            else:
+                seen.add(row.tobytes())
+                fitted.append(row.tobytes())
+                j = min(j, search.n - cnt + 0.5)
+        return fitted, pruned, reused
+
+    @pytest.mark.parametrize("n", [64, 128, 150])
+    @pytest.mark.parametrize("count_bound", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_complete_matches_a_row_by_row_scan(self, n, count_bound, seed):
+        rng = np.random.default_rng(seed)
+        search = exact._Search(None, 1, n, 1.0, min_size=n // 3, count_bound=count_bound)
+        search.stack = 3
+        fitted = []
+
+        def solve_many(masks):
+            # objective n - |S| + 1/2: a fit moves the incumbent, so the
+            # count bound prunes later rows
+            fitted.extend(row.tobytes() for row in padded_packbits(masks))
+            return [n - int(c) + 0.5 for c in np.count_nonzero(masks, axis=1)], list(masks)
+
+        search._solve_many = solve_many
+        pool = exact._pack(rng.random((40, n)) < rng.uniform(0.3, 0.7, size=(40, 1)))
+        pair = pool[:0]
+        if n > 64:
+            # two rows with one hash but different words: the hash is
+            # sum(hash * words) mod 2**64
+            a = exact._pack(np.ones((1, n), dtype=bool))[0]
+            b = a.copy()
+            b[:2] += search.hash[[1, 0]] * np.array([1, -1 % 2**64], dtype=np.uint64)
+            assert (a * search.hash).sum() == (b * search.hash).sum() and not np.array_equal(a, b)
+            pair = np.stack([a, b])
+        for _ in range(2):  # the second call meets sets the first one fitted
+            rows = np.concatenate([pool[rng.integers(pool.shape[0], size=300)], pair])
+            counts = np.count_nonzero(exact._unpack(rows, n), axis=1)
+            assert counts[300:].min(initial=n) >= search.min_size  # the pair reaches the sort
+            expected, pruned, reused = self.reference_scan(search, rows, counts)
+            before = dataclasses.replace(search.stats)
+            fitted.clear()
+            search._complete(rows, counts)
+            assert fitted == expected
+            assert search.stats.subproblems_solved - before.subproblems_solved == len(expected)
+            assert search.stats.subproblems_pruned - before.subproblems_pruned == pruned
+            assert search.stats.subproblems_reused - before.subproblems_reused == reused
+            assert search.stats.sign_completions - before.sign_completions == rows.shape[0]
+
+    @pytest.mark.parametrize("n, d, draws", [(70, 2, 200), (70, 3, 40), (130, 2, 200), (130, 3, 40)])
+    @pytest.mark.parametrize("p", [0, 2])
+    def test_sampled_runs_with_several_words(self, n, d, draws, p):
+        cfg = SubspaceGeneratorConfig(n=n, d=d, subspace_dim=1, outlier_fraction=0.3, rng_seed=n + d)
+        data, _ = generate_subspace(cfg)
+        spec = sf.LossSpec(p, 0.5)
+        sampling = sf.SamplingConfig(draws, 5)
+        report = sf.sampled_subspace(data, spec, sampling)
+        assert report.subproblems_solved + report.subproblems_pruned + report.subproblems_reused == (
+            report.sign_completions
+        )
+        # The distinct sets of size >= 1 over every branch of every drawn
+        # seed, built from the public classification.
+        zset = sf.lift_subspace(data, spec)
+        sets, branches = set(), 0
+        for seed in _draw_seeds(sampling.rng_seed, draws, data.n, data.lifted_dim):
+            hp = sf.hyperplane_through(zset, seed)
+            if hp is None:
+                continue
+            signs = sf.classify(zset, hp.normal)
+            for size in range(len(seed) + 1):
+                for chosen in combinations(seed, size):
+                    for side in (-1, 1):
+                        mask = signs == side
+                        mask[list(chosen)] = True
+                        branches += 1
+                        if mask.any():
+                            sets.add(mask.tobytes())
+        assert report.sign_completions == branches
+        assert report.subproblems_solved == len(sets)
+        assert report.objective == sf.subspace_objective(data, report.model, spec)
 
 
 def small_regression():
