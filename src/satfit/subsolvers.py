@@ -57,6 +57,9 @@ def _subset_array(subset, n: int, smallest: int = 1) -> np.ndarray:
     return idx
 
 
+_RANK_RATIO = 1e-8  # smallest / largest Cholesky diagonal of a full-rank Gram matrix
+
+
 def _ls_fit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
     # Normal equations are much cheaper than an SVD solve and accurate
     # enough at these tiny dimensions; the Cholesky factorization doubles as
@@ -71,13 +74,37 @@ def _ls_fit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
             chol = None
         if chol is not None:
             diag = np.diag(chol)
-            if diag.min() > 1e-8 * diag.max():
+            if diag.min() > _RANK_RATIO * diag.max():
                 try:
                     return np.linalg.solve(gram, x.T @ y), d
                 except np.linalg.LinAlgError:
                     pass  # exactly dependent columns can pass the Cholesky test
     w, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
     return w, int(rank)
+
+
+def _ls_fits(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked :func:`_ls_fit` over (B, m, d) designs with m >= d: (B, d) fits and (B,) ranks.
+
+    One stacked Cholesky and solve cover the rows that pass the rank rule;
+    the others, or the whole stack if the stacked Cholesky or solve raises,
+    go through :func:`_ls_fit` one at a time.  Each row is bit for bit the
+    one-set result.
+    """
+    d = xs.shape[2]
+    xt = xs.transpose(0, 2, 1)
+    gram = xt @ xs
+    ws = np.empty((xs.shape[0], d))
+    ranks = np.full(xs.shape[0], d)
+    try:
+        diag = np.diagonal(np.linalg.cholesky(gram), axis1=1, axis2=2)
+        ok = diag.min(axis=1) > _RANK_RATIO * diag.max(axis=1)
+        ws[ok] = np.linalg.solve(gram[ok], (xt @ ys[:, :, None])[ok])[:, :, 0]
+    except np.linalg.LinAlgError:
+        ok = np.zeros(xs.shape[0], dtype=bool)
+    for i in np.flatnonzero(~ok):
+        ws[i], ranks[i] = _ls_fit(xs[i], ys[i])
+    return ws, ranks
 
 
 def solve_least_squares(data: RegressionDataset, subset) -> RegressionModel:

@@ -29,6 +29,14 @@ def random_orthonormal(rng: np.random.Generator, d: int, ds: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
+def numpy_draws(seed: int, count: int, pool: int, k: int) -> np.ndarray:
+    """Row i: k sorted distinct indices below ``pool`` from the i-th Philox child of ``seed``."""
+    children = np.random.SeedSequence(seed).spawn(count)
+    rngs = [np.random.Generator(np.random.Philox(c)) for c in children]
+    draws = [np.sort(rng.choice(pool, k, replace=False)) for rng in rngs]
+    return np.array(draws, dtype=np.intp).reshape(count, k)
+
+
 def split_form_regression(data, model, spec) -> float:
     """Objective recomputed from its inlier/outlier decomposition."""
     e = data.y - data.x @ model.w

@@ -1,16 +1,79 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import satfit as sf
 from satfit.experiments import GeneratorConfig, generate_regression
-from satfit.sampling import SamplingConfig, ransac_regression, sampled_regression, sampled_subspace
-from helpers import axis_dataset, exact_fit_dataset
+from satfit.sampling import (
+    SamplingConfig,
+    _draw_seeds,
+    ransac_regression,
+    sampled_regression,
+    sampled_subspace,
+)
+from satfit.subsolvers import _ls_fit, _regression_fit
+from helpers import axis_dataset, exact_fit_dataset, numpy_draws
 
 
 class TestSamplingConfig:
     def test_rejects_zero_iterations(self):
         with pytest.raises(ValueError):
             SamplingConfig(0)
+
+
+class TestDrawSeeds:
+    @pytest.mark.parametrize("seed", [0, 2**32 + 7, 2**64 - 59])
+    @pytest.mark.parametrize("k", [3, 4, 8, 10, 15])  # one to two Philox blocks
+    def test_equals_the_per_child_numpy_draw(self, seed, k):
+        assert np.array_equal(_draw_seeds(seed, 40, 400, k), numpy_draws(seed, 40, 400, k))
+
+    @pytest.mark.parametrize(
+        "pool, k",
+        [
+            (2**31 + 3, 4),  # about half of all words are rejected
+            (2**31 + 3, 15),
+            (20_000, 400),  # the largest Floyd draw numpy makes from this pool
+            (2**32 - 1, 5),
+            (7, 7),  # every index; numpy draws no word for the range of one
+        ],
+    )
+    def test_equals_numpy_at_the_edges(self, pool, k):
+        for seed in (0, 2**64 - 59):
+            assert np.array_equal(_draw_seeds(seed, 6, pool, k), numpy_draws(seed, 6, pool, k))
+
+    @pytest.mark.parametrize("pool, k", [(10_001, 201), (20_000, 401)])
+    def test_floyd_where_numpy_tail_shuffles(self, pool, k):
+        # Generator.choice tail-shuffles once pool > 10,000 and k > pool // 50;
+        # these rows stay Floyd draws, so they differ from numpy's
+        rows = _draw_seeds(5, 4, pool, k)
+        assert rows.shape == (4, k)
+        assert np.all(np.diff(rows, axis=1) > 0)
+        assert rows.min() >= 0 and rows.max() < pool
+        assert np.array_equal(rows[:2], _draw_seeds(5, 2, pool, k))
+
+    def test_rows_do_not_depend_on_the_count(self):
+        assert np.array_equal(_draw_seeds(9, 300, 50, 6)[:17], _draw_seeds(9, 17, 50, 6))
+
+    @pytest.mark.parametrize(
+        "seed, count, pool, k",
+        [
+            (0, 1, 2**32, 3),  # numpy's 64-bit bounded path
+            (0, 2**32 + 1, 10, 3),  # a two-word spawn key
+            (0, 2**62, 2**40, 3),
+            (0, 1, 3, 4),
+            (-1, 1, 10, 3),
+        ],
+    )
+    def test_limits_raise_before_allocating(self, seed, count, pool, k):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                _draw_seeds(seed, count, pool, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 class TestSampledRegression:
@@ -146,9 +209,7 @@ class TestRansac:
         data, _ = generate_regression(cfg)
         eps, iters, rng_seed = 0.9, 60, 5
         best, consensus = -1, None
-        for child in np.random.SeedSequence(rng_seed).spawn(iters):
-            rng = np.random.Generator(np.random.Philox(child))
-            idx = np.sort(rng.choice(data.n, 4, replace=False))
+        for idx in numpy_draws(rng_seed, iters, data.n, 4):
             w = np.linalg.lstsq(data.x[idx], data.y[idx], rcond=None)[0]
             inside = np.flatnonzero(np.abs(data.y - data.x @ w) < eps)
             if inside.size > best:
@@ -160,6 +221,42 @@ class TestRansac:
         }[p]()
         report = ransac_regression(data, sf.LossSpec(p, eps), SamplingConfig(iters, rng_seed))
         assert np.array_equal(report.model.w, fit.w)
+
+    @pytest.mark.parametrize("p", [0, 2])
+    def test_equals_the_per_draw_loop(self, p):
+        # two planes of ten points each tie in consensus, and the first block
+        # of draws reaches both, so only the first best draw gives the answer;
+        # duplicated and collinear rows make some draws rank deficient
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(30, 3))
+        x[20:25] = x[20]
+        x[25:, 1:] = x[25:, :1] * [1.0, 2.0]
+        y = 50.0 + rng.normal(size=30)
+        y[:10] = x[:10] @ [1.0, -2.0, 0.5]
+        y[10:20] = x[10:20] @ [-1.0, 0.5, 2.0]
+        data, spec, size, iters = sf.RegressionDataset(x, y), sf.LossSpec(p, 0.05), 3, 700
+        best, best_w, degenerate, calls = -1, None, 0, []
+        for done, idx in enumerate(numpy_draws(10, iters, data.n, size), 1):
+            w, rank = _ls_fit(data.x[idx], data.y[idx])
+            degenerate += rank < data.d
+            count = int(np.count_nonzero(np.abs(data.y - data.x @ w) < spec.epsilon))
+            if count > best:
+                best, best_w = count, w
+            if done % 256 == 0 or done == iters:
+                calls.append((done, float(data.n - best)))
+        consensus = np.flatnonzero(np.abs(data.y - data.x @ best_w) < spec.epsilon)
+        model = sf.RegressionModel(_regression_fit(data.x[consensus], data.y[consensus], p))
+        seen = []
+        report = ransac_regression(
+            data, spec, SamplingConfig(iters, 10, subset_size=size), progress=lambda *a: seen.append(a)
+        )
+        assert degenerate > 0
+        assert report.objective == float(np.sum(sf.loss(spec, data.y - data.x @ model.w)))
+        assert report.model.w.tobytes() == model.w.tobytes()
+        assert np.array_equal(report.inliers, sf.regression_inliers(data, model, spec))
+        assert report.seeds_degenerate == degenerate
+        assert report.subproblems_solved == iters + 1
+        assert seen == calls
 
     def test_subset_size_validation(self):
         data = exact_fit_dataset()

@@ -8,6 +8,8 @@ from satfit.subsolvers import (
     RankDeficientFitWarning,
     _chebyshev_vertex,
     _lad_vertex,
+    _ls_fit,
+    _ls_fits,
     _svd_basis,
 )
 from lp_reference import DenseLP, _lad_lp, _minimax_lp, lp_solve
@@ -56,6 +58,23 @@ class TestLeastSquares:
         with pytest.warns(RankDeficientFitWarning):
             model = sf.solve_least_squares(data, range(6))
         assert model.w[1] == pytest.approx(2 * model.w[0], rel=1e-9)  # minimum norm
+
+    def test_stacked_fits_equal_the_one_set_fits(self):
+        rng = np.random.default_rng(4)
+        xs = rng.normal(size=(40, 6, 3))
+        ys = rng.normal(size=(40, 6))
+        scaled, zero = xs[0].copy(), xs[1].copy()
+        scaled[:, 2] *= 1e-9  # passes the Cholesky, fails the rank rule
+        zero[:, 2] = 0.0  # the stacked Cholesky raises
+        dependent = np.column_stack([xs[2, :, 0], 2 * xs[2, :, 0], xs[2, :, 1]])  # the stacked solve raises
+        for odd in (scaled, zero, dependent, xs[3]):
+            stack = np.concatenate([xs[4:20], odd[None], xs[20:]])
+            ws, ranks = _ls_fits(stack, ys[: len(stack)])
+            for x, y, w, rank in zip(stack, ys, ws, ranks):
+                one_w, one_rank = _ls_fit(x, y)
+                assert w.tobytes() == one_w.tobytes()
+                assert rank == one_rank
+            assert ranks.tolist().count(2) == (odd is zero) + (odd is dependent)
 
     def test_rank_deficient_is_flagged_minimum_norm(self):
         data = sf.RegressionDataset(np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]), np.array([1.0, 2.0, 3.0]))
