@@ -298,9 +298,10 @@ class _Search:
         self.eps_p = eps_p
         self.min_size = min_size
         self.count_bound = count_bound
-        # New sets per _solve_many call: one under the count bound, whose
-        # live incumbent can prune the next row.
-        self.stack = 1 if count_bound else max(1, _STACK_CELLS // n)
+        # New sets per _solve_many call without the count bound; under it
+        # _complete fits each new set at once, as its objective can prune
+        # the next row.
+        self.stack = max(1, _STACK_CELLS // n)
         # Odd multipliers of the row hash that sorts rows of several words.
         words = -(-n // 64)
         self.hash = np.random.default_rng(0).integers(2**64, size=words, dtype=np.uint64) | 1

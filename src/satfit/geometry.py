@@ -133,18 +133,13 @@ def _veronese_rows(x: np.ndarray) -> np.ndarray:
 def selection_vector(d: int) -> np.ndarray:
     """Binary vector picking the squared monomials out of the embedding.
 
-    Satisfies ``veronese(x) @ selection_vector(d) == ||x||^2`` for every x.
-    Ones sit at positions ``l_1 = 1`` and ``l_k = l_(k-1) + d - k + 2``
-    (1-based) of the monomial order.
+    Satisfies ``veronese(x) @ selection_vector(d) == ||x||^2`` for every x:
+    the ones sit at the pairs (k, k) of the monomial order.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    s = np.zeros(d * (d + 1) // 2)
-    pos = 1
-    for k in range(1, d + 1):
-        s[pos - 1] = 1.0
-        pos += d - k + 1  # step from l_k to l_(k+1)
-    return s
+    first, second = _monomial_pairs(d)
+    return (first == second).astype(float)
 
 
 def lift_subspace(data: PointDataset, spec: LossSpec) -> LiftedSet:

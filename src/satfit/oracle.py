@@ -3,18 +3,19 @@
 The oracle never touches the lifted geometry.  For p = 1 regression the
 objective is piecewise linear in w, so it is evaluated at every vertex of
 the arrangement of the hyperplanes r_i(w) in {0, +eps, -eps}.  For p = 0
-and p = 2 regression and for subspaces it enumerates candidate inlier
-subsets directly, fits the fixed-classification subproblem on each,
-evaluates the full objective of the fitted model, and returns the minimum.
-Only the p = 0 regression fit is a solver of the search
-(:func:`.subsolvers._minimax_fit`); p = 2 subsets are fitted by
+and p = 2, regression and subspace alike, one loop (:func:`_certify`)
+enumerates candidate inlier subsets, largest first, fits the
+fixed-classification subproblem on each, scores the fitted model on the
+full dataset and keeps the first strictly smaller objective.  Only the
+p = 0 regression fit is a solver of the search
+(:func:`.subsolvers._minimax_fit`); p = 2 regression subsets are fitted by
 ``np.linalg.lstsq`` and subspace subsets by the top eigenvectors of their
 scatter matrix from ``np.linalg.eigh``.
 
-For p = 0 a subset only counts when its minimax fit places every subset
-point strictly inside the threshold, with a guard band of ``tau`` around the
-boundary: subsets whose best possible maximum error lands within ``tau`` of
-the threshold are counted separately and also folded into a second,
+For p = 0 a subset only counts when its fit places every subset point
+strictly inside the threshold, with a guard band of ``tau`` around the
+boundary: subsets whose largest subset error lands within ``tau`` of the
+threshold are counted separately and also folded into a second,
 boundary-inclusive objective, so floating-point ties are surfaced instead of
 silently resolved.
 """
@@ -65,10 +66,57 @@ class OracleResult:
     objective_boundary_inclusive: float | None = None
 
 
-def _subsets_descending(n: int, smallest: int):
-    """All index subsets of size >= smallest, largest first, lexicographic within a size."""
+def _certify(n: int, smallest: int, fit, spec: LossSpec, dominated: bool):
+    """Brute-force minimum over the inlier subsets of size >= ``smallest``.
+
+    Walks subset sizes from n down, lexicographically within a size.
+    ``fit(idx)`` returns the fitted parameters and the n absolute residuals
+    of their model; the first strictly smaller objective wins.  For p = 0 a
+    subset counts only when its largest subset residual is below
+    eps - tau, and one within tau of eps is a boundary subset (see the
+    module docstring).  ``dominated`` stops at the first size k with
+    n - k >= the incumbent: a smaller count there needs a model that covers
+    more than k points, and that larger inlier set was fitted at its own
+    size.  This holds for the minimax fit only; the L2 fit of a larger
+    feasible set can fail where a subset's succeeds.  Returns the
+    objective, the parameters, the subsets evaluated, the boundary subsets
+    and the boundary-inclusive objective (``None`` unless p = 0).
+    """
+    eps = spec.epsilon
+    tau = ON_HYPERPLANE_TOL * max(1.0, eps)
+    best: tuple[float, np.ndarray] | None = None
+    best_loose: float | None = None
+    boundary = evaluated = 0
     for k in range(n, smallest - 1, -1):
-        yield from combinations(range(n), k)
+        if dominated and best is not None and n - k >= best[0]:
+            break
+        for subset in combinations(range(n), k):
+            idx = np.asarray(subset, dtype=np.intp)
+            params, residuals = fit(idx)
+            evaluated += 1
+            if spec.p == 0:
+                worst = float(residuals[idx].max())
+                if worst >= eps + tau:
+                    continue
+                objective = float(n - np.count_nonzero(residuals < eps))
+                best_loose = objective if best_loose is None else min(best_loose, objective)
+                if worst >= eps - tau:
+                    boundary += 1
+                    continue
+            else:
+                objective = float(np.sum(loss(spec, residuals)))
+            if best is None or objective < best[0]:
+                best = (objective, params)
+    if best is None:
+        raise RuntimeError("no feasible inlier subset was found")
+    if boundary:
+        warnings.warn(
+            f"{boundary} candidate subsets sit within tolerance of the threshold; "
+            "their feasibility is floating-point ambiguous",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return best[0], best[1], evaluated, boundary, best_loose
 
 
 def oracle_regression(data: RegressionDataset, spec: LossSpec) -> OracleResult:
@@ -86,26 +134,25 @@ def oracle_regression(data: RegressionDataset, spec: LossSpec) -> OracleResult:
         raise ValueError(
             f"oracle enumeration is limited to {MAX_REGRESSION_POINTS} points, got {n}"
         )
-    if spec.p == 0:
-        return _oracle_regression_p0(data, spec)
     if spec.p == 1:
         return _oracle_regression_p1(data, spec)
-    best: tuple[float, np.ndarray] | None = None
-    evaluated = 0
-    for subset in _subsets_descending(n, d):
-        idx = np.asarray(subset, dtype=np.intp)
-        w = np.linalg.lstsq(data.x[idx], data.y[idx], rcond=None)[0]
-        evaluated += 1
-        objective = float(np.sum(loss(spec, data.y - data.x @ w)))
-        if best is None or objective < best[0]:
-            best = (objective, w)
-    objective, w = best
+
+    def fit(idx):
+        if spec.p == 0:
+            w = _minimax_fit(data.x[idx], data.y[idx])[0]
+        else:
+            w = np.linalg.lstsq(data.x[idx], data.y[idx], rcond=None)[0]
+        return w, np.abs(data.y - data.x @ w)
+
+    objective, w, evaluated, boundary, loose = _certify(n, d, fit, spec, dominated=spec.p == 0)
     model = RegressionModel(w)
     return OracleResult(
         objective=objective,
         inliers=regression_inliers(data, model, spec),
         model=model,
         subsets_evaluated=evaluated,
+        boundary_subsets=boundary,
+        objective_boundary_inclusive=loose,
     )
 
 
@@ -150,54 +197,6 @@ def _oracle_regression_p1(data: RegressionDataset, spec: LossSpec) -> OracleResu
     )
 
 
-def _oracle_regression_p0(data: RegressionDataset, spec: LossSpec) -> OracleResult:
-    n, d = data.n, data.d
-    eps = spec.epsilon
-    tau = ON_HYPERPLANE_TOL * max(1.0, eps)
-    best: tuple[float, np.ndarray] | None = None
-    best_loose: float | None = None
-    boundary = 0
-    evaluated = 0
-    for k in range(n, d - 1, -1):
-        # A level-k subset can only yield a smaller count via a model that
-        # covers more than k points, and that larger inlier set was already
-        # enumerated (and was minimax-feasible) at its own level.  So once
-        # n - k cannot beat the incumbent the remaining levels are dominated.
-        if best is not None and n - k >= best[0]:
-            break
-        for subset in combinations(range(n), k):
-            idx = np.asarray(subset, dtype=np.intp)
-            w, value = _minimax_fit(data.x[idx], data.y[idx])
-            evaluated += 1
-            if value >= eps + tau:
-                continue
-            objective = float(n - np.count_nonzero(np.abs(data.y - data.x @ w) < eps))
-            best_loose = objective if best_loose is None else min(best_loose, objective)
-            if value >= eps - tau:
-                boundary += 1
-            elif best is None or objective < best[0]:
-                best = (objective, w)
-    if best is None:
-        raise RuntimeError("no feasible inlier subset of size >= d was found")
-    if boundary:
-        warnings.warn(
-            f"{boundary} candidate subsets sit within tolerance of the threshold; "
-            "their feasibility is floating-point ambiguous",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    objective, w = best
-    model = RegressionModel(w)
-    return OracleResult(
-        objective=objective,
-        inliers=regression_inliers(data, model, spec),
-        model=model,
-        subsets_evaluated=evaluated,
-        boundary_subsets=boundary,
-        objective_boundary_inclusive=best_loose,
-    )
-
-
 def oracle_subspace(data: PointDataset, spec: LossSpec) -> OracleResult:
     """Exhaustively certified minimum of the saturated subspace loss.
 
@@ -215,43 +214,13 @@ def oracle_subspace(data: PointDataset, spec: LossSpec) -> OracleResult:
         )
     if spec.p not in (0, 2):
         raise ValueError("subspace oracle supports p in {0, 2} only")
-    eps = spec.epsilon
-    tau = ON_HYPERPLANE_TOL * max(1.0, eps)
-    best: tuple[float, np.ndarray] | None = None
-    best_loose: float | None = None
-    boundary = 0
-    evaluated = 0
-    for subset in _subsets_descending(n, ds):
-        idx = np.asarray(subset, dtype=np.intp)
+
+    def fit(idx):
         xs = data.x[idx]
         basis = np.linalg.eigh(xs.T @ xs)[1][:, ::-1][:, :ds]
-        evaluated += 1
-        model = SubspaceModel(basis)
-        residuals = subspace_residuals(data, model)
-        if spec.p == 0:
-            worst = float(residuals[idx].max())
-            if worst >= eps + tau:
-                continue
-            objective = float(n - np.count_nonzero(residuals < eps))
-            best_loose = objective if best_loose is None else min(best_loose, objective)
-            if worst >= eps - tau:
-                boundary += 1
-            elif best is None or objective < best[0]:
-                best = (objective, basis)
-        else:
-            objective = float(np.sum(loss(spec, residuals)))
-            if best is None or objective < best[0]:
-                best = (objective, basis)
-    if best is None:
-        raise RuntimeError("no feasible inlier subset was found")
-    if boundary:
-        warnings.warn(
-            f"{boundary} candidate subsets sit within tolerance of the threshold; "
-            "their feasibility is floating-point ambiguous",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    objective, basis = best
+        return basis, subspace_residuals(data, SubspaceModel(basis))
+
+    objective, basis, evaluated, boundary, loose = _certify(n, ds, fit, spec, dominated=False)
     model = SubspaceModel(basis)
     return OracleResult(
         objective=objective,
@@ -259,5 +228,5 @@ def oracle_subspace(data: PointDataset, spec: LossSpec) -> OracleResult:
         model=model,
         subsets_evaluated=evaluated,
         boundary_subsets=boundary,
-        objective_boundary_inclusive=best_loose if spec.p == 0 else None,
+        objective_boundary_inclusive=loose,
     )

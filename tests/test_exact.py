@@ -18,7 +18,7 @@ from satfit.experiments import (
     generate_regression,
     generate_subspace,
 )
-from satfit import exact
+from satfit import exact, oracle
 from satfit.exact import SearchStats, _SubspaceSearch
 from satfit.sampling import _draw_seeds
 from helpers import axis_dataset, exact_fit_dataset
@@ -285,6 +285,16 @@ class TestExactRegression:
                 report = sf.exact_regression(data, spec)
                 reference = sf.oracle_regression(data, spec)
                 assert report.objective == pytest.approx(reference.objective, rel=1e-9, abs=1e-12)
+
+    def test_matches_the_p1_vertex_scan_at_n60(self):
+        # The public oracle refuses n > 20; its p = 1 vertex scan visits
+        # C(n, d) 3^d vertices, few enough to certify the search at n = 60.
+        for seed in range(3):
+            data = random_regression_instance(seed, n=60, d=2)
+            spec = sf.LossSpec(1, 3 * math.sqrt(0.1))
+            report = sf.exact_regression(data, spec)
+            reference = oracle._oracle_regression_p1(data, spec)
+            assert report.objective == pytest.approx(reference.objective, rel=1e-9, abs=1e-12)
 
     def test_objective_never_exceeds_initialization(self):
         for seed in range(5):

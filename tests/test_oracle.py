@@ -1,8 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 import satfit as sf
-from satfit.experiments import SubspaceGeneratorConfig, generate_subspace
+from satfit.experiments import (
+    GeneratorConfig,
+    SubspaceGeneratorConfig,
+    generate_regression,
+    generate_subspace,
+)
 from helpers import axis_dataset, exact_fit_dataset
 
 
@@ -43,6 +50,15 @@ class TestOracleRegression:
         with pytest.raises(ValueError):
             sf.oracle_regression(data, sf.LossSpec(0, 0.5))
 
+    def test_p0_stops_at_the_first_dominated_size(self):
+        # Below n - k >= the incumbent count no subset can do better, since
+        # its model would cover a larger set the minimax fit already met.
+        data, _ = generate_regression(GeneratorConfig(n=10, d=2, outlier_fraction=0.3, rng_seed=0))
+        result = sf.oracle_regression(data, sf.LossSpec(0, 0.5))
+        assert result.objective > 0
+        every = sum(math.comb(10, k) for k in range(2, 11))
+        assert result.subsets_evaluated < every
+
     def test_boundary_subsets_are_surfaced(self):
         # two points that can only be fitted with both errors exactly at the
         # threshold; the oracle must flag the ambiguity instead of guessing
@@ -81,6 +97,15 @@ class TestOracleSubspace:
             a = sf.oracle_subspace(data, spec)
             b = sf.oracle_subspace(shuffled, spec)
             assert a.objective == pytest.approx(b.objective, rel=1e-12, abs=1e-12)
+
+    def test_p0_evaluates_every_subset(self):
+        # The level break of p = 0 regression is unsound here: the L2 fit of
+        # a larger set can miss the threshold where that of a subset meets it.
+        cfg = SubspaceGeneratorConfig(n=8, d=2, subspace_dim=1, outlier_fraction=0.25, rng_seed=0)
+        data, _ = generate_subspace(cfg)
+        result = sf.oracle_subspace(data, sf.LossSpec(0, 0.5))
+        assert result.objective > 0
+        assert result.subsets_evaluated == sum(math.comb(8, k) for k in range(1, 9))
 
     def test_refuses_large_instances(self):
         rng = np.random.default_rng(7)
