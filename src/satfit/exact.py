@@ -21,12 +21,13 @@ enumeration; the sampling variants in :mod:`.sampling` blocks of random
 draws in iteration order.
 
 A completion step builds the inlier sets of its branches as rows of
-W = ceil(n / 64) ``uint64`` words, point i being bit i % 64 of word i // 64,
-with the size of each set: regression packs the masks of one seed at a time
-in calls of at most ``_BRANCH_BLOCK`` rows; the subspace search ORs the
-selected seed points into the packed sides of every usable seed of a block,
-one call per group of seeds whose words fit in ``_BRANCH_CELLS`` bits.  It
-hands them to the one branch loop, ``_Search._complete``, which prunes an inlier set S that is too
+W = ceil(n / 64) ``uint64`` words, point i being bit i % 64 of word i // 64.
+``process_chunk`` packs the masks of a block's seeds once; the one builder,
+:func:`_branch_words`, doubles a seed's words level by level: regression
+clears one on-hyperplane point per level in its lifted halves, then ANDs
+them; the subspace search adds one seed point per level to its sides.  The
+one branch loop, ``_Search._complete``, takes at most ``_BRANCH_CELLS`` bits
+per call, counts each set's size |S| off its words, prunes a set that is too
 small or fails the count bound eps^p (n - |S|) >= J where that applies
 (regression); skips a set fitted before, keyed by the bytes of its words;
 and fits and scores the rest with the subproblem that p selects:
@@ -90,16 +91,13 @@ __all__ = [
 # such inputs grossly violate the general-position assumption.
 _MAX_ONSET = 20
 
-# Regression branches per block of inlier masks: a seed with _MAX_ONSET
-# on-hyperplane points must not hold 2**_MAX_ONSET masks at once.
-_BRANCH_BLOCK = 1024
-
-# Bits of branch words (rows times 64 W) per _complete call of the subspace
-# search: a call takes the branches of max(1, _BRANCH_CELLS // (64 W b))
-# seeds of b branches, so its words take at most 128 KiB, or one seed's
-# branches where those are more, and it unpacks the masks of its new sets one
-# stack at a time.  At small n one call covers many seeds (16,384 rows at
-# n = 10), which amortizes the call's fixed cost.
+# Bits of branch words (rows times 64 W) per _complete call, so a call's
+# words take at most 128 KiB: the subspace search hands over the branches of
+# max(1, _BRANCH_CELLS // (64 W b)) seeds of b branches, or of one seed;
+# regression splits a seed's 2**n0 branches on their high levels into runs
+# of the largest power of two of rows that fits (at least one), never all
+# 2**_MAX_ONSET at once.  At small n one call covers many subspace seeds
+# (16,384 rows at n = 10), which amortizes the call's fixed cost.
 _BRANCH_CELLS = 1 << 20
 
 # Mask cells per stack of new inlier sets fitted and scored together (without
@@ -239,19 +237,42 @@ def _lex_blocks(m: int, k: int, start: int, stop: int, size: int) -> Iterator[np
 
 
 def _pack(masks: np.ndarray) -> np.ndarray:
-    """Boolean masks (rows, n) as rows of ceil(n / 64) little-endian words.
+    """Boolean masks (..., n) as rows (..., W) of W = ceil(n / 64) little-endian words.
 
     Point i is bit i % 64 of word i // 64; the bits past n are 0.
     """
-    rows, n = masks.shape
-    packed = np.zeros((rows, 8 * -(-n // 64)), dtype=np.uint8)
-    packed[:, : -(-n // 8)] = np.packbits(masks, axis=1, bitorder="little")
+    *rows, n = masks.shape
+    packed = np.zeros((*rows, 8 * -(-n // 64)), dtype=np.uint8)
+    packed[..., : -(-n // 8)] = np.packbits(masks, axis=-1, bitorder="little")
     return packed.view("<u8")
 
 
 def _unpack(words: np.ndarray, n: int) -> np.ndarray:
     """The (rows, n) boolean masks of rows of :func:`_pack` words."""
     return np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
+
+
+def _bit_words(points: np.ndarray, n: int) -> np.ndarray:
+    """The :func:`_pack` words (..., W) of the one-point sets {i} of ``points`` (...)."""
+    flat = points.ravel()
+    words = np.zeros((flat.size, -(-n // 64)), dtype="<u8")
+    words[np.arange(flat.size), flat // 64] = np.uint64(1) << (flat % 64).astype(np.uint64)
+    return words.reshape(*points.shape, words.shape[1])
+
+
+def _branch_words(base: np.ndarray, flips: np.ndarray) -> np.ndarray:
+    """The packed words of every branch of ``base``, in binary counting order.
+
+    ``base`` holds words (..., W) and ``flips`` a stack (k, ..., W) of words
+    of its shape.  Row b of the (2**k, ..., W) result is ``base`` with
+    ``flips[j]`` applied (XOR) for every set bit j of b: level j writes rows
+    2**j to 2**(j+1) - 1 as rows 0 to 2**j - 1 with ``flips[j]`` applied.
+    """
+    words = np.empty((1 << flips.shape[0], *base.shape), dtype="<u8")
+    words[0] = base
+    for j, flip in enumerate(flips):
+        np.bitwise_xor(words[: 1 << j], flip, out=words[1 << j : 2 << j])
+    return words
 
 
 def _pool_context():
@@ -285,7 +306,8 @@ class _Search:
     only on a strictly smaller objective, so the first tie in scan order wins.
     A subclass declares ``seed_block``, the seeds per block of its scan, and
     implements ``process_chunk(subsets)``, its only per-seed entry point,
-    which hands branch words and set sizes to :meth:`_complete`;
+    which builds branch words with :func:`_branch_words` and hands them to
+    :meth:`_complete`, at most ``_BRANCH_CELLS`` bits per call;
     ``_solve_many(masks)``, the objectives and solutions of a stack of inlier
     sets, in row order; and ``_winner()``, the (model, inliers) of ``best``.
     Fitted sets are remembered by the bytes of their packed words.
@@ -311,10 +333,10 @@ class _Search:
         self.cancelled = False
         self.fitted: set[bytes] = set()  # packed words of the fitted inlier sets
 
-    def _complete(self, words: np.ndarray, counts: np.ndarray) -> None:
+    def _complete(self, words: np.ndarray) -> None:
         """Prune, reuse or fit the branches in ``words``, as a row-order scan would.
 
-        Row i holds the packed inlier set S of one branch, ``counts[i]`` its
+        Row i holds the packed inlier set S of one branch, its set bits the
         size |S|.  The count bound tests eps^p (n - |S|) >= J with the live
         incumbent J, so while it is on the rows are taken one at a time and
         each new set is fitted at once: its objective can prune the next row.
@@ -324,6 +346,7 @@ class _Search:
         wins, as it would one row at a time.
         """
         stats = self.stats
+        counts = np.bitwise_count(words).sum(axis=1)
         stats.sign_completions += counts.size
         if self.count_bound:
             for i, cnt in enumerate(counts.tolist()):
@@ -504,29 +527,20 @@ class _RegressionSearch(_Search):
             solutions.append(w)
         return objectives, solutions
 
-    def _handle_seed(self, below: np.ndarray, on: np.ndarray) -> None:
-        """Complete one seed from its lifted masks ``below`` and ``on`` (length 2n).
+    def _handle_seed(self, halves: np.ndarray, flips: np.ndarray) -> None:
+        """Complete one seed from its packed lifted mask ``below | on``.
 
-        A point is an inlier when both lifted copies lie strictly below the
-        hyperplane.  Branch b puts the t-th on-hyperplane point (in lifted
-        order: first half, then second) below when bit n0 - 1 - t of b is 0,
-        the order of ``product((-1, 1), repeat=n0)``.
+        ``halves`` holds the (2, W) :func:`_pack` words of the mask's first
+        and second half; ``flips[j]`` the bit in them of on-hyperplane point
+        n0 - 1 - j (lifted order).  Branch b puts on-point t below when bit
+        n0 - 1 - t of b is 0, the order of ``product((-1, 1), repeat=n0)``; its
+        set, the AND of its halves, holds the points whose two lifted copies
+        both lie strictly below the hyperplane.
         """
-        pos = np.flatnonzero(on)
-        n0 = pos.size
-        if n0 > _MAX_ONSET:
-            raise NoHyperplaneError(
-                f"{n0} points lie on one candidate hyperplane; the data is far "
-                "from general position and the completion loop would not terminate"
-            )
-        shifts = np.arange(n0 - 1, -1, -1)
-        for first in range(0, 1 << n0, _BRANCH_BLOCK):
-            branches = np.arange(first, min(first + _BRANCH_BLOCK, 1 << n0))
-            lifted = np.empty((branches.size, on.size), dtype=bool)
-            lifted[:] = below
-            lifted[:, pos] = ((branches[:, None] >> shifts) & 1) == 0
-            masks = lifted[:, : self.n] & lifted[:, self.n :]
-            self._complete(_pack(masks), np.count_nonzero(masks, axis=1))
+        low = max(1, _BRANCH_CELLS // (64 * halves.shape[1])).bit_length() - 1
+        for base in _branch_words(halves, flips[low:]):
+            words = _branch_words(base, flips[:low])
+            self._complete(words[:, 0] & words[:, 1])
 
     def process_chunk(self, subsets: np.ndarray) -> None:
         """Process a block of seeds, in order."""
@@ -554,11 +568,26 @@ class _RegressionSearch(_Search):
             maybe = valid & ~skip
         else:
             maybe = valid
-        for i in np.flatnonzero(maybe):
-            if self.prune and self.eps_p * (self.n - base[i]) > self.j + self.eps_p * n0[i]:
+        seeds = np.flatnonzero(maybe)
+        # Packed once per block: the halves of below | on of the seeds that may
+        # complete, and the bit of each on-point of those that _MAX_ONSET admits.
+        onset = on[seeds]
+        halves = _pack((below[seeds] | onset).reshape(-1, 2, self.n))
+        sizes = n0[seeds]
+        kept = sizes <= _MAX_ONSET
+        row, point = np.divmod(np.flatnonzero(onset & kept[:, None]), self.n)  # row 2 * seed + half
+        bits = _bit_words(point, self.n)[:, None] * np.eye(2, dtype="<u8")[row % 2, :, None]
+        ends = np.cumsum(sizes * kept).tolist()
+        for r, (inliers, size) in enumerate(zip(base[seeds].tolist(), sizes.tolist())):
+            if self.prune and self.eps_p * (self.n - inliers) > self.j + self.eps_p * size:
                 stats.inner_loops_skipped += 1
                 continue
-            self._handle_seed(below[i], on[i])
+            if size > _MAX_ONSET:
+                raise NoHyperplaneError(
+                    f"{size} points lie on one candidate hyperplane; the data is far "
+                    "from general position and the completion loop would not terminate"
+                )
+            self._handle_seed(halves[r], bits[ends[r] - size : ends[r]][::-1])
 
     def _winner(self) -> tuple[RegressionModel, np.ndarray]:
         model = RegressionModel(self.best)
@@ -675,9 +704,11 @@ class _SubspaceSearch(_Search):
     def process_chunk(self, subsets: np.ndarray) -> None:
         """Process a block of seeds, in order.
 
-        The branches of every usable seed reach :meth:`_complete` in seed
-        order, then branch order, in calls whose words take at most
-        ``_BRANCH_CELLS`` bits (at least one seed's branches).
+        A seed's branches are the subsets of its k points in binary counting
+        order (level j of :func:`_branch_words` adds seed point j to the
+        sides that lack it), each with the points strictly below, then
+        strictly above the hyperplane.  They reach :meth:`_complete` in seed
+        order, then branch order.
         """
         stats = self.stats
         stats.seeds_enumerated += subsets.shape[0]
@@ -690,11 +721,15 @@ class _SubspaceSearch(_Search):
         stats.max_onset_size = max(stats.max_onset_size, int(onset.max(initial=0)))
         on_seed = np.count_nonzero(np.take_along_axis(on, idx, axis=1))
         stats.onset_outside_seed += int(onset.sum() - on_seed)
-        seed_bits = 64 * -(-self.n // 64) << (self.k + 1)  # the words of a seed's branches
-        per_call = max(1, _BRANCH_CELLS // seed_bits)
+        sides = _pack(np.stack([below, ~(below | on)], axis=1))
+        width = sides.shape[2]
+        flips = _bit_words(idx.T, self.n)[:, :, None] & ~sides  # seed point j where a side lacks it
+        per_call = max(1, _BRANCH_CELLS // (64 * width << (idx.shape[1] + 1)))
         for first in range(0, idx.shape[0], per_call):
             seeds = slice(first, first + per_call)
-            self._complete(*_branch_words(below[seeds], on[seeds], idx[seeds]))
+            words = _branch_words(sides[seeds], flips[:, seeds])
+            words = words.transpose(1, 0, 2, 3).reshape(-1, width)  # frees the level-major copy
+            self._complete(words)
 
     def _solve_many(self, masks: np.ndarray) -> tuple[list[float], list[np.ndarray]]:
         """Fit and score a stack of inlier sets: one stacked SVD per set size."""
@@ -718,42 +753,6 @@ class _SubspaceSearch(_Search):
     def _winner(self) -> tuple[SubspaceModel, np.ndarray]:
         model = SubspaceModel(self.best)
         return model, subspace_inliers(self.data, model, self.spec)
-
-
-def _branch_words(
-    below: np.ndarray, on: np.ndarray, seeds: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Packed inlier sets and their sizes of every completion branch of a group of seeds.
-
-    ``below`` and ``on`` are the (g, n) masks of g seeds, ``seeds`` their
-    (g, k) distinct point indices.  Rows run in seed order, then branch
-    order: the subsets of the seed in binary counting order (bit j selects
-    seed point j), each taken with the points strictly below, then strictly
-    above the hyperplane.  A branch's set is its side plus its selected seed
-    points; the sides are packed once, and each level j of the subsets ORs
-    seed point j into a copy of the levels before it.  Returns the
-    (g * 2**k * 2, W) words of :func:`_pack` and the sizes.
-    """
-    g, k = seeds.shape
-    sides = np.stack([below, ~(below | on)])
-    packed = _pack(sides.reshape(2 * g, -1)).reshape(2, g, -1)
-    width = packed.shape[2]
-    # Built with the seed axis last, where each level is one pass over
-    # contiguous runs, then moved to the front.
-    words = np.empty((1 << k, 2, width, g), dtype="<u8")
-    words[0] = packed.transpose(0, 2, 1)
-    counts = np.empty((1 << k, 2, g), dtype=np.intp)
-    counts[0] = np.count_nonzero(sides, axis=2)
-    # a selected seed point adds to the size of a side that does not hold it
-    adds = ~sides[:, np.arange(g)[:, None], seeds].transpose(2, 0, 1)
-    bits = np.zeros((k, width, g), dtype="<u8")
-    shifts = (seeds.T % 64).astype(np.uint64)
-    bits[np.arange(k)[:, None], seeds.T // 64, np.arange(g)] = np.uint64(1) << shifts
-    for j in range(k):
-        lo, hi = 1 << j, 2 << j
-        np.bitwise_or(words[:lo], bits[j], out=words[lo:hi])
-        np.add(counts[:lo], adds[j], out=counts[lo:hi])
-    return words.transpose(3, 0, 1, 2).reshape(-1, width), counts.transpose(2, 0, 1).reshape(-1)
 
 
 def _subspace_range_task(payload) -> dict:

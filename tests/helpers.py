@@ -148,3 +148,9 @@ def minimax_reference(x, y) -> float:
                 continue
             best = min(best, float(f(wt[None, :d])[0]))
     return best
+
+
+def line_dataset(n: int = 22) -> sf.RegressionDataset:
+    """n noiseless points on y = 1 + 2t, with an intercept column."""
+    t = np.linspace(-2.0, 2.0, n)
+    return sf.RegressionDataset(np.column_stack([np.ones(n), t]), 1.0 + 2.0 * t)

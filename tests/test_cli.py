@@ -7,7 +7,7 @@ import pytest
 
 from satfit import cli
 from satfit.cli import main, read_points_csv, read_regression_csv
-from helpers import axis_dataset, exact_fit_dataset
+from helpers import axis_dataset, exact_fit_dataset, line_dataset
 
 
 def write_exact_fit_csv(path):
@@ -71,6 +71,16 @@ class TestRegress:
         out = tmp_path / "report.json"
         assert main(["regress", "--p", "0", "--epsilon", "nan", str(data_file),
                      "--output", str(out)]) == 2
+        assert not out.exists()
+
+    def test_too_many_points_on_a_hyperplane_is_solver_failure(self, tmp_path):
+        data = line_dataset(22)
+        data_file = tmp_path / "line.csv"
+        rows = [f"{a!r},{b!r},{c!r}" for (a, b), c in zip(data.x.tolist(), data.y.tolist())]
+        data_file.write_text("\n".join(["x1,x2,y", *rows]) + "\n")
+        out = tmp_path / "report.json"
+        assert main(["regress", "--p", "2", "--epsilon", "0.5", "--threads", "1",
+                     str(data_file), "--output", str(out)]) == 4
         assert not out.exists()
 
     def test_missing_file_is_io_error(self, tmp_path):

@@ -5,7 +5,9 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from satfit.experiments import (
 from satfit import exact, oracle
 from satfit.exact import SearchStats, _SubspaceSearch
 from satfit.sampling import _draw_seeds
-from helpers import axis_dataset, exact_fit_dataset
+from helpers import axis_dataset, exact_fit_dataset, line_dataset
 
 
 COUNTERS = [f.name for f in dataclasses.fields(SearchStats)]
@@ -421,7 +423,8 @@ class TestExactRegression:
         for p in (0, 1, 2):
             spec = sf.LossSpec(p, 0.8)
             whole = sf.exact_regression(data, spec)
-            monkeypatch.setattr(exact, "_BRANCH_BLOCK", 3)
+            # at most 3 rows of one word per _complete call: runs of 2 branches
+            monkeypatch.setattr(exact, "_BRANCH_CELLS", 3 * 64)
             blocked = sf.exact_regression(data, spec)
             monkeypatch.undo()
             assert blocked.objective == whole.objective
@@ -429,6 +432,37 @@ class TestExactRegression:
             assert np.array_equal(blocked.inliers, whole.inliers)
             for counter in COUNTERS:
                 assert getattr(blocked, counter) == getattr(whole, counter), (p, counter)
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_too_many_points_on_a_hyperplane_raise(self, monkeypatch, p):
+        # 22 points on one line put 22 lifted points on the hyperplane of a
+        # seed of two of them, beyond _MAX_ONSET = 20.  With calls large
+        # enough for all 2**22 rows of such a seed, none may be built before
+        # the refusal.
+        branch_words = exact._branch_words
+
+        def guarded(base, flips):
+            assert flips.shape[0] <= exact._MAX_ONSET, "branch rows built past the limit"
+            return branch_words(base, flips)
+
+        monkeypatch.setattr(exact, "_branch_words", guarded)
+        monkeypatch.setattr(exact, "_BRANCH_CELLS", 64 << 24)
+        with pytest.raises(sf.NoHyperplaneError, match="22 points lie on one candidate hyperplane"):
+            sf.exact_regression(line_dataset(22), sf.LossSpec(p, 0.5))
+
+    def test_too_many_points_on_a_hyperplane_raise_in_small_memory(self):
+        # At n = 3000 about half of 64 draws put nearly 3000 lifted points on
+        # their hyperplane.  The refused seeds must cost no branch words: the
+        # on-point bits of a block's 32 such seeds would take about 70 MB.
+        data, cfg = line_dataset(3000), sf.SamplingConfig(n_iters=64, rng_seed=0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(sf.NoHyperplaneError, match="points lie on one candidate"):
+                sf.sampled_regression(data, sf.LossSpec(2, 0.5), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
     def test_threads_match_sequential(self, monkeypatch):
         data = random_regression_instance(5, n=12)  # 276 seeds: forks with blocks of 32
@@ -761,6 +795,22 @@ def reference_branch_masks(below, on, seeds):
     return masks.reshape(-1, below.shape[1])
 
 
+def reference_regression_masks(below, on):
+    """The (2**n0, n) inlier masks of one regression seed, one boolean cell per lifted point.
+
+    ``below`` and ``on`` are the seed's lifted masks (length 2n).  Branch b
+    puts the t-th on-hyperplane point (in lifted order) below when bit
+    n0 - 1 - t of b is 0; a point is an inlier when both copies are below.
+    """
+    n = below.size // 2
+    pos = np.flatnonzero(on)
+    branches = np.arange(1 << pos.size)
+    lifted = np.empty((branches.size, 2 * n), dtype=bool)
+    lifted[:] = below
+    lifted[:, pos] = ((branches[:, None] >> np.arange(pos.size - 1, -1, -1)) & 1) == 0
+    return lifted[:, :n] & lifted[:, n:]
+
+
 def padded_packbits(masks):
     """``np.packbits`` of the mask rows, zero-padded to whole 64-bit words."""
     packed = np.packbits(masks, axis=1, bitorder="little")
@@ -768,29 +818,95 @@ def padded_packbits(masks):
     return np.pad(packed, ((0, 0), (0, pad)))
 
 
+def branch_rows(search, subsets, below, on, cells):
+    """The branch rows a search hands to ``_complete``, call by call, for the given masks.
+
+    Every seed of ``subsets`` is a usable seed (first normal coordinate 1)
+    whose lifted points are classified by the rows of ``below`` and ``on``;
+    each call holds at most ``cells`` bits of words.
+    """
+    calls = []
+    search._complete = calls.append
+
+    def normals(z):
+        h = np.zeros((z.shape[0], z.shape[2]))
+        h[:, 0] = 1.0
+        return h, np.zeros(z.shape[0], dtype=bool)
+
+    with (
+        mock.patch.object(exact, "_batched_normals", normals),
+        mock.patch.object(exact, "_classify", lambda zset, h: (below, on)),
+        mock.patch.object(exact, "_BRANCH_CELLS", cells),
+    ):
+        search.process_chunk(subsets)
+    return calls
+
+
 class TestBranchLoop:
     """Branch rows are packed words; ``_complete`` scans them as a row-by-row loop would."""
 
     @given(
         n=st.sampled_from([1, 63, 64, 65, 129]),
+        seeds=st.integers(1, 4),
+        rows=st.sampled_from([1, 2, 3, 1024]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_regression_rows_are_the_packed_masks(self, n, seeds, rows, seed):
+        # Up to 7 on-hyperplane points per seed, in either half; the first
+        # seed holds both copies of one point.
+        rng = np.random.default_rng(seed)
+        on = np.zeros((seeds, 2 * n), dtype=bool)
+        for lifted in on:
+            lifted[rng.choice(2 * n, size=rng.integers(min(5, 2 * n) + 1), replace=False)] = True
+        point = rng.integers(n)
+        on[0, [point, n + point]] = True
+        below = ~on & (rng.random((seeds, 2 * n)) < 0.8)
+        data = sf.RegressionDataset(rng.normal(size=(n, 1)), rng.normal(size=n))
+        search = exact._RegressionSearch(data, sf.LossSpec(1, 0.5), prune=False)
+        subsets = np.zeros((seeds, 1), dtype=np.intp)
+        calls = branch_rows(search, subsets, below, on, rows * 64 * -(-n // 64))
+        masks = np.concatenate([reference_regression_masks(b, o) for b, o in zip(below, on)])
+        assert max(call.shape[0] for call in calls) <= rows
+        assert np.array_equal(np.concatenate(calls).view(np.uint8), padded_packbits(masks))
+
+    @given(
+        n=st.sampled_from([3, 63, 64, 65, 129]),
         k=st.integers(1, 6),
         groups=st.integers(1, 4),
+        per_call=st.sampled_from([1, 3, 100]),
         seed=st.integers(0, 2**32 - 1),
         on_rate=st.sampled_from([0.0, 0.1, 0.5]),
     )
-    def test_branch_words_are_the_packed_masks(self, n, k, groups, seed, on_rate):
+    def test_subspace_rows_are_the_packed_masks(self, n, k, groups, per_call, seed, on_rate):
         # Seed points may lie below, on or above the hyperplane here.
         rng = np.random.default_rng(seed)
         k = min(k, n)
         below = rng.random((groups, n)) < 0.5
         on = ~below & (rng.random((groups, n)) < on_rate)
         seeds = np.array([np.sort(rng.choice(n, size=k, replace=False)) for _ in range(groups)])
-        words, counts = exact._branch_words(below, on, seeds)
+        search = _SubspaceSearch(sf.PointDataset(rng.normal(size=(n, 2)), 1), sf.LossSpec(2, 0.5))
+        width = -(-n // 64)
+        calls = branch_rows(search, seeds, below, on, per_call * 64 * width << (k + 1))
         masks = reference_branch_masks(below, on, seeds)
-        assert words.shape == (groups << (k + 1), -(-n // 64))
+        assert [call.shape for call in calls] == [
+            (min(per_call, groups - first) << (k + 1), width) for first in range(0, groups, per_call)
+        ]
+        words = np.concatenate(calls)
         assert np.array_equal(words.view(np.uint8), padded_packbits(masks))
-        assert np.array_equal(counts, np.count_nonzero(masks, axis=1))
         assert np.array_equal(exact._unpack(words, n), masks)
+
+    def test_branch_words_apply_the_flips_of_the_set_bits(self):
+        rng = np.random.default_rng(0)
+        base = rng.integers(2**64, size=(2, 3), dtype=np.uint64)
+        flips = rng.integers(2**64, size=(4, 2, 3), dtype=np.uint64)
+        words = exact._branch_words(base, flips)
+        assert words.shape == (16, 2, 3)
+        for b in range(16):
+            expected = base.copy()
+            for j in range(4):
+                if b >> j & 1:
+                    expected ^= flips[j]
+            assert np.array_equal(words[b], expected)
 
     @staticmethod
     def reference_scan(search, rows, counts):
@@ -841,7 +957,7 @@ class TestBranchLoop:
             expected, pruned, reused = self.reference_scan(search, rows, counts)
             before = dataclasses.replace(search.stats)
             fitted.clear()
-            search._complete(rows, counts)
+            search._complete(rows)
             assert fitted == expected
             assert search.stats.subproblems_solved - before.subproblems_solved == len(expected)
             assert search.stats.subproblems_pruned - before.subproblems_pruned == pruned
