@@ -302,10 +302,10 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--r", type=float, default=0.0, help="outlier fraction in [0, 1)")
     gen.add_argument("--rng-seed", type=int, default=0)
     gen.add_argument("--w0", default=None, help="comma-separated true coefficients")
-    gen.add_argument("--noise-std", type=float, default=math.sqrt(0.1))
-    gen.add_argument("--outlier-mean", type=float, default=100.0)
-    gen.add_argument("--outlier-std", type=float, default=math.sqrt(1000.0))
-    gen.add_argument("--x-range", type=float, default=5.0)
+    gen.add_argument("--noise-std", type=float, default=GeneratorConfig.noise_std)
+    gen.add_argument("--outlier-mean", type=float, default=GeneratorConfig.outlier_mean)
+    gen.add_argument("--outlier-std", type=float, default=GeneratorConfig.outlier_std)
+    gen.add_argument("--x-range", type=float, default=GeneratorConfig.x_range)
     gen.add_argument("--output", default="data.csv")
     gen.set_defaults(func=_cmd_gen)
 

@@ -1,11 +1,9 @@
 """Domain types and saturated-loss objectives for robust linear estimation.
 
 The loss of an error value ``e`` is ``min(|e|, epsilon) ** p`` for p in
-{1, 2} and the indicator of ``|e| > epsilon`` for p = 0.  Inlier membership
-always uses the strict test ``|e| < epsilon``, so a point whose error equals
-``epsilon`` exactly has zero loss under p = 0 yet is not counted as an
-inlier.  Both readings are kept literally; the discrepancy only matters on a
-measure-zero set of inputs.
+{1, 2} and the indicator of ``|e| > epsilon`` for p = 0.  The inliers are
+its zero set, ``|e| <= epsilon``: :func:`_within`, the one test that the
+loss, the inlier lists and every solver's inlier count use.
 
 All indices in this package are 0-based.  The command line layer converts to
 1-based indices when writing report files.
@@ -202,20 +200,25 @@ class SubspaceModel:
         return float(np.max(np.abs(g - np.eye(self.subspace_dim))))
 
 
+def _within(spec: LossSpec, e) -> np.ndarray:
+    """Inlier mask ``|e| <= epsilon``: the points of zero p = 0 loss."""
+    return np.abs(e) <= spec.epsilon
+
+
 def loss(spec: LossSpec, e) -> float | np.ndarray:
     """Saturated loss of an error value (elementwise over arrays).
 
-    For p = 0 this is the indicator of ``|e| > epsilon`` (strict), so the
-    value at ``|e| == epsilon`` is 0.  For p in {1, 2} the loss is
-    ``min(|e|, epsilon) ** p`` and therefore lies in [0, epsilon ** p].
+    For p = 0 this is 1 off the inliers of :func:`_within`, the indicator of
+    ``|e| > epsilon`` on finite input (0 at ``|e| == epsilon``).  For p in
+    {1, 2} the loss is ``min(|e|, epsilon) ** p``, in [0, epsilon ** p].
     """
-    a = np.abs(np.asarray(e, dtype=float))
+    e = np.asarray(e, dtype=float)
     if spec.p == 0:
-        out = (a > spec.epsilon).astype(float)
+        out = (~_within(spec, e)).astype(float)
     elif spec.p == 1:
-        out = np.minimum(a, spec.epsilon)
+        out = np.minimum(np.abs(e), spec.epsilon)
     else:
-        out = np.minimum(a, spec.epsilon) ** 2
+        out = np.minimum(np.abs(e), spec.epsilon) ** 2
     return out if out.ndim else float(out)
 
 
@@ -233,9 +236,8 @@ def regression_residuals(data: RegressionDataset, model: RegressionModel) -> np.
 def regression_inliers(
     data: RegressionDataset, model: RegressionModel, spec: LossSpec
 ) -> np.ndarray:
-    """Indices of points with ``|y_i - w @ x_i| < epsilon`` (strict), sorted."""
-    e = regression_residuals(data, model)
-    return np.flatnonzero(np.abs(e) < spec.epsilon)
+    """Indices of points with ``|y_i - w @ x_i| <= epsilon``, sorted."""
+    return np.flatnonzero(_within(spec, regression_residuals(data, model)))
 
 
 def regression_objective(
@@ -246,8 +248,7 @@ def regression_objective(
     Equals the count of outliers for p = 0, and the sum of inlier losses plus
     ``epsilon ** p`` per outlier for p in {1, 2}.
     """
-    e = regression_residuals(data, model)
-    return float(np.sum(loss(spec, e)))
+    return float(np.sum(loss(spec, regression_residuals(data, model))))
 
 
 def _check_subspace_model(data: PointDataset, model: SubspaceModel) -> None:
@@ -281,14 +282,12 @@ def subspace_residuals(data: PointDataset, model: SubspaceModel) -> np.ndarray:
 def subspace_inliers(
     data: PointDataset, model: SubspaceModel, spec: LossSpec
 ) -> np.ndarray:
-    """Indices of points strictly closer than ``epsilon`` to the subspace, sorted."""
-    r = subspace_residuals(data, model)
-    return np.flatnonzero(r < spec.epsilon)
+    """Indices of points at distance ``<= epsilon`` from the subspace, sorted."""
+    return np.flatnonzero(_within(spec, subspace_residuals(data, model)))
 
 
 def subspace_objective(
     data: PointDataset, model: SubspaceModel, spec: LossSpec
 ) -> float:
     """Total saturated loss of the projection residual norms."""
-    r = subspace_residuals(data, model)
-    return float(np.sum(loss(spec, r)))
+    return float(np.sum(loss(spec, subspace_residuals(data, model))))

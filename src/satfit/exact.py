@@ -64,6 +64,7 @@ from .core import (
     RegressionModel,
     SubspaceModel,
     _projection_residuals,
+    _within,
     loss,
     regression_inliers,
     subspace_inliers,
@@ -668,7 +669,7 @@ def approx_regression_p0(data: RegressionDataset, spec: LossSpec) -> tuple[Regre
                 below = _classify(zset, h)[0]
                 inliers = below[:, :n] & below[:, n:]
             else:
-                inliers = np.abs(data.y - w @ data.x.T) < spec.epsilon
+                inliers = _within(spec, data.y - w @ data.x.T)
             j = np.where(usable, n - np.count_nonzero(inliers, axis=1), np.inf)
             i = int(np.argmin(j))  # argmin returns the first minimizer
             if j[i] < best_j:

@@ -137,6 +137,8 @@ class SubspaceGeneratorConfig:
             raise ValueError("outlier_fraction must lie in [0, 1)")
         if not 1 <= self.subspace_dim < self.d:
             raise ValueError("need 1 <= subspace_dim < d")
+        if self.n < 1 or self.noise_std < 0 or self.x_range <= 0 or self.coeff_range <= 0:
+            raise ValueError("need n >= 1, noise_std >= 0, x_range > 0 and coeff_range > 0")
 
 
 @dataclass(frozen=True)

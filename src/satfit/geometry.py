@@ -5,8 +5,8 @@ hyperplanes through the origin:
 
 * regression lifts each pair ``(x_i, y_i)`` to two points
   ``[y_i - eps, -x_i]`` and ``[-y_i - eps, x_i]`` in ``R^(d+1)``; a point is
-  an inlier of ``w`` exactly when both of its lifted copies fall strictly on
-  the negative side of the hyperplane with normal ``[1, w]``;
+  an inlier of ``w`` (``|e| <= eps``) exactly when neither of its lifted
+  copies falls on the positive side of the hyperplane with normal ``[1, w]``;
 * subspace estimation lifts each point to ``[-eps^2, nu(x_i)]`` in
   ``R^(D+1)`` where ``nu`` is the degree-2 monomial embedding and
   ``D = d(d+1)/2``; inliers of a basis ``B`` are the points on the negative

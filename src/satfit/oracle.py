@@ -12,12 +12,12 @@ p = 0 regression fit is a solver of the search
 ``np.linalg.lstsq`` and subspace subsets by the top eigenvectors of their
 scatter matrix from ``np.linalg.eigh``.
 
-For p = 0 a subset only counts when its fit places every subset point
-strictly inside the threshold, with a guard band of ``tau`` around the
-boundary: subsets whose largest subset error lands within ``tau`` of the
-threshold are counted separately and also folded into a second,
-boundary-inclusive objective, so floating-point ties are surfaced instead of
-silently resolved.
+Every p scores a fit with :func:`.core.loss`.  For p = 0 a subset only
+counts when its fit places every subset point inside the threshold, with a
+guard band of ``tau`` around the boundary: subsets whose largest subset
+error lands within ``tau`` of the threshold are counted separately and also
+folded into a second, boundary-inclusive objective, so floating-point ties
+are surfaced instead of silently resolved.
 """
 
 from __future__ import annotations
@@ -71,16 +71,16 @@ def _certify(n: int, smallest: int, fit, spec: LossSpec, dominated: bool):
 
     Walks subset sizes from n down, lexicographically within a size.
     ``fit(idx)`` returns the fitted parameters and the n absolute residuals
-    of their model; the first strictly smaller objective wins.  For p = 0 a
-    subset counts only when its largest subset residual is below
-    eps - tau, and one within tau of eps is a boundary subset (see the
-    module docstring).  ``dominated`` stops at the first size k with
-    n - k >= the incumbent: a smaller count there needs a model that covers
-    more than k points, and that larger inlier set was fitted at its own
-    size.  This holds for the minimax fit only; the L2 fit of a larger
-    feasible set can fail where a subset's succeeds.  Returns the
-    objective, the parameters, the subsets evaluated, the boundary subsets
-    and the boundary-inclusive objective (``None`` unless p = 0).
+    of their model, which :func:`.core.loss` scores; the first strictly
+    smaller objective wins.  For p = 0 a subset counts only when its
+    largest subset residual is below eps - tau, and one within tau of eps
+    is a boundary subset (see the module docstring).  ``dominated`` stops
+    at the first size k with n - k >= the incumbent: a smaller count there
+    needs a model that covers more than k points, and that larger inlier
+    set was fitted at its own size.  This holds for the minimax fit only;
+    the L2 fit of a larger feasible set can fail where a subset's succeeds.
+    Returns the objective, parameters, subsets evaluated, boundary subsets
+    and boundary-inclusive objective (``None`` unless p = 0).
     """
     eps = spec.epsilon
     tau = ON_HYPERPLANE_TOL * max(1.0, eps)
@@ -94,17 +94,15 @@ def _certify(n: int, smallest: int, fit, spec: LossSpec, dominated: bool):
             idx = np.asarray(subset, dtype=np.intp)
             params, residuals = fit(idx)
             evaluated += 1
+            objective = float(np.sum(loss(spec, residuals)))
             if spec.p == 0:
                 worst = float(residuals[idx].max())
                 if worst >= eps + tau:
                     continue
-                objective = float(n - np.count_nonzero(residuals < eps))
                 best_loose = objective if best_loose is None else min(best_loose, objective)
                 if worst >= eps - tau:
                     boundary += 1
                     continue
-            else:
-                objective = float(np.sum(loss(spec, residuals)))
             if best is None or objective < best[0]:
                 best = (objective, params)
     if best is None:
@@ -204,8 +202,8 @@ def oracle_subspace(data: PointDataset, spec: LossSpec) -> OracleResult:
     dimension and fits each with the top eigenvectors of its scatter matrix
     ``x_S.T @ x_S``, the squared-residual optimum.  For
     p = 0 a subset counts only when the fitted basis keeps every subset
-    point strictly inside the threshold.  Supports p in {0, 2}; refuses
-    datasets with more than 16 points.
+    point inside the threshold, clear of the guard band.  Supports p in
+    {0, 2}; refuses datasets with more than 16 points.
     """
     n, ds = data.n, data.subspace_dim
     if n > MAX_SUBSPACE_POINTS:

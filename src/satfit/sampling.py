@@ -30,6 +30,7 @@ from .core import (
     PointDataset,
     RegressionDataset,
     RegressionModel,
+    _within,
     loss,
     regression_inliers,
 )
@@ -225,9 +226,9 @@ def ransac_regression(
     """Classic consensus maximization baseline.
 
     Each iteration least-squares-fits a model to ``subset_size`` random data
-    points and counts how many points it approximates strictly within the
-    threshold; the largest consensus wins (first achiever on ties).  The
-    draws are fitted and counted 256 at a time, bit for bit as one by one.
+    points and counts its inliers (``|e| <= epsilon``); the largest
+    consensus wins (first achiever on ties).  The draws are fitted and
+    counted 256 at a time, bit for bit as one by one.
     The winning consensus set is then refitted with the fit that ``spec.p``
     selects, so the reported objective is comparable with the other
     solvers.  ``progress`` receives (draws done, n - best consensus) after
@@ -240,7 +241,6 @@ def ransac_regression(
         raise ValueError(f"subset_size must be at least d={d}, got {size}")
     if size > n:
         raise ValueError(f"subset_size {size} exceeds the number of points {n}")
-    eps = spec.epsilon
     best_count = -1
     best_w: np.ndarray | None = None
     degenerate = 0
@@ -250,14 +250,14 @@ def ransac_regression(
         ws, ranks = _ls_fits(data.x[idx], data.y[idx])
         degenerate += int(np.count_nonzero(ranks < d))
         # one mat-vec per draw, as data.x @ w, so the counts keep their bits
-        counts = np.count_nonzero(np.abs(data.y - (data.x[None] @ ws[:, :, None])[:, :, 0]) < eps, axis=1)
+        counts = np.count_nonzero(_within(spec, data.y - (data.x[None] @ ws[:, :, None])[:, :, 0]), axis=1)
         top = int(np.argmax(counts))  # the first best draw
         if counts[top] > best_count:
             best_count, best_w = int(counts[top]), ws[top]
         if progress is not None:
             progress(start + idx.shape[0], float(n - best_count))
     solved = cfg.n_iters
-    consensus = np.flatnonzero(np.abs(data.y - data.x @ best_w) < eps)
+    consensus = np.flatnonzero(_within(spec, data.y - data.x @ best_w))
     if consensus.size:
         refit = _regression_fit(data.x[consensus], data.y[consensus], spec.p)
         solved += 1

@@ -349,9 +349,9 @@ def _minimax_fit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
 def solve_minimax(data: RegressionDataset, subset) -> tuple[RegressionModel, float]:
     """Chebyshev fit over the subset: minimize the largest absolute error.
 
-    Returns the model and the attained maximum error, which certifies
-    whether every subset point can be approximated strictly within a given
-    threshold.
+    Returns the model and the attained maximum error: every subset point
+    can be an inlier of one model (``|e| <= epsilon``) exactly when that
+    error is at most ``epsilon``.
     """
     idx = _subset_array(subset, data.n)
     w, value = _minimax_fit(data.x[idx], data.y[idx])
@@ -361,9 +361,9 @@ def solve_minimax(data: RegressionDataset, subset) -> tuple[RegressionModel, flo
 def _regression_fit(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     """Coefficients of the fixed-classification fit that the loss exponent selects.
 
-    Minimax for p = 0 (whether every point fits strictly inside the
-    threshold is decided by the attained maximum error), least absolute
-    deviations for p = 1, least squares for p = 2.
+    Minimax for p = 0 (the set fits within the threshold, every point an
+    inlier, exactly when the attained maximum error is at most epsilon),
+    least absolute deviations for p = 1, least squares for p = 2.
     """
     if p == 0:
         return _minimax_fit(x, y)[0]

@@ -233,6 +233,16 @@ class TestGen:
         assert main(["gen", "--n", "10", "--d", "1", "--r", "1.5", "--output", str(out)]) == 2
         assert not out.exists()
 
+    def test_scale_defaults_are_the_library_defaults(self, tmp_path):
+        from satfit.experiments import GeneratorConfig
+
+        out = tmp_path / "data.csv"
+        main(["gen", "--n", "5", "--d", "1", "--output", str(out)])
+        config = json.loads((tmp_path / "data.meta.json").read_text())["config"]
+        defaults = GeneratorConfig(n=5, d=1, outlier_fraction=0.0)
+        for name in ("noise_std", "outlier_mean", "outlier_std", "x_range"):
+            assert config[name] == getattr(defaults, name), name
+
     def test_regenerate_identical_files(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

@@ -76,7 +76,7 @@ class TestRegression:
         data = sf.RegressionDataset(rng.normal(size=(20, 3)), rng.normal(size=20))
         model = sf.RegressionModel(rng.normal(size=3))
         spec = sf.LossSpec(1, 0.5)
-        expected = [i for i in range(20) if abs(data.y[i] - data.x[i] @ model.w) < 0.5]
+        expected = [i for i in range(20) if abs(data.y[i] - data.x[i] @ model.w) <= 0.5]
         assert sf.regression_inliers(data, model, spec).tolist() == expected
 
     def test_objective_examples(self):
@@ -99,12 +99,12 @@ class TestRegression:
             total = sf.regression_objective(data, model, spec)
             assert total == pytest.approx(split_form_regression(data, model, spec), abs=1e-12)
 
-    def test_boundary_point_is_outlier(self):
+    def test_boundary_point_is_inlier(self):
         data = sf.RegressionDataset(np.array([[1.0]]), np.array([0.5]))
         model = sf.RegressionModel([0.0])
         spec = sf.LossSpec(0, 0.5)
-        assert sf.regression_inliers(data, model, spec).size == 0
-        assert sf.regression_objective(data, model, spec) == 0.0  # loss is still zero
+        assert sf.regression_inliers(data, model, spec).tolist() == [0]
+        assert sf.regression_objective(data, model, spec) == 0.0  # the zero set of the loss
 
     def test_dimension_mismatch(self):
         data = exact_fit_dataset()
@@ -118,6 +118,13 @@ class TestSubspace:
         model = sf.SubspaceModel(np.array([[1.0], [0.0]]))
         got = sf.subspace_inliers(data, model, sf.LossSpec(0, 0.1))
         assert got.tolist() == [0, 1]
+
+    def test_boundary_point_is_inlier(self):
+        data = sf.PointDataset(np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 0.5]]), 1)
+        model = sf.SubspaceModel(np.array([[1.0], [0.0]]))
+        spec = sf.LossSpec(0, 0.5)
+        assert sf.subspace_inliers(data, model, spec).tolist() == [0, 1, 2]
+        assert sf.subspace_objective(data, model, spec) == 0.0  # the zero set of the loss
 
     def test_inliers_huge_epsilon(self):
         data = axis_dataset()
@@ -133,7 +140,7 @@ class TestSubspace:
         expected = [
             i
             for i in range(15)
-            if np.linalg.norm(data.x[i] - b @ (b.T @ data.x[i])) < 0.4
+            if np.linalg.norm(data.x[i] - b @ (b.T @ data.x[i])) <= 0.4
         ]
         assert sf.subspace_inliers(data, model, spec).tolist() == expected
 

@@ -23,7 +23,15 @@ from satfit.experiments import (
 from satfit import exact, oracle
 from satfit.exact import SearchStats, _SubspaceSearch
 from satfit.sampling import _draw_seeds
-from helpers import axis_dataset, exact_fit_dataset, line_dataset
+from helpers import (
+    assert_p0_counts_agree,
+    axis_dataset,
+    closed_count_reference,
+    exact_fit_dataset,
+    integer_point_sets,
+    integer_regression_instances,
+    line_dataset,
+)
 
 
 COUNTERS = [f.name for f in dataclasses.fields(SearchStats)]
@@ -75,17 +83,6 @@ def pool_sizes(monkeypatch):
 def random_regression_instance(seed, n=9, d=2, r=0.3):
     cfg = GeneratorConfig(n=n, d=d, outlier_fraction=r, rng_seed=seed)
     return generate_regression(cfg)[0]
-
-
-def integer_regression_instances(count=300, seed=5):
-    """Small instances with integer x and y, far from general position, and an epsilon each."""
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        n, d = int(rng.integers(6, 10)), int(rng.integers(1, 4))
-        eps = float(rng.choice([0.5, 1.0, 2.0]))
-        x = rng.integers(-3, 4, size=(n, d)).astype(float)
-        y = rng.integers(-4, 5, size=n).astype(float)
-        yield sf.RegressionDataset(x, y), eps
 
 
 def stat_fields(pid):
@@ -416,7 +413,41 @@ class TestExactRegression:
         for data, eps in integer_regression_instances():
             spec = sf.LossSpec(0, eps)
             model = sf.exact_regression(data, spec).model
-            assert sf.regression_objective(data, model, spec) <= sf.oracle_regression(data, spec).objective
+            certified = sf.oracle_regression(data, spec)
+            assert sf.regression_objective(data, model, spec) <= certified.objective
+            assert_p0_counts_agree(data, spec, certified)
+
+    def test_p0_reports_count_their_inliers_on_integer_data(self):
+        # integer data puts errors at exactly epsilon, where the inlier list
+        # and the p = 0 loss must take the same side
+        for i, (data, eps) in enumerate(integer_regression_instances()):
+            spec, cfg = sf.LossSpec(0, eps), sf.SamplingConfig(200, i)
+            assert_p0_counts_agree(data, spec, sf.exact_regression(data, spec))
+            assert_p0_counts_agree(data, spec, sf.sampled_regression(data, spec, cfg))
+            assert_p0_counts_agree(data, spec, sf.ransac_regression(data, spec, cfg))
+
+    def test_p0_objective_is_at_least_the_closed_optimum(self):
+        # no model has more inliers than the exact vertex enumeration of
+        # closed_count_reference finds, so a smaller objective means a
+        # broken reference
+        for data, eps in integer_regression_instances():
+            report = sf.exact_regression(data, sf.LossSpec(0, eps))
+            assert report.objective >= data.n - closed_count_reference(data.x, data.y, eps)
+
+    @pytest.mark.xfail(
+        raises=AssertionError,
+        strict=True,
+        reason="on 7 of the 300 instances the optimal inlier set has a minimax error of "
+        "exactly epsilon, and the float minimax fit leaves a point an ulp or more outside it",
+    )
+    def test_p0_objective_is_the_closed_optimum(self):
+        missed = [
+            i
+            for i, (data, eps) in enumerate(integer_regression_instances())
+            if sf.exact_regression(data, sf.LossSpec(0, eps)).objective
+            != data.n - closed_count_reference(data.x, data.y, eps)
+        ]
+        assert missed == []
 
     def test_branch_blocks_do_not_change_the_answer(self, monkeypatch):
         data = collinear_instance()  # seeds with 7 on-hyperplane points: 128 branches
@@ -574,9 +605,17 @@ class TestApproxP0:
             expected = n - inside.sum(axis=1).max()
             for subset in combinations(range(n), d):
                 w = np.linalg.solve(data.x[list(subset)], data.y[list(subset)])
-                expected = min(expected, n - np.count_nonzero(np.abs(data.y - data.x @ w) < eps))
+                expected = min(expected, n - np.count_nonzero(np.abs(data.y - data.x @ w) <= eps))
             _, j0 = sf.approx_regression_p0(data, sf.LossSpec(0, eps))
             assert j0 == expected, seed
+
+    def test_interpolations_count_points_at_epsilon(self):
+        # w = 0 through the two points at y = 0 leaves the other three at
+        # |e| = eps exactly: every point is an inlier; no lifted hyperplane,
+        # whose seed point counts as an outlier, does as well
+        data = sf.RegressionDataset(np.ones((5, 1)), np.array([0.0, 0.0, 1.0, 1.0, -1.0]))
+        model, j = sf.approx_regression_p0(data, sf.LossSpec(0, 1.0))
+        assert (model.w.tolist(), j) == ([0.0], 0.0)
 
     def test_rejects_other_losses(self):
         with pytest.raises(ValueError):
@@ -636,6 +675,12 @@ class TestExactSubspace:
     def test_only_p0_is_flagged_approximate(self):
         assert sf.exact_subspace(axis_dataset(), sf.LossSpec(0, 0.1)).approximate
         assert not sf.exact_subspace(axis_dataset(), sf.LossSpec(2, 0.1)).approximate
+
+    def test_p0_reports_count_their_inliers_on_integer_data(self):
+        for i, (data, eps) in enumerate(integer_point_sets()):
+            spec = sf.LossSpec(0, eps)
+            assert_p0_counts_agree(data, spec, sf.exact_subspace(data, spec))
+            assert_p0_counts_agree(data, spec, sf.sampled_subspace(data, spec, sf.SamplingConfig(100, i)))
 
     @pytest.mark.xfail(
         raises=AssertionError,

@@ -67,6 +67,20 @@ class TestGenerateRegression:
         assert err < 1e-9
 
 
+class TestSubspaceGeneratorConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("noise_std", -1.0), ("x_range", 0.0), ("x_range", -1.0), ("coeff_range", 0.0),
+         ("coeff_range", -1.0), ("n", 0)],
+    )
+    def test_rejects_bad_value(self, field, value):
+        with pytest.raises(ValueError):
+            SubspaceGeneratorConfig(**{"n": 10, "d": 3, "subspace_dim": 1, "outlier_fraction": 0.2, field: value})
+
+    def test_accepts_zero_noise(self):
+        SubspaceGeneratorConfig(n=1, d=2, subspace_dim=1, outlier_fraction=0.0, noise_std=0.0)
+
+
 class TestGenerateSubspace:
     def test_outlier_count_and_determinism(self):
         cfg = SubspaceGeneratorConfig(n=40, d=3, subspace_dim=2, outlier_fraction=0.25, rng_seed=6)

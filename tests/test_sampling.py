@@ -13,7 +13,7 @@ from satfit.sampling import (
     sampled_subspace,
 )
 from satfit.subsolvers import _ls_fit, _regression_fit
-from helpers import axis_dataset, exact_fit_dataset, numpy_draws
+from helpers import axis_dataset, exact_fit_dataset, integer_regression_instances, numpy_draws
 
 
 class TestSamplingConfig:
@@ -155,6 +155,32 @@ class TestSampledSubspace:
         assert np.array_equal(a.model.basis, b.model.basis)
 
 
+def check_against_the_per_draw_loop(data, spec, cfg) -> int:
+    """Assert that RANSAC's report is that of a loop over the draws one by one; return the rank-deficient draws."""
+    size = 2 * data.d if cfg.subset_size is None else cfg.subset_size
+    best, best_w, degenerate, calls = -1, None, 0, []
+    for done, idx in enumerate(numpy_draws(cfg.rng_seed, cfg.n_iters, data.n, size), 1):
+        w, rank = _ls_fit(data.x[idx], data.y[idx])
+        degenerate += rank < data.d
+        count = int(np.count_nonzero(np.abs(data.y - data.x @ w) <= spec.epsilon))
+        if count > best:
+            best, best_w = count, w
+        if done % 256 == 0 or done == cfg.n_iters:
+            calls.append((done, float(data.n - best)))
+    consensus = np.flatnonzero(np.abs(data.y - data.x @ best_w) <= spec.epsilon)
+    w = _regression_fit(data.x[consensus], data.y[consensus], spec.p) if consensus.size else best_w
+    model = sf.RegressionModel(w)
+    seen = []
+    report = ransac_regression(data, spec, cfg, progress=lambda *a: seen.append(a))
+    assert report.objective == float(np.sum(sf.loss(spec, data.y - data.x @ model.w)))
+    assert report.model.w.tobytes() == model.w.tobytes()
+    assert np.array_equal(report.inliers, sf.regression_inliers(data, model, spec))
+    assert report.seeds_degenerate == degenerate
+    assert report.subproblems_solved == cfg.n_iters + (consensus.size > 0)
+    assert seen == calls
+    return degenerate
+
+
 class TestRansac:
     def test_exact_fit_consensus(self):
         report = ransac_regression(
@@ -211,7 +237,7 @@ class TestRansac:
         best, consensus = -1, None
         for idx in numpy_draws(rng_seed, iters, data.n, 4):
             w = np.linalg.lstsq(data.x[idx], data.y[idx], rcond=None)[0]
-            inside = np.flatnonzero(np.abs(data.y - data.x @ w) < eps)
+            inside = np.flatnonzero(np.abs(data.y - data.x @ w) <= eps)
             if inside.size > best:
                 best, consensus = inside.size, inside
         fit = {
@@ -235,28 +261,13 @@ class TestRansac:
         y[:10] = x[:10] @ [1.0, -2.0, 0.5]
         y[10:20] = x[10:20] @ [-1.0, 0.5, 2.0]
         data, spec, size, iters = sf.RegressionDataset(x, y), sf.LossSpec(p, 0.05), 3, 700
-        best, best_w, degenerate, calls = -1, None, 0, []
-        for done, idx in enumerate(numpy_draws(10, iters, data.n, size), 1):
-            w, rank = _ls_fit(data.x[idx], data.y[idx])
-            degenerate += rank < data.d
-            count = int(np.count_nonzero(np.abs(data.y - data.x @ w) < spec.epsilon))
-            if count > best:
-                best, best_w = count, w
-            if done % 256 == 0 or done == iters:
-                calls.append((done, float(data.n - best)))
-        consensus = np.flatnonzero(np.abs(data.y - data.x @ best_w) < spec.epsilon)
-        model = sf.RegressionModel(_regression_fit(data.x[consensus], data.y[consensus], p))
-        seen = []
-        report = ransac_regression(
-            data, spec, SamplingConfig(iters, 10, subset_size=size), progress=lambda *a: seen.append(a)
-        )
-        assert degenerate > 0
-        assert report.objective == float(np.sum(sf.loss(spec, data.y - data.x @ model.w)))
-        assert report.model.w.tobytes() == model.w.tobytes()
-        assert np.array_equal(report.inliers, sf.regression_inliers(data, model, spec))
-        assert report.seeds_degenerate == degenerate
-        assert report.subproblems_solved == iters + 1
-        assert seen == calls
+        assert check_against_the_per_draw_loop(data, spec, SamplingConfig(iters, 10, subset_size=size)) > 0
+
+    def test_counts_points_at_epsilon_like_the_per_draw_loop(self):
+        # integer data puts errors at exactly epsilon, where the draw count
+        # and the refit set must both count the point in
+        for i, (data, eps) in enumerate(integer_regression_instances(count=100)):
+            check_against_the_per_draw_loop(data, sf.LossSpec(0, eps), SamplingConfig(40, i))
 
     def test_subset_size_validation(self):
         data = exact_fit_dataset()
