@@ -16,9 +16,10 @@ normals of a block of seeds come from :func:`.geometry._batched_normals`
 batched SVD above that), their orientation and their below / on masks from
 the lifted classification of :mod:`.geometry` (``_orient``, ``_classify``),
 and only seeds that survive the incumbent bound enter the per-seed
-completion step.  The exact solvers feed it lexicographic blocks of the
-enumeration; the sampling variants in :mod:`.sampling` blocks of random
-draws in iteration order.
+completion step.  Its block-sized arrays are views of the search's one
+:class:`.geometry._Workspace`, reused block after block.  The exact solvers
+feed it lexicographic blocks of the enumeration; the sampling variants in
+:mod:`.sampling` blocks of random draws in iteration order.
 
 A completion step builds the inlier sets of its branches as rows of
 W = ceil(n / 64) ``uint64`` words, point i being bit i % 64 of word i // 64.
@@ -74,6 +75,7 @@ from .geometry import (
     _batched_normals,
     _classify,
     _orient,
+    _Workspace,
     lift_regression,
     lift_subspace,
 )
@@ -105,10 +107,10 @@ _BRANCH_CELLS = 1 << 20
 # the count bound): a stack takes max(1, _STACK_CELLS // n) sets, so its
 # (sets, n, d) float temporaries stay at most 256 KiB times d.  A stack has a
 # fixed cost, which small stacks repeat; stacks of several MB run slower per
-# set, since each fresh allocation of 128 KiB or more is mapped anew by glibc
-# and faults its pages in on use.  Stacking pays most when a call holds many
-# new sets of one size, as in small-n exact enumeration; at large n, where a
-# stack holds one set, it costs what one fit per set did.
+# set, since their fresh pages are faulted in on use (the glibc rule is in
+# geometry._Workspace).  Stacking pays most when a call holds many new sets
+# of one size, as in small-n exact enumeration; at large n, where a stack
+# holds one set, it costs what one fit per set did.
 _STACK_CELLS = 1 << 15
 
 # Seeds per block of the subspace scan and of the sampled draws; also their
@@ -333,6 +335,7 @@ class _Search:
         self.stats = SearchStats()
         self.cancelled = False
         self.fitted: set[bytes] = set()  # packed words of the fitted inlier sets
+        self.workspace = _Workspace()  # the block-sized arrays of process_chunk
 
     def _complete(self, words: np.ndarray) -> None:
         """Prune, reuse or fit the branches in ``words``, as a row-order scan would.
@@ -547,9 +550,10 @@ class _RegressionSearch(_Search):
         """Process a block of seeds, in order."""
         stats = self.stats
         stats.seeds_enumerated += subsets.shape[0]
-        h, degen = _batched_normals(self.zset.z[subsets])
+        ws = self.workspace
+        h, degen = _batched_normals(ws.take("rows", self.zset.z, subsets), ws)
         _orient(h)
-        below, on = _classify(self.zset, h)
+        below, on = _classify(self.zset, h, ws)
         h1_small = h[:, 0] <= ON_HYPERPLANE_TOL
         base = np.count_nonzero(below[:, : self.n] & below[:, self.n :], axis=1)
         n0 = np.count_nonzero(on, axis=1)
@@ -657,16 +661,17 @@ def approx_regression_p0(data: RegressionDataset, spec: LossSpec) -> tuple[Regre
     zset = lift_regression(data, spec)
     n, d = data.n, data.d
     best_j, best_w = np.inf, None
+    ws = _Workspace()
     for points, lifted in ((zset.z, True), (np.column_stack([data.y, -data.x]), False)):
         size = points.shape[0]
         total, _ = _rank_tables(size, d)  # the lifted scan, first, has the larger count
         for block in _lex_blocks(size, d, 0, total, _RegressionSearch.seed_block):
-            h, degen = _batched_normals(points[block])
+            h, degen = _batched_normals(ws.take("rows", points, block), ws)
             _orient(h)
             usable = ~degen & (h[:, 0] > ON_HYPERPLANE_TOL)
             w = h[:, 1:] / np.where(usable, h[:, 0], 1.0)[:, None]
             if lifted:
-                below = _classify(zset, h)[0]
+                below = _classify(zset, h, ws)[0]
                 inliers = below[:, :n] & below[:, n:]
             else:
                 inliers = _within(spec, data.y - w @ data.x.T)
@@ -713,10 +718,11 @@ class _SubspaceSearch(_Search):
         """
         stats = self.stats
         stats.seeds_enumerated += subsets.shape[0]
-        h, degen = _batched_normals(self.zset.z[subsets])
+        ws = self.workspace
+        h, degen = _batched_normals(ws.take("rows", self.zset.z, subsets), ws)
         _orient(h)
         stats.seeds_degenerate += int(np.count_nonzero(degen))
-        below, on = _classify(self.zset, h)
+        below, on = _classify(self.zset, h, ws)
         idx, below, on = subsets[~degen], below[~degen], on[~degen]
         onset = np.count_nonzero(on, axis=1)
         stats.max_onset_size = max(stats.max_onset_size, int(onset.max(initial=0)))

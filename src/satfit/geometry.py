@@ -18,11 +18,13 @@ seed rows, their generalized cross product.  The one lifted classification,
 which the searches, ``approx_regression_p0`` and the public helpers all run,
 is :func:`_batched_normals`, :func:`_orient` and :func:`_classify`: a point
 is on a hyperplane when its margin is within ``ON_HYPERPLANE_TOL`` (relative
-to ``max(1, ||z||)``) of zero, and the caller must resolve it.
+to ``max(1, ||z||)``) of zero, and the caller must resolve it.  A search
+hands them its :class:`_Workspace`, so its blocks reuse one set of arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import combinations
@@ -181,6 +183,46 @@ class Hyperplane:
     seed: tuple[int, ...]
 
 
+class _Workspace:
+    """The block-sized arrays of one search's per-seed pipeline, reused block after block.
+
+    glibc serves an allocation of at least its mmap threshold (128 KiB at
+    start) with fresh pages and unmaps them on free; freeing such a chunk
+    raises the threshold to its size and the heap's trim threshold to twice
+    that, and a free that leaves more than the trim threshold at the top of
+    the heap hands those pages back to the kernel.  Either way, a block's
+    temporaries of 0.1-1 MB, allocated fresh, would go back to the kernel
+    after the block and fault their pages in again in the next one (about
+    61,000 minor faults per threads = 1 solve at d = 3, n = 60, against
+    1,000 with a workspace).  Here each named array is one flat buffer,
+    allocated at the first request and again only when a larger one comes,
+    so a search's buffers take the size of its largest block.  A returned
+    view is valid until the next request of its name, the next block:
+    callers copy what they keep.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+        """A view of shape ``shape`` of the buffer ``name``, its contents undefined."""
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+    def take(self, name: str, source: np.ndarray, index: np.ndarray, axis: int = 0) -> np.ndarray:
+        """``np.take(source, index, axis)`` written into the buffer ``name``.
+
+        The indices must be valid: ``mode="clip"`` writes straight into the
+        buffer, where the default mode fills a temporary copy first.
+        """
+        shape = source.shape[:axis] + index.shape + source.shape[axis + 1 :]
+        out = self.array(name, shape, source.dtype)
+        return np.take(source, index, axis=axis, out=out, mode="clip")
+
+
 # Largest lifted dimension m with normals from the minors (m 2^(m-1) products
 # per seed): per 2,048 seeds, 28.5 ms against 35.6 ms for the SVD at m = 9,
 # 60 ms against 33 ms at m = 10 (one BLAS thread).
@@ -208,7 +250,7 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(sq)
 
 
-def _batched_normals(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _batched_normals(a: np.ndarray, ws: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Unit null-space directions of a stack of seed matrices (B, m-1, m).
 
     The one normal routine, run on blocks of seeds and on one-seed stacks
@@ -226,27 +268,31 @@ def _batched_normals(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``||a0 x a1|| <= 3 eps ||a0|| ||a1||``.  Larger seeds take the last right
     singular vector of a batched SVD, degenerate when the smallest singular
     value is at most ``m eps`` times the largest.  A null space of dimension
-    > 1 cannot pin down a hyperplane, so such seeds are degenerate.
+    > 1 cannot pin down a hyperplane, so such seeds are degenerate.  The
+    minors and normals are written into ``ws`` (a fresh one if None).
     """
     k, m = a.shape[1:]
-    if m > _MAX_MINORS_DIM:
+    if m > _MAX_MINORS_DIM:  # the SVD's outputs are fresh arrays
         _, s, vh = np.linalg.svd(a)
         return vh[:, -1, :].copy(), (s[:, 0] <= 0.0) | (s[:, -1] <= m * _EPS * s[:, 0])
+    ws = _Workspace() if ws is None else ws
     # Loops over the short last axis, not reductions: faster, and in one order
     # for any batch size.  top >= tiny, so no scale factor overflows.
     top = np.full((a.shape[0], k), _TINY)
     for c in range(m):
         np.maximum(top, np.abs(a[..., c]), out=top)
-    u = a * np.ldexp(1.0, -np.frexp(top)[1])[..., None]
+    u = np.multiply(a, np.ldexp(1.0, -np.frexp(top)[1])[..., None], out=ws.array("u", a.shape))
     minors = u[:, -1]
     for r, (cols, rest) in zip(range(k - 2, -1, -1), _laplace_tables(m)):
-        terms = u[:, r][:, cols]
-        terms *= minors[:, rest]
-        minors = terms[..., 0].copy()
+        terms = ws.take("terms", u[:, r], cols, axis=1)
+        terms *= ws.take("gathered", minors, rest, axis=1)
+        minors = ws.array("minors", terms.shape[:2])  # the last level's minors are spent
+        minors[...] = terms[..., 0]
         for p in range(1, cols.shape[1]):
             (np.subtract if p % 2 else np.add)(minors, terms[..., p], out=minors)
     # the (m-1)-subsets are listed by the column they omit, the last one first
-    h = minors[:, ::-1] * (-1.0) ** np.arange(m)
+    h = ws.array("normals", (a.shape[0], m))
+    np.multiply(minors[:, ::-1], (-1.0) ** np.arange(m), out=h)
     norms = _norms(h)
     degen = norms <= reduce(np.multiply, _norms(u).T, m * _EPS)
     h /= np.where(degen, 1.0, norms)[:, None]
@@ -263,31 +309,36 @@ def _orient(h: np.ndarray) -> None:
     h[h[:, 0] < 0] *= -1.0
 
 
-def _margins(zset: LiftedSet, h: np.ndarray) -> list[np.ndarray]:
+def _margins(zset: LiftedSet, h: np.ndarray, ws: _Workspace | None = None) -> list[np.ndarray]:
     """Margins of a stack of normals (B, m) as column blocks, in lifted order.
 
     For the regression kind the first half is a matrix product and the
     second comes from the identity ``h @ z_(i+n) = -h @ z_i - 2 eps h[0]``.
+    Both are written into ``ws`` (a fresh one if None).
     """
-    g = h @ zset.zt
+    ws = _Workspace() if ws is None else ws
+    g = np.matmul(h, zset.zt, out=ws.array("margins", (h.shape[0], zset.zt.shape[1])))
     if zset.kind != "regression":
         return [g]
-    second = np.negative(g)
+    second = np.negative(g, out=ws.array("margins2", g.shape))
     return [g, np.subtract(second, 2.0 * zset.epsilon * h[:, :1], out=second)]
 
 
-def _classify(zset: LiftedSet, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _classify(
+    zset: LiftedSet, h: np.ndarray, ws: _Workspace | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Boolean masks (B, size) of the lifted points below and on each hyperplane.
 
     The one on-hyperplane test: a point is on the hyperplane when its margin
     is within ``ON_HYPERPLANE_TOL * max(1, ||z||)`` of zero, below it when the
     margin is smaller still.  The searches call it on blocks of oriented
-    normals, the public helpers on a one-row stack.
+    normals with their workspace, the public helpers on a one-row stack.
     """
-    below = np.empty((h.shape[0], zset.size), dtype=bool)
-    on = np.empty_like(below)
+    ws = _Workspace() if ws is None else ws
+    below = ws.array("below", (h.shape[0], zset.size), bool)
+    on = ws.array("on", below.shape, bool)
     start = 0
-    for m in _margins(zset, h):
+    for m in _margins(zset, h, ws):
         cols = slice(start, start + m.shape[1])
         start = cols.stop
         np.less(m, -zset.tol[cols], out=below[:, cols])

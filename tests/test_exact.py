@@ -410,11 +410,16 @@ class TestExactRegression:
 
     @pytest.mark.filterwarnings("ignore:.*floating-point ambiguous:RuntimeWarning")
     def test_p0_model_is_no_worse_than_the_oracle_on_integer_data(self):
+        # The guard band leaves the subsets whose minimax error is within tau
+        # of eps out of the certified objective, so on integer data it is
+        # only an upper bound; the boundary-inclusive count takes them in.
         for data, eps in integer_regression_instances():
             spec = sf.LossSpec(0, eps)
             model = sf.exact_regression(data, spec).model
             certified = sf.oracle_regression(data, spec)
-            assert sf.regression_objective(data, model, spec) <= certified.objective
+            objective = sf.regression_objective(data, model, spec)
+            assert objective <= certified.objective
+            assert objective == certified.objective_boundary_inclusive
             assert_p0_counts_agree(data, spec, certified)
 
     def test_p0_reports_count_their_inliers_on_integer_data(self):
@@ -873,14 +878,14 @@ def branch_rows(search, subsets, below, on, cells):
     calls = []
     search._complete = calls.append
 
-    def normals(z):
+    def normals(z, ws=None):
         h = np.zeros((z.shape[0], z.shape[2]))
         h[:, 0] = 1.0
         return h, np.zeros(z.shape[0], dtype=bool)
 
     with (
         mock.patch.object(exact, "_batched_normals", normals),
-        mock.patch.object(exact, "_classify", lambda zset, h: (below, on)),
+        mock.patch.object(exact, "_classify", lambda zset, h, ws=None: (below, on)),
         mock.patch.object(exact, "_BRANCH_CELLS", cells),
     ):
         search.process_chunk(subsets)
@@ -1113,3 +1118,70 @@ class TestForkRule:
         assert np.array_equal(dataclasses.astuple(par.model)[0], dataclasses.astuple(seq.model)[0])
         assert np.array_equal(par.inliers, seq.inliers)
         assert par.seeds_enumerated == seq.seeds_enumerated
+
+
+class TestWorkspace:
+    """A search classifies every block into its one workspace, invisibly."""
+
+    @pytest.mark.parametrize("kind", ["regression", "subspace"])
+    def test_reuse_matches_a_fresh_workspace(self, monkeypatch, kind):
+        # A full block, a shorter last block, a larger block that grows the
+        # workspace, then draws in blocks of _BLOCK: each block's normals,
+        # degeneracy mask and masks equal those of a workspace-free call.
+        if kind == "regression":
+            data = random_regression_instance(7, n=20, d=3)  # 9,880 seeds of 3 lifted points
+            search = exact._RegressionSearch(data, sf.LossSpec(2, 0.6))
+        else:
+            cfg = SubspaceGeneratorConfig(n=12, d=3, subspace_dim=1, outlier_fraction=0.3, rng_seed=7)
+            data = generate_subspace(cfg)[0]  # 924 seeds of 6 lifted points
+            search = _SubspaceSearch(data, sf.LossSpec(2, 0.6))
+        m, k, full = search.zset.size, search.k, search.seed_block
+        total = math.comb(m, k)
+        blocks = [(0, full), (total - full // 2, total), (full, total - full // 2)]
+        draws = _draw_seeds(3, 2 * exact._BLOCK + 17, m, k)
+        normals, classify = exact._batched_normals, exact._classify
+        sizes = []
+
+        def checked_normals(a, ws=None):
+            assert ws is search.workspace
+            fresh_h, fresh_degen = normals(a.copy())
+            h, degen = normals(a, ws)
+            assert np.array_equal(h, fresh_h) and np.array_equal(degen, fresh_degen)
+            return h, degen
+
+        def checked_classify(zset, h, ws=None):
+            assert ws is search.workspace
+            fresh_below, fresh_on = classify(zset, h.copy())
+            below, on = classify(zset, h, ws)
+            assert np.array_equal(below, fresh_below) and np.array_equal(on, fresh_on)
+            sizes.append(h.shape[0])
+            return below, on
+
+        monkeypatch.setattr(exact, "_batched_normals", checked_normals)
+        monkeypatch.setattr(exact, "_classify", checked_classify)
+        for start, stop in blocks:
+            search.process_chunk(exact._combination_block(m, k, start, stop))
+        search.run_draws(draws, None)
+        grown = total - full // 2 - full
+        assert grown > full
+        assert sizes == [full, full // 2, grown, exact._BLOCK, exact._BLOCK, 17]
+        assert search.workspace._buffers["below"].size == grown * m  # the largest block's
+
+    def test_a_block_in_steady_state_allocates_no_block_sized_temporary(self):
+        # d = 3, n = 60: once the workspace has its size and the incumbent
+        # bound skips most seeds, a block's traced peak stays below half of
+        # one (rows, n) float margin array.
+        data = random_regression_instance(1, n=60, d=3, r=0.4)
+        search = exact._RegressionSearch(data, sf.LossSpec(2, 0.9))
+        rows = search.seed_block
+        search.run_range(0, rows)
+        block = exact._combination_block(2 * data.n, data.d, rows, 2 * rows)
+        skipped = search.stats.inner_loops_skipped
+        tracemalloc.start()
+        try:
+            search.process_chunk(block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert search.stats.inner_loops_skipped - skipped > 0.9 * rows
+        assert peak < rows * data.n * 8 // 2

@@ -343,9 +343,10 @@ class TestSharedClassification:
             current[:] = [subsets]
             return chunk(self, subsets)
 
-        def record_classify(zset, h):
-            below, on = classify_block(zset, h)
-            blocks.append((current[0], h.copy(), below, on))
+        def record_classify(zset, h, ws=None):
+            # the masks are views of the search's workspace, which the next block reuses
+            below, on = classify_block(zset, h, ws)
+            blocks.append((current[0], h.copy(), below.copy(), on.copy()))
             return below, on
 
         monkeypatch.setattr(search_cls, "process_chunk", record_chunk)
