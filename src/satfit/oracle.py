@@ -6,24 +6,22 @@ the arrangement of the hyperplanes r_i(w) in {0, +eps, -eps}.  For p = 0
 and p = 2, regression and subspace alike, one loop (:func:`_certify`)
 enumerates candidate inlier subsets, largest first, fits the
 fixed-classification subproblem on each, scores the fitted model on the
-full dataset and keeps the first strictly smaller objective.  Only the
-p = 0 regression fit is a solver of the search
+full dataset with :func:`.core.loss` and keeps the first strictly smaller
+objective, as the exact search scores its branches.  Only the p = 0
+regression fit is a solver of the search
 (:func:`.subsolvers._minimax_fit`); p = 2 regression subsets are fitted by
 ``np.linalg.lstsq`` and subspace subsets by the top eigenvectors of their
 scatter matrix from ``np.linalg.eigh``.
 
-Every p scores a fit with :func:`.core.loss`.  For p = 0 a subset only
-counts when its fit places every subset point inside the threshold, with a
-guard band of ``tau`` around the boundary: subsets whose largest subset
-error lands within ``tau`` of the threshold are counted separately and also
-folded into a second, boundary-inclusive objective, so floating-point ties
-are surfaced instead of silently resolved.
+A model's loss is a value it attains, so the certified objective is never
+below the optimum; in exact arithmetic the fit of an optimal inlier set
+attains it.  A point counts as an inlier by the one closed rule of
+:mod:`.core`, |e| <= eps.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -40,7 +38,6 @@ from .core import (
     subspace_inliers,
     subspace_residuals,
 )
-from .geometry import ON_HYPERPLANE_TOL
 from .subsolvers import _minimax_fit
 
 __all__ = ["OracleResult", "oracle_regression", "oracle_subspace"]
@@ -51,19 +48,12 @@ MAX_SUBSPACE_POINTS = 16
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Certified optimum: objective, inlier set, and a model attaining it.
-
-    ``objective_boundary_inclusive`` additionally admits subsets whose
-    feasibility is decided within the floating-point guard band (p = 0
-    only); it equals ``objective`` except on boundary-degenerate inputs.
-    """
+    """Certified optimum: objective, inlier set, and a model attaining it."""
 
     objective: float
     inliers: np.ndarray
     model: RegressionModel | SubspaceModel
     subsets_evaluated: int
-    boundary_subsets: int = 0
-    objective_boundary_inclusive: float | None = None
 
 
 def _certify(n: int, smallest: int, fit, spec: LossSpec, dominated: bool):
@@ -72,49 +62,26 @@ def _certify(n: int, smallest: int, fit, spec: LossSpec, dominated: bool):
     Walks subset sizes from n down, lexicographically within a size.
     ``fit(idx)`` returns the fitted parameters and the n absolute residuals
     of their model, which :func:`.core.loss` scores; the first strictly
-    smaller objective wins.  For p = 0 a subset counts only when its
-    largest subset residual is below eps - tau, and one within tau of eps
-    is a boundary subset (see the module docstring).  ``dominated`` stops
-    at the first size k with n - k >= the incumbent: a smaller count there
-    needs a model that covers more than k points, and that larger inlier
-    set was fitted at its own size.  This holds for the minimax fit only;
-    the L2 fit of a larger feasible set can fail where a subset's succeeds.
-    Returns the objective, parameters, subsets evaluated, boundary subsets
-    and boundary-inclusive objective (``None`` unless p = 0).
+    smaller objective wins.  ``dominated`` stops at the first size k with
+    n - k >= the incumbent: a model with more than k inliers has an inlier
+    set T that was fitted at its own size |T| > k, and in exact arithmetic
+    the minimax fit of T keeps T within eps, so it scores at most n - |T|.
+    This holds for the minimax fit only; the L2 fit of a larger feasible set
+    can miss the threshold where a subset's meets it.  Returns the
+    objective, the parameters and the number of subsets evaluated.
     """
-    eps = spec.epsilon
-    tau = ON_HYPERPLANE_TOL * max(1.0, eps)
     best: tuple[float, np.ndarray] | None = None
-    best_loose: float | None = None
-    boundary = evaluated = 0
+    evaluated = 0
     for k in range(n, smallest - 1, -1):
         if dominated and best is not None and n - k >= best[0]:
             break
         for subset in combinations(range(n), k):
-            idx = np.asarray(subset, dtype=np.intp)
-            params, residuals = fit(idx)
+            params, residuals = fit(np.asarray(subset, dtype=np.intp))
             evaluated += 1
             objective = float(np.sum(loss(spec, residuals)))
-            if spec.p == 0:
-                worst = float(residuals[idx].max())
-                if worst >= eps + tau:
-                    continue
-                best_loose = objective if best_loose is None else min(best_loose, objective)
-                if worst >= eps - tau:
-                    boundary += 1
-                    continue
             if best is None or objective < best[0]:
                 best = (objective, params)
-    if best is None:
-        raise RuntimeError("no feasible inlier subset was found")
-    if boundary:
-        warnings.warn(
-            f"{boundary} candidate subsets sit within tolerance of the threshold; "
-            "their feasibility is floating-point ambiguous",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return best[0], best[1], evaluated, boundary, best_loose
+    return best[0], best[1], evaluated
 
 
 def oracle_regression(data: RegressionDataset, spec: LossSpec) -> OracleResult:
@@ -142,15 +109,13 @@ def oracle_regression(data: RegressionDataset, spec: LossSpec) -> OracleResult:
             w = np.linalg.lstsq(data.x[idx], data.y[idx], rcond=None)[0]
         return w, np.abs(data.y - data.x @ w)
 
-    objective, w, evaluated, boundary, loose = _certify(n, d, fit, spec, dominated=spec.p == 0)
+    objective, w, evaluated = _certify(n, d, fit, spec, dominated=spec.p == 0)
     model = RegressionModel(w)
     return OracleResult(
         objective=objective,
         inliers=regression_inliers(data, model, spec),
         model=model,
         subsets_evaluated=evaluated,
-        boundary_subsets=boundary,
-        objective_boundary_inclusive=loose,
     )
 
 
@@ -200,9 +165,9 @@ def oracle_subspace(data: PointDataset, spec: LossSpec) -> OracleResult:
 
     Enumerates every candidate inlier subset of size >= the subspace
     dimension and fits each with the top eigenvectors of its scatter matrix
-    ``x_S.T @ x_S``, the squared-residual optimum.  For
-    p = 0 a subset counts only when the fitted basis keeps every subset
-    point inside the threshold, clear of the guard band.  Supports p in
+    ``x_S.T @ x_S``, the squared-residual optimum, and scores every basis
+    with the loss on all n points; for p = 0 that L2 fit can leave a point
+    of a feasible set outside eps, as the search's does.  Supports p in
     {0, 2}; refuses datasets with more than 16 points.
     """
     n, ds = data.n, data.subspace_dim
@@ -218,13 +183,11 @@ def oracle_subspace(data: PointDataset, spec: LossSpec) -> OracleResult:
         basis = np.linalg.eigh(xs.T @ xs)[1][:, ::-1][:, :ds]
         return basis, subspace_residuals(data, SubspaceModel(basis))
 
-    objective, basis, evaluated, boundary, loose = _certify(n, ds, fit, spec, dominated=False)
+    objective, basis, evaluated = _certify(n, ds, fit, spec, dominated=False)
     model = SubspaceModel(basis)
     return OracleResult(
         objective=objective,
         inliers=subspace_inliers(data, model, spec),
         model=model,
         subsets_evaluated=evaluated,
-        boundary_subsets=boundary,
-        objective_boundary_inclusive=loose,
     )

@@ -408,18 +408,15 @@ class TestExactRegression:
             report = sf.exact_regression(data, spec)
             assert report.objective == sf.regression_objective(data, report.model, spec)
 
-    @pytest.mark.filterwarnings("ignore:.*floating-point ambiguous:RuntimeWarning")
     def test_p0_model_is_no_worse_than_the_oracle_on_integer_data(self):
-        # The guard band leaves the subsets whose minimax error is within tau
-        # of eps out of the certified objective, so on integer data it is
-        # only an upper bound; the boundary-inclusive count takes them in.
+        # Integer data puts minimax errors at exactly eps; the oracle scores
+        # every fit by its loss alone, so the two agree on each instance.
         for data, eps in integer_regression_instances():
             spec = sf.LossSpec(0, eps)
             model = sf.exact_regression(data, spec).model
             certified = sf.oracle_regression(data, spec)
             objective = sf.regression_objective(data, model, spec)
-            assert objective <= certified.objective
-            assert objective == certified.objective_boundary_inclusive
+            assert objective == certified.objective
             assert_p0_counts_agree(data, spec, certified)
 
     def test_p0_reports_count_their_inliers_on_integer_data(self):
@@ -686,6 +683,15 @@ class TestExactSubspace:
             spec = sf.LossSpec(0, eps)
             assert_p0_counts_agree(data, spec, sf.exact_subspace(data, spec))
             assert_p0_counts_agree(data, spec, sf.sampled_subspace(data, spec, sf.SamplingConfig(100, i)))
+
+    def test_p0_matches_the_oracle_on_integer_data(self):
+        # Integer points sit at distance exactly eps from candidate lines;
+        # the search and the oracle score each L2 fit by the same closed rule.
+        for data, eps in integer_point_sets():
+            spec = sf.LossSpec(0, eps)
+            certified = sf.oracle_subspace(data, spec)
+            assert sf.exact_subspace(data, spec).objective == certified.objective
+            assert_p0_counts_agree(data, spec, certified)
 
     @pytest.mark.xfail(
         raises=AssertionError,

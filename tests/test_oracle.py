@@ -1,9 +1,13 @@
+import ast
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import satfit as sf
+from satfit import oracle
 from satfit.experiments import (
     GeneratorConfig,
     SubspaceGeneratorConfig,
@@ -59,16 +63,20 @@ class TestOracleRegression:
         every = sum(math.comb(10, k) for k in range(2, 11))
         assert result.subsets_evaluated < every
 
-    def test_boundary_subsets_are_surfaced(self):
+    def test_errors_at_epsilon_are_inliers(self):
         # two points that can only be fitted with both errors exactly at the
-        # threshold; the oracle must flag the ambiguity instead of guessing
+        # threshold: the closed rule |e| <= eps keeps both, without a warning
         eps = 0.5
         data = sf.RegressionDataset(np.array([[1.0], [1.0]]), np.array([eps, -eps]))
-        with pytest.warns(RuntimeWarning):
-            result = sf.oracle_regression(data, sf.LossSpec(0, eps))
-        assert result.boundary_subsets >= 1
-        assert result.objective == 1.0
-        assert result.objective_boundary_inclusive <= result.objective
+        spec = sf.LossSpec(0, eps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = sf.oracle_regression(data, spec)
+            report = sf.exact_regression(data, spec)
+        assert result.objective == 0.0
+        assert result.inliers.tolist() == [0, 1]
+        assert report.objective == result.objective
+        assert report.inliers.tolist() == result.inliers.tolist()
 
 
 class TestOracleSubspace:
@@ -116,3 +124,16 @@ class TestOracleSubspace:
     def test_rejects_p1(self):
         with pytest.raises(ValueError):
             sf.oracle_subspace(axis_dataset(), sf.LossSpec(1, 0.5))
+
+
+def test_oracle_shares_only_the_minimax_fit_with_the_search():
+    # The oracle scores with core's loss and inlier rule; the p = 0 minimax
+    # fit is the one solver of the search it still calls.
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imports = {
+        node.module: sorted(alias.name for alias in node.names)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+    }
+    assert set(imports) == {"core", "subsolvers"}
+    assert imports["subsolvers"] == ["_minimax_fit"]
