@@ -13,12 +13,17 @@ with a ``ValueError`` before any seed is processed.
 Each search has one per-seed pipeline, ``process_chunk(subsets)``: the
 normals of a block of seeds come from :func:`.geometry._batched_normals`
 (the signed maximal minors of the seed rows up to lifted dimension 9, a
-batched SVD above that), their orientation and their below / on masks from
-the lifted classification of :mod:`.geometry` (``_orient``, ``_classify``),
-and only seeds that survive the incumbent bound enter the per-seed
-completion step.  Its block-sized arrays are views of the search's one
-:class:`.geometry._Workspace`, reused block after block.  The exact solvers
-feed it lexicographic blocks of the enumeration; the sampling variants in
+batched SVD above that) on seed rows gathered from ``LiftedSet.rows``, which
+:func:`.geometry._normal_rows` scaled once per point set; their orientation
+and their below / on masks come from the lifted classification of
+:mod:`.geometry` (``_orient``, ``_classify``), their counts from
+:func:`.core._row_counts`, and only seeds that survive the incumbent bound
+enter the per-seed completion step (a regression block with no survivor
+stops there, before packing).  Its block-sized arrays are views of the
+search's one :class:`.geometry._Workspace`, reused block after block:
+``rows``, ``terms``, ``gathered``, ``minors``, ``normals``, ``margins``,
+``margins2``, ``below`` and ``on``.  The exact solvers feed it
+lexicographic blocks of the enumeration; the sampling variants in
 :mod:`.sampling` blocks of random draws in iteration order.
 
 A completion step builds the inlier sets of its branches as rows of
@@ -65,6 +70,7 @@ from .core import (
     RegressionModel,
     SubspaceModel,
     _projection_residuals,
+    _row_counts,
     _within,
     loss,
     regression_inliers,
@@ -74,6 +80,7 @@ from .geometry import (
     ON_HYPERPLANE_TOL,
     _batched_normals,
     _classify,
+    _normal_rows,
     _orient,
     _Workspace,
     lift_regression,
@@ -551,12 +558,12 @@ class _RegressionSearch(_Search):
         stats = self.stats
         stats.seeds_enumerated += subsets.shape[0]
         ws = self.workspace
-        h, degen = _batched_normals(ws.take("rows", self.zset.z, subsets), ws)
+        h, degen = _batched_normals(ws.take("rows", self.zset.rows, subsets), ws)
         _orient(h)
         below, on = _classify(self.zset, h, ws)
         h1_small = h[:, 0] <= ON_HYPERPLANE_TOL
-        base = np.count_nonzero(below[:, : self.n] & below[:, self.n :], axis=1)
-        n0 = np.count_nonzero(on, axis=1)
+        base = _row_counts(below[:, : self.n] & below[:, self.n :])
+        n0 = _row_counts(on)
         valid = ~degen & ~h1_small
         stats.seeds_degenerate += int(np.count_nonzero(degen))
         stats.seeds_skipped += int(np.count_nonzero(h1_small & ~degen))
@@ -574,6 +581,8 @@ class _RegressionSearch(_Search):
         else:
             maybe = valid
         seeds = np.flatnonzero(maybe)
+        if not seeds.size:
+            return
         # Packed once per block: the halves of below | on of the seeds that may
         # complete, and the bit of each on-point of those that _MAX_ONSET admits.
         onset = on[seeds]
@@ -662,11 +671,12 @@ def approx_regression_p0(data: RegressionDataset, spec: LossSpec) -> tuple[Regre
     n, d = data.n, data.d
     best_j, best_w = np.inf, None
     ws = _Workspace()
-    for points, lifted in ((zset.z, True), (np.column_stack([data.y, -data.x]), False)):
-        size = points.shape[0]
+    data_rows = _normal_rows(np.column_stack([data.y, -data.x]))
+    for rows, lifted in ((zset.rows, True), (data_rows, False)):
+        size = rows.shape[0]
         total, _ = _rank_tables(size, d)  # the lifted scan, first, has the larger count
         for block in _lex_blocks(size, d, 0, total, _RegressionSearch.seed_block):
-            h, degen = _batched_normals(ws.take("rows", points, block), ws)
+            h, degen = _batched_normals(ws.take("rows", rows, block), ws)
             _orient(h)
             usable = ~degen & (h[:, 0] > ON_HYPERPLANE_TOL)
             w = h[:, 1:] / np.where(usable, h[:, 0], 1.0)[:, None]
@@ -675,7 +685,7 @@ def approx_regression_p0(data: RegressionDataset, spec: LossSpec) -> tuple[Regre
                 inliers = below[:, :n] & below[:, n:]
             else:
                 inliers = _within(spec, data.y - w @ data.x.T)
-            j = np.where(usable, n - np.count_nonzero(inliers, axis=1), np.inf)
+            j = np.where(usable, n - _row_counts(inliers), np.inf)
             i = int(np.argmin(j))  # argmin returns the first minimizer
             if j[i] < best_j:
                 best_j, best_w = float(j[i]), w[i].copy()
@@ -719,12 +729,12 @@ class _SubspaceSearch(_Search):
         stats = self.stats
         stats.seeds_enumerated += subsets.shape[0]
         ws = self.workspace
-        h, degen = _batched_normals(ws.take("rows", self.zset.z, subsets), ws)
+        h, degen = _batched_normals(ws.take("rows", self.zset.rows, subsets), ws)
         _orient(h)
         stats.seeds_degenerate += int(np.count_nonzero(degen))
         below, on = _classify(self.zset, h, ws)
         idx, below, on = subsets[~degen], below[~degen], on[~degen]
-        onset = np.count_nonzero(on, axis=1)
+        onset = _row_counts(on)
         stats.max_onset_size = max(stats.max_onset_size, int(onset.max(initial=0)))
         on_seed = np.count_nonzero(np.take_along_axis(on, idx, axis=1))
         stats.onset_outside_seed += int(onset.sum() - on_seed)
@@ -741,7 +751,7 @@ class _SubspaceSearch(_Search):
     def _solve_many(self, masks: np.ndarray) -> tuple[list[float], list[np.ndarray]]:
         """Fit and score a stack of inlier sets: one stacked SVD per set size."""
         x = self.data.x
-        sizes = np.count_nonzero(masks, axis=1)
+        sizes = _row_counts(masks)
         order = np.argsort(sizes, kind="stable")
         # The points of every set, the sets taken by size: each size is one
         # contiguous (count, size, d) block.

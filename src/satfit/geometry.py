@@ -18,8 +18,14 @@ seed rows, their generalized cross product.  The one lifted classification,
 which the searches, ``approx_regression_p0`` and the public helpers all run,
 is :func:`_batched_normals`, :func:`_orient` and :func:`_classify`: a point
 is on a hyperplane when its margin is within ``ON_HYPERPLANE_TOL`` (relative
-to ``max(1, ||z||)``) of zero, and the caller must resolve it.  A search
-hands them its :class:`_Workspace`, so its blocks reuse one set of arrays.
+to ``max(1, ||z||)``) of zero, and the caller must resolve it.  The seed rows
+are gathered from ``LiftedSet.rows``, scaled once per point set by
+:func:`_normal_rows` (each row by a power of two up to ``_MAX_MINORS_DIM``,
+raw above it), never per seed.  A search hands them its :class:`_Workspace`,
+so its blocks reuse one set of arrays: the gathered seed ``rows``, the
+``terms``, ``gathered`` and ``minors`` of the Laplace expansion, the
+``normals``, the ``margins`` (and ``margins2``) and the ``below`` / ``on``
+masks.
 """
 
 from __future__ import annotations
@@ -67,6 +73,8 @@ class LiftedSet:
     ``z`` holds the lifted points as rows.  For the regression kind there are
     ``2 * n_points`` rows (the two copies of point ``i`` are rows ``i`` and
     ``i + n_points``); for the subspace kind there are ``n_points`` rows.
+    ``rows`` holds the same points as :func:`_normal_rows` prepares them, the
+    rows that seeds gather for :func:`_batched_normals`.
     """
 
     kind: Kind
@@ -76,6 +84,7 @@ class LiftedSet:
     scales: np.ndarray = field(init=False, repr=False)
     tol: np.ndarray = field(init=False, repr=False)
     zt: np.ndarray = field(init=False, repr=False)
+    rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.z = np.asarray(self.z, dtype=float)
@@ -86,6 +95,7 @@ class LiftedSet:
         # Rows whose margins are a matrix product (see _margins), transposed once.
         head = self.z[: self.n_points] if self.kind == "regression" else self.z
         self.zt = np.ascontiguousarray(head.T)
+        self.rows = _normal_rows(self.z)
 
     @property
     def size(self) -> int:
@@ -250,41 +260,54 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(sq)
 
 
+def _normal_rows(z: np.ndarray) -> np.ndarray:
+    """The rows (..., m) that :func:`_batched_normals` takes, prepared once per point set.
+
+    Up to ``_MAX_MINORS_DIM`` each row is scaled by the power of two that
+    puts its largest |entry| in [0.5, 1) (an all-zero row stays zero): exact,
+    so a normal keeps the direction of its raw rows to the bit, and no
+    product of the minors overflows at any scale.  Above it the rows stay
+    raw, as the SVD and its rank rule take them.
+    """
+    m = z.shape[-1]
+    if m > _MAX_MINORS_DIM:
+        return z
+    # A loop over the short last axis, not a reduction: faster, and in one
+    # order for any shape.  top >= tiny, so no scale factor overflows.
+    top = np.full(z.shape[:-1], _TINY)
+    for c in range(m):
+        np.maximum(top, np.abs(z[..., c]), out=top)
+    return z * np.ldexp(1.0, -np.frexp(top)[1])[..., None]
+
+
 def _batched_normals(a: np.ndarray, ws: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Unit null-space directions of a stack of seed matrices (B, m-1, m).
 
     The one normal routine, run on blocks of seeds and on one-seed stacks
-    alike.  Returns the raw directions (sign not yet fixed, see
-    :func:`_orient`) and the degeneracy mask.  Up to ``_MAX_MINORS_DIM`` the
-    normal is the generalized cross product: component j is (-1)^j times the
-    minor of the seed without column j, built from the last row up by Laplace
-    expansion (for two rows, the arithmetic of ``np.cross``).  Each row is
-    first scaled by the power of two that puts its largest entry in [0.5, 1):
-    exact, so the direction keeps its bits (and h[0] == 0 for the two lifted
-    copies of one point at d = 2), and no product overflows at any scale.  A
-    seed is degenerate when ``||h|| <= m eps prod(||scaled row||)``: the
-    product bounds ``||h||`` (Hadamard), and each minor carries a rounding
-    error of a few eps times it; for two rows this is the cross-product rule
-    ``||a0 x a1|| <= 3 eps ||a0|| ||a1||``.  Larger seeds take the last right
-    singular vector of a batched SVD, degenerate when the smallest singular
-    value is at most ``m eps`` times the largest.  A null space of dimension
-    > 1 cannot pin down a hyperplane, so such seeds are degenerate.  The
-    minors and normals are written into ``ws`` (a fresh one if None).
+    alike; the seed rows must be :func:`_normal_rows` rows.  Returns the raw
+    directions (sign not yet fixed, see :func:`_orient`) and the degeneracy
+    mask.  Up to ``_MAX_MINORS_DIM`` the normal is the generalized cross
+    product: component j is (-1)^j times the minor of the seed without
+    column j, built from the last row up by Laplace expansion (for two rows,
+    the arithmetic of ``np.cross``; the exact row scaling keeps h[0] == 0 for
+    the two lifted copies of one point at d = 2).  A seed is degenerate when
+    ``||h|| <= m eps prod(||row||)``: the product bounds ``||h||``
+    (Hadamard), and each minor carries a rounding error of a few eps times
+    it; for two rows this is the cross-product rule ``||a0 x a1|| <= 3 eps
+    ||a0|| ||a1||``.  Larger seeds take the last right singular vector of a
+    batched SVD, degenerate when the smallest singular value is at most
+    ``m eps`` times the largest.  A null space of dimension > 1 cannot pin
+    down a hyperplane, so such seeds are degenerate.  The minors and normals
+    are written into ``ws`` (a fresh one if None).
     """
     k, m = a.shape[1:]
     if m > _MAX_MINORS_DIM:  # the SVD's outputs are fresh arrays
         _, s, vh = np.linalg.svd(a)
         return vh[:, -1, :].copy(), (s[:, 0] <= 0.0) | (s[:, -1] <= m * _EPS * s[:, 0])
     ws = _Workspace() if ws is None else ws
-    # Loops over the short last axis, not reductions: faster, and in one order
-    # for any batch size.  top >= tiny, so no scale factor overflows.
-    top = np.full((a.shape[0], k), _TINY)
-    for c in range(m):
-        np.maximum(top, np.abs(a[..., c]), out=top)
-    u = np.multiply(a, np.ldexp(1.0, -np.frexp(top)[1])[..., None], out=ws.array("u", a.shape))
-    minors = u[:, -1]
+    minors = a[:, -1]
     for r, (cols, rest) in zip(range(k - 2, -1, -1), _laplace_tables(m)):
-        terms = ws.take("terms", u[:, r], cols, axis=1)
+        terms = ws.take("terms", a[:, r], cols, axis=1)
         terms *= ws.take("gathered", minors, rest, axis=1)
         minors = ws.array("minors", terms.shape[:2])  # the last level's minors are spent
         minors[...] = terms[..., 0]
@@ -294,7 +317,7 @@ def _batched_normals(a: np.ndarray, ws: _Workspace | None = None) -> tuple[np.nd
     h = ws.array("normals", (a.shape[0], m))
     np.multiply(minors[:, ::-1], (-1.0) ** np.arange(m), out=h)
     norms = _norms(h)
-    degen = norms <= reduce(np.multiply, _norms(u).T, m * _EPS)
+    degen = norms <= reduce(np.multiply, _norms(a).T, m * _EPS)
     h /= np.where(degen, 1.0, norms)[:, None]
     return h, degen
 
@@ -306,7 +329,7 @@ def _orient(h: np.ndarray) -> None:
     search explores both sides of each hyperplane and only needs a
     deterministic one.
     """
-    h[h[:, 0] < 0] *= -1.0
+    np.negative(h, out=h, where=h[:, :1] < 0)
 
 
 def _margins(zset: LiftedSet, h: np.ndarray, ws: _Workspace | None = None) -> list[np.ndarray]:
@@ -363,7 +386,7 @@ def hyperplane_through(zset: LiftedSet, subset) -> Hyperplane | None:
     if len(idx) != zset.dim - 1 or len({i for i in idx if 0 <= i < zset.size}) != len(idx):
         k, size = zset.dim - 1, zset.size
         raise ValueError(f"seed must hold {k} distinct indices in [0, {size}), got {subset!r}")
-    h, degen = _batched_normals(zset.z[None, list(idx)])
+    h, degen = _batched_normals(zset.rows[None, list(idx)])
     if degen[0]:
         return None
     _orient(h)

@@ -160,14 +160,13 @@ def test_criterion_6_complexity_scaling():
         cfg = GeneratorConfig(n=n, d=2, outlier_fraction=0.4, rng_seed=11)
         datasets[n], _ = generate_regression(cfg)
     sf.exact_regression(datasets[80], spec)  # warm the caches before timing
-    medians = {}
-    for n in (80, 160):
-        times = []
-        for _ in range(3):
+    times = {80: [], 160: []}
+    for _ in range(7):  # interleaved, so that a slow spell of the machine meets both sizes
+        for n in (80, 160):
             start = time.perf_counter()
             sf.exact_regression(datasets[n], spec)
-            times.append(time.perf_counter() - start)
-        medians[n] = sorted(times)[1]
+            times[n].append(time.perf_counter() - start)
+    medians = {n: sorted(t)[3] for n, t in times.items()}
     ratio = medians[160] / medians[80]
     assert 4.0 <= ratio <= 16.0, f"scaling ratio {ratio:.2f} outside [4, 16]"
     _report(

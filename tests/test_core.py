@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import satfit as sf
+from satfit.core import _row_counts
 from helpers import (
     axis_dataset,
     exact_fit_dataset,
@@ -189,3 +190,19 @@ class TestDatasets:
         data = exact_fit_dataset()
         with pytest.raises(ValueError):
             data.y[0] = 3.0
+
+
+class TestRowCounts:
+    def test_counts_past_a_narrow_accumulator(self):
+        # 300 set entries wrap a uint8 sum and 70,000 a uint16 one
+        rng = np.random.default_rng(0)
+        mask = np.zeros((4, 70_001), dtype=bool)
+        mask[0, rng.choice(mask.shape[1], size=300, replace=False)] = True
+        mask[1, rng.choice(mask.shape[1], size=70_000, replace=False)] = True
+        mask[2] = True
+        mask[3] = rng.random(mask.shape[1]) < 0.5
+        for block in (mask, mask[:, 1:], mask[:, ::2]):  # contiguous rows or not
+            counts = _row_counts(block)
+            assert counts.dtype == np.int32
+            assert np.array_equal(counts, np.count_nonzero(block, axis=1))
+        assert _row_counts(mask)[:2].tolist() == [300, 70_000]

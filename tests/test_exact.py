@@ -365,6 +365,15 @@ class TestExactRegression:
         assert np.array_equal(a.inliers, b.inliers)
         assert a.sign_completions == b.sign_completions
 
+    def test_byte_sum_counts_match_count_nonzero_at_n300(self, monkeypatch):
+        # More than 255 inliers: a uint8 accumulator of the block counts would wrap.
+        data = random_regression_instance(6, n=300, d=1, r=0.1)
+        spec = sf.LossSpec(2, 1.0)
+        report = sf.exact_regression(data, spec)
+        assert report.inliers.size > 255
+        monkeypatch.setattr(exact, "_row_counts", lambda mask: np.count_nonzero(mask, axis=1))
+        assert_same_report(report, sf.exact_regression(data, spec))
+
     def test_matches_scalar_path(self, monkeypatch):
         # Blocks of one seed are the seed-by-seed scan with the live
         # incumbent; the blocked scans must equal it bit for bit.  d = 2 seeds

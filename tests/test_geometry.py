@@ -9,6 +9,7 @@ from satfit.geometry import (
     _MAX_MINORS_DIM,
     LiftedSet,
     _batched_normals,
+    _normal_rows,
     _orient,
 )
 from helpers import exact_fit_dataset, random_orthonormal
@@ -204,7 +205,7 @@ class TestBatchedNormals:
     def test_agrees_with_the_svd_null_vector(self, m):
         rng = np.random.default_rng(17)
         a = rng.normal(size=(500, m - 1, m)) * rng.uniform(0.01, 100.0, size=(500, m - 1, 1))
-        h, degen = _batched_normals(a)
+        h, degen = _batched_normals(_normal_rows(a))
         assert not degen.any()
         svd_h = np.linalg.svd(a)[2][:, -1, :].copy()
         _orient(h)
@@ -215,7 +216,7 @@ class TestBatchedNormals:
     def test_unit_norm_and_orthogonal_to_the_rows(self, m):
         rng = np.random.default_rng(18)
         a = rng.normal(size=(500, m - 1, m)) * rng.uniform(0.01, 100.0, size=(500, m - 1, 1))
-        h, _ = _batched_normals(a)
+        h, _ = _batched_normals(_normal_rows(a))
         assert np.allclose(np.linalg.norm(h, axis=1), 1.0, rtol=0, atol=1e-12)
         margins = np.abs(np.einsum("bij,bj->bi", a, h))
         assert np.all(margins <= 1e-12 * np.linalg.norm(a, axis=2))
@@ -225,7 +226,7 @@ class TestBatchedNormals:
     )
     def test_rank_deficient_seeds_are_degenerate(self, m, case):
         a = _degenerate_seeds(m)[case]
-        assert _batched_normals(a[None])[1][0]
+        assert _batched_normals(_normal_rows(a[None]))[1][0]
         assert sf.hyperplane_through(_seed_set(a), range(m - 1)) is None
 
     @pytest.mark.parametrize(
@@ -237,8 +238,8 @@ class TestBatchedNormals:
         rng = np.random.default_rng(19)
         degenerate = list(_degenerate_seeds(m).values())
         a = np.array([rng.normal(size=(m - 1, m)) for _ in range(50)] + degenerate)
-        h, degen = _batched_normals(a)
-        hs, degens = _batched_normals(a * scale)
+        h, degen = _batched_normals(_normal_rows(a))
+        hs, degens = _batched_normals(_normal_rows(a * scale))
         assert np.all(np.isfinite(hs))
         assert np.array_equal(degen, degens)
         assert degen.sum() == len(degenerate)
@@ -258,9 +259,9 @@ class TestBatchedNormals:
         for s, expected in ((np.nextafter(bound, 0.0), True), (bound, True),
                             (np.nextafter(bound, 1.0), False)):
             for scale in (1.0, 2.0**500, 2.0**-500, 2.0**700, 2.0**-700):
-                h, degen = _batched_normals(_edge_seed(m, s)[None] * scale)
+                h, degen = _batched_normals(_normal_rows(_edge_seed(m, s)[None] * scale))
                 assert degen[0] == expected, (s, scale)
-        h, _ = _batched_normals(_edge_seed(m, np.nextafter(bound, 1.0))[None])
+        h, _ = _batched_normals(_normal_rows(_edge_seed(m, np.nextafter(bound, 1.0))[None]))
         assert np.array_equal(np.abs(h[0]), np.eye(m)[-1])
 
     @pytest.mark.parametrize("m", _DIMS)
@@ -270,7 +271,7 @@ class TestBatchedNormals:
         # the SVD (m >= 10) alike
         rng = np.random.default_rng(20)
         a = rng.normal(size=(300, m - 1, m))
-        h, degen = _batched_normals(a)
+        h, degen = _batched_normals(_normal_rows(a))
         _orient(h)
         assert not degen.any()
         for i in range(a.shape[0]):
@@ -282,10 +283,74 @@ class TestBatchedNormals:
         # to the normalized np.cross, the cross-product rule unchanged
         rng = np.random.default_rng(23)
         a = rng.normal(size=(500, 2, 3)) * rng.uniform(0.01, 100.0, size=(500, 2, 1))
-        h, degen = _batched_normals(a)
+        h, degen = _batched_normals(_normal_rows(a))
         cross = np.cross(a[:, 0], a[:, 1])
         assert not degen.any()
         assert np.array_equal(h, cross / np.linalg.norm(cross, axis=1)[:, None])
+
+
+def _per_seed_scaled(a):
+    # the preamble _batched_normals once ran on every seed stack (B, m-1, m)
+    # it took: each row scaled by the power of two that puts its largest
+    # |entry| in [0.5, 1)
+    top = np.full(a.shape[:2], np.finfo(float).tiny)
+    for c in range(a.shape[2]):
+        np.maximum(top, np.abs(a[..., c]), out=top)
+    return a * np.ldexp(1.0, -np.frexp(top)[1])[..., None]
+
+
+def _point_rows(m, kind, rng):
+    # 8 random rows and 8 rows of the given kind, interleaved
+    plain = rng.normal(size=(8, m)) * rng.uniform(0.01, 100.0, size=(8, 1))
+    other = {
+        "random": rng.normal(size=(8, m)),
+        "integer": rng.integers(-3, 4, size=(8, m)).astype(float),
+        "all-zero": np.zeros((8, m)),
+        "huge": rng.normal(size=(8, m)) * np.array([1e300, -1e300] * 4)[:, None],
+        "tiny": rng.normal(size=(8, m)) * 1e-300,
+    }[kind]
+    return np.stack([plain, other], axis=1).reshape(16, m)
+
+
+class TestNormalRows:
+    """Rows prepared once per point set give the normals of rows scaled seed by seed."""
+
+    @pytest.mark.parametrize("m", _MINORS_DIMS)
+    @pytest.mark.parametrize("kind", ["random", "integer", "all-zero", "huge", "tiny"])
+    def test_gathered_rows_match_the_per_seed_scaling_bit_for_bit(self, m, kind):
+        rng = np.random.default_rng(60 + m)
+        z = _point_rows(m, kind, rng)
+        idx = np.array([rng.choice(16, size=m - 1, replace=False) for _ in range(300)])
+        rows = _normal_rows(z)
+        scaled = _per_seed_scaled(z[idx])
+        assert np.array_equal(rows[idx], scaled)
+        h, degen = _batched_normals(rows[idx])
+        h_ref, degen_ref = _batched_normals(scaled)
+        assert np.array_equal(h, h_ref) and np.array_equal(degen, degen_ref)
+        assert np.all(np.isfinite(h))
+        if kind == "all-zero":  # a seed with a zero row
+            assert degen[(z[idx] == 0).all(axis=2).any(axis=1)].all()
+
+    def test_lifted_sets_hold_their_normal_rows(self):
+        rng = np.random.default_rng(71)
+        spec = sf.LossSpec(2, 0.5)
+        regression = sf.lift_regression(small_regression(rng, n=9, d=3), spec)
+        subspace = sf.lift_subspace(sf.PointDataset(rng.normal(size=(9, 3)), 1), spec)
+        for zset in (regression, subspace):
+            assert np.array_equal(zset.rows, _normal_rows(zset.z))
+            assert np.array_equal(zset.rows, _per_seed_scaled(zset.z[None])[0])
+
+    @pytest.mark.parametrize("m", [_MAX_MINORS_DIM + 1, _MAX_MINORS_DIM + 2])
+    def test_svd_dimensions_take_raw_rows(self, m):
+        rng = np.random.default_rng(70 + m)
+        z = rng.normal(size=(16, m)) * rng.uniform(0.01, 100.0, size=(16, 1))
+        rows = LiftedSet("subspace", z, z.shape[0], 1.0).rows
+        assert np.array_equal(rows, z)
+        idx = np.array([rng.choice(16, size=m - 1, replace=False) for _ in range(50)])
+        _, s, vh = np.linalg.svd(z[idx])
+        h, degen = _batched_normals(rows[idx])
+        assert np.array_equal(h, vh[:, -1, :])
+        assert np.array_equal(degen, (s[:, 0] <= 0.0) | (s[:, -1] <= m * _EPS * s[:, 0]))
 
 
 class TestClassify:
