@@ -4,7 +4,7 @@ The loss of an error value ``e`` is ``min(|e|, epsilon) ** p`` for p in
 {1, 2} and the indicator of ``|e| > epsilon`` for p = 0.  The inliers are
 its zero set, ``|e| <= epsilon``: :func:`_within`, the one test that the
 loss, the inlier lists and every solver's inlier count use.  The solvers
-count the rows of their boolean blocks with :func:`_row_counts`.
+count the set entries of their boolean blocks with :func:`_counts`.
 
 All indices in this package are 0-based.  The command line layer converts to
 1-based indices when writing report files.
@@ -206,13 +206,14 @@ def _within(spec: LossSpec, e) -> np.ndarray:
     return np.abs(e) <= spec.epsilon
 
 
-def _row_counts(mask: np.ndarray) -> np.ndarray:
-    """The set entries of each row of a boolean block (B, n), as int32 byte sums.
+def _counts(mask: np.ndarray, axis: int) -> np.ndarray:
+    """The set entries of a 2-D boolean block along ``axis``, as int32 byte sums.
 
-    About twice as fast as ``np.count_nonzero(axis=1)`` on search-sized
-    blocks; the int32 accumulator cannot wrap below 2**31 entries a row.
+    About twice as fast as ``np.count_nonzero`` on search-sized blocks; the
+    int32 accumulator cannot wrap below 2**31 entries.  The searches count
+    their point-major (size, B) blocks over axis 0, one count per seed.
     """
-    return np.add.reduce(mask.view(np.uint8), axis=1, dtype=np.int32)
+    return np.add.reduce(mask.view(np.uint8), axis=axis, dtype=np.int32)
 
 
 def loss(spec: LossSpec, e) -> float | np.ndarray:

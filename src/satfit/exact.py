@@ -10,21 +10,26 @@ ties are broken by scan order (the first best candidate wins), so repeated
 runs are bit-identical.  An enumeration of 2**63 seeds or more is refused
 with a ``ValueError`` before any seed is processed.
 
-Each search has one per-seed pipeline, ``process_chunk(subsets)``: the
-normals of a block of seeds come from :func:`.geometry._batched_normals`
-(the signed maximal minors of the seed rows up to lifted dimension 9, a
-batched SVD above that) on seed rows gathered from ``LiftedSet.rows``, which
-:func:`.geometry._normal_rows` scaled once per point set; their orientation
-and their below / on masks come from the lifted classification of
-:mod:`.geometry` (``_orient``, ``_classify``), their counts from
-:func:`.core._row_counts`, and only seeds that survive the incumbent bound
-enter the per-seed completion step (a regression block with no survivor
-stops there, before packing).  Its block-sized arrays are views of the
-search's one :class:`.geometry._Workspace`, reused block after block:
-``rows``, ``terms``, ``gathered``, ``minors``, ``normals``, ``margins``,
-``margins2``, ``below`` and ``on``.  The exact solvers feed it
-lexicographic blocks of the enumeration; the sampling variants in
-:mod:`.sampling` blocks of random draws in iteration order.
+Each search has one per-seed pipeline, ``process_chunk(subsets)``, laid
+out seed-last: a block holds its B seeds as columns (k, B), and every array
+down to the counts keeps the seeds on its last, contiguous axis.  The
+normals (m, B) come from :func:`.geometry._batched_normals` (the signed
+maximal minors of the seed rows up to lifted dimension 9, a batched SVD
+above that) on seed rows (m, k, B) gathered from ``LiftedSet.columns``,
+which :func:`.geometry._normal_rows` scaled once per point set, with the
+row norms gathered from ``LiftedSet.norms``; their orientation and their
+point-major ``below`` / ``closed`` masks (size, B) come from the lifted
+classification of :mod:`.geometry` (``_orient``, ``_classify``), their
+counts from :func:`.core._counts` over axis 0 (the on-points number
+count(closed) - count(below)), and only seeds that survive the incumbent
+bound enter the per-seed completion step, their columns turned into rows
+for packing (a regression block with no survivor stops before that).  Its
+block-sized arrays are views of the search's one
+:class:`.geometry._Workspace`, reused block after block: ``rows``,
+``terms``, ``gathered``, ``minors``, ``normals``, ``margins``, ``below``
+and ``closed``.  The exact solvers feed it lexicographic blocks of the
+enumeration; the sampling variants in :mod:`.sampling` blocks of random
+draws in iteration order.
 
 A completion step builds the inlier sets of its branches as rows of
 W = ceil(n / 64) ``uint64`` words, point i being bit i % 64 of word i // 64.
@@ -69,8 +74,8 @@ from .core import (
     RegressionDataset,
     RegressionModel,
     SubspaceModel,
+    _counts,
     _projection_residuals,
-    _row_counts,
     _within,
     loss,
     regression_inliers,
@@ -80,8 +85,8 @@ from .geometry import (
     ON_HYPERPLANE_TOL,
     _batched_normals,
     _classify,
-    _normal_rows,
     _orient,
+    _seed_columns,
     _Workspace,
     lift_regression,
     lift_subspace,
@@ -223,20 +228,20 @@ def _rank_tables(m: int, k: int) -> tuple[int, tuple[np.ndarray, ...]]:
 
 
 def _combination_block(m: int, k: int, start: int, stop: int) -> np.ndarray:
-    """Seeds of ranks start..stop-1 of the lexicographic k-subsets of range(m).
+    """Seeds of ranks start..stop-1 of the lexicographic k-subsets of range(m), as columns (k, B).
 
     Rank r is unranked through the combinatorial number system: with
     x = C(m, k) - 1 - r, the greedy a_i = max {a : C(a, i) <= x}, then
     x -= C(a_i, i), for i = k..1, gives the seed's elements m - 1 - a_i in
     increasing order.  One ``searchsorted`` per position serves the block.
     """
-    out = np.empty((stop - start, k), dtype=np.intp)
+    out = np.empty((k, stop - start), dtype=np.intp)
     total, tables = _rank_tables(m, k)
     x = (total - 1) - np.arange(start, stop, dtype=np.int64)
-    for col, table in enumerate(tables):
+    for row, table in enumerate(tables):
         a = np.searchsorted(table, x, side="right") - 1
         x -= table[a]
-        out[:, col] = (m - 1) - a
+        out[row] = (m - 1) - a
     return out
 
 
@@ -439,8 +444,9 @@ class _Search:
         self.scan(blocks, progress, should_stop)
 
     def run_draws(self, subsets: np.ndarray, progress: ProgressFn | None) -> None:
-        """Scan drawn seeds (one per row, in row order) in blocks of ``_BLOCK``."""
-        blocks = (subsets[r : r + _BLOCK] for r in range(0, subsets.shape[0], _BLOCK))
+        """Scan drawn seeds (one per row, in row order) in blocks of ``_BLOCK`` columns."""
+        seeds = np.ascontiguousarray(subsets.T)
+        blocks = (seeds[:, r : r + _BLOCK] for r in range(0, seeds.shape[1], _BLOCK))
         self.scan(blocks, progress, None)
 
     # -- aggregation across parallel tasks -----------------------------------
@@ -539,7 +545,7 @@ class _RegressionSearch(_Search):
         return objectives, solutions
 
     def _handle_seed(self, halves: np.ndarray, flips: np.ndarray) -> None:
-        """Complete one seed from its packed lifted mask ``below | on``.
+        """Complete one seed from its packed lifted mask ``closed`` (below or on).
 
         ``halves`` holds the (2, W) :func:`_pack` words of the mask's first
         and second half; ``flips[j]`` the bit in them of on-hyperplane point
@@ -554,16 +560,17 @@ class _RegressionSearch(_Search):
             self._complete(words[:, 0] & words[:, 1])
 
     def process_chunk(self, subsets: np.ndarray) -> None:
-        """Process a block of seeds, in order."""
+        """Process a block of seeds (k, B), in order."""
         stats = self.stats
-        stats.seeds_enumerated += subsets.shape[0]
-        ws = self.workspace
-        h, degen = _batched_normals(ws.take("rows", self.zset.rows, subsets), ws)
+        stats.seeds_enumerated += subsets.shape[1]
+        ws, zset = self.workspace, self.zset
+        rows = ws.take("rows", zset.columns, subsets, axis=1)
+        h, degen = _batched_normals(rows, zset.norms[subsets], ws)
         _orient(h)
-        below, on = _classify(self.zset, h, ws)
-        h1_small = h[:, 0] <= ON_HYPERPLANE_TOL
-        base = _row_counts(below[:, : self.n] & below[:, self.n :])
-        n0 = _row_counts(on)
+        below, closed = _classify(zset, h, ws)
+        h1_small = h[0] <= ON_HYPERPLANE_TOL
+        base = _counts(below[: self.n] & below[self.n :], axis=0)
+        n0 = _counts(closed, axis=0) - _counts(below, axis=0)
         valid = ~degen & ~h1_small
         stats.seeds_degenerate += int(np.count_nonzero(degen))
         stats.seeds_skipped += int(np.count_nonzero(h1_small & ~degen))
@@ -583,10 +590,12 @@ class _RegressionSearch(_Search):
         seeds = np.flatnonzero(maybe)
         if not seeds.size:
             return
-        # Packed once per block: the halves of below | on of the seeds that may
-        # complete, and the bit of each on-point of those that _MAX_ONSET admits.
-        onset = on[seeds]
-        halves = _pack((below[seeds] | onset).reshape(-1, 2, self.n))
+        # Packed once per block: the halves of closed (below | on) of the seeds
+        # that may complete, their columns turned into rows, and the bit of
+        # each on-point of those that _MAX_ONSET admits.
+        closed_rows = np.ascontiguousarray(closed[:, seeds].T)
+        onset = closed_rows & ~below[:, seeds].T
+        halves = _pack(closed_rows.reshape(-1, 2, self.n))
         sizes = n0[seeds]
         kept = sizes <= _MAX_ONSET
         row, point = np.divmod(np.flatnonzero(onset & kept[:, None]), self.n)  # row 2 * seed + half
@@ -671,24 +680,24 @@ def approx_regression_p0(data: RegressionDataset, spec: LossSpec) -> tuple[Regre
     n, d = data.n, data.d
     best_j, best_w = np.inf, None
     ws = _Workspace()
-    data_rows = _normal_rows(np.column_stack([data.y, -data.x]))
-    for rows, lifted in ((zset.rows, True), (data_rows, False)):
-        size = rows.shape[0]
+    data_columns = _seed_columns(np.column_stack([data.y, -data.x]))
+    for (columns, norms), lifted in (((zset.columns, zset.norms), True), (data_columns, False)):
+        size = columns.shape[1]
         total, _ = _rank_tables(size, d)  # the lifted scan, first, has the larger count
         for block in _lex_blocks(size, d, 0, total, _RegressionSearch.seed_block):
-            h, degen = _batched_normals(ws.take("rows", rows, block), ws)
+            h, degen = _batched_normals(ws.take("rows", columns, block, axis=1), norms[block], ws)
             _orient(h)
-            usable = ~degen & (h[:, 0] > ON_HYPERPLANE_TOL)
-            w = h[:, 1:] / np.where(usable, h[:, 0], 1.0)[:, None]
+            usable = ~degen & (h[0] > ON_HYPERPLANE_TOL)
+            w = h[1:] / np.where(usable, h[0], 1.0)
             if lifted:
                 below = _classify(zset, h, ws)[0]
-                inliers = below[:, :n] & below[:, n:]
+                inliers = below[:n] & below[n:]
             else:
-                inliers = _within(spec, data.y - w @ data.x.T)
-            j = np.where(usable, n - _row_counts(inliers), np.inf)
+                inliers = _within(spec, data.y[:, None] - data.x @ w)
+            j = np.where(usable, n - _counts(inliers, axis=0), np.inf)
             i = int(np.argmin(j))  # argmin returns the first minimizer
             if j[i] < best_j:
-                best_j, best_w = float(j[i]), w[i].copy()
+                best_j, best_w = float(j[i]), w[:, i].copy()
     if best_w is None:
         raise NoHyperplaneError("no usable hyperplane seed was found")
     return RegressionModel(best_w), float(best_j)
@@ -727,22 +736,25 @@ class _SubspaceSearch(_Search):
         order, then branch order.
         """
         stats = self.stats
-        stats.seeds_enumerated += subsets.shape[0]
-        ws = self.workspace
-        h, degen = _batched_normals(ws.take("rows", self.zset.rows, subsets), ws)
+        stats.seeds_enumerated += subsets.shape[1]
+        ws, zset = self.workspace, self.zset
+        rows = ws.take("rows", zset.columns, subsets, axis=1)
+        h, degen = _batched_normals(rows, zset.norms[subsets], ws)
         _orient(h)
         stats.seeds_degenerate += int(np.count_nonzero(degen))
-        below, on = _classify(self.zset, h, ws)
-        idx, below, on = subsets[~degen], below[~degen], on[~degen]
-        onset = _row_counts(on)
+        below, closed = _classify(zset, h, ws)
+        usable = ~degen
+        idx, below, closed = subsets[:, usable], below[:, usable], closed[:, usable]
+        on = closed & ~below
+        onset = _counts(on, axis=0)
         stats.max_onset_size = max(stats.max_onset_size, int(onset.max(initial=0)))
-        on_seed = np.count_nonzero(np.take_along_axis(on, idx, axis=1))
+        on_seed = np.count_nonzero(np.take_along_axis(on, idx, axis=0))
         stats.onset_outside_seed += int(onset.sum() - on_seed)
-        sides = _pack(np.stack([below, ~(below | on)], axis=1))
+        sides = _pack(np.stack([below.T, ~closed.T], axis=1))
         width = sides.shape[2]
-        flips = _bit_words(idx.T, self.n)[:, :, None] & ~sides  # seed point j where a side lacks it
-        per_call = max(1, _BRANCH_CELLS // (64 * width << (idx.shape[1] + 1)))
-        for first in range(0, idx.shape[0], per_call):
+        flips = _bit_words(idx, self.n)[:, :, None] & ~sides  # seed point j where a side lacks it
+        per_call = max(1, _BRANCH_CELLS // (64 * width << (idx.shape[0] + 1)))
+        for first in range(0, idx.shape[1], per_call):
             seeds = slice(first, first + per_call)
             words = _branch_words(sides[seeds], flips[:, seeds])
             words = words.transpose(1, 0, 2, 3).reshape(-1, width)  # frees the level-major copy
@@ -751,7 +763,7 @@ class _SubspaceSearch(_Search):
     def _solve_many(self, masks: np.ndarray) -> tuple[list[float], list[np.ndarray]]:
         """Fit and score a stack of inlier sets: one stacked SVD per set size."""
         x = self.data.x
-        sizes = _row_counts(masks)
+        sizes = _counts(masks, axis=1)
         order = np.argsort(sizes, kind="stable")
         # The points of every set, the sets taken by size: each size is one
         # contiguous (count, size, d) block.

@@ -18,13 +18,20 @@ seed rows, their generalized cross product.  The one lifted classification,
 which the searches, ``approx_regression_p0`` and the public helpers all run,
 is :func:`_batched_normals`, :func:`_orient` and :func:`_classify`: a point
 is on a hyperplane when its margin is within ``ON_HYPERPLANE_TOL`` (relative
-to ``max(1, ||z||)``) of zero, and the caller must resolve it.  The seed rows
-are gathered from ``LiftedSet.rows``, scaled once per point set by
-:func:`_normal_rows` (each row by a power of two up to ``_MAX_MINORS_DIM``,
-raw above it), never per seed.  A search hands them its :class:`_Workspace`,
-so its blocks reuse one set of arrays: the gathered seed ``rows``, the
-``terms``, ``gathered`` and ``minors`` of the Laplace expansion, the
-``normals``, the ``margins`` (and ``margins2``) and the ``below`` / ``on``
+to ``max(1, ||z||)``) of zero, and the caller must resolve it.
+
+The pipeline is laid out seed-last: the B seeds of a block sit on the
+contiguous axis of every array, so each numpy call runs a few long loops
+over the block rather than B short ones.  Seeds (k, B) gather their rows
+into (m, k, B) from ``LiftedSet.columns``, the rows that :func:`_normal_rows`
+scaled once per point set (each by a power of two up to ``_MAX_MINORS_DIM``,
+raw above it), stored component-major, and their norms from
+``LiftedSet.norms``; normals come out as (m, B), and :func:`_classify`
+returns two point-major masks (size, B), ``below`` (margin < -tol) and
+``closed`` (margin <= tol, below or on).  A search hands them its
+:class:`_Workspace`, so its blocks reuse one set of arrays: the gathered
+seed ``rows``, the ``terms``, ``gathered`` and ``minors`` of the Laplace
+expansion, the ``normals``, the ``margins`` and the ``below`` / ``closed``
 masks.
 """
 
@@ -73,8 +80,9 @@ class LiftedSet:
     ``z`` holds the lifted points as rows.  For the regression kind there are
     ``2 * n_points`` rows (the two copies of point ``i`` are rows ``i`` and
     ``i + n_points``); for the subspace kind there are ``n_points`` rows.
-    ``rows`` holds the same points as :func:`_normal_rows` prepares them, the
-    rows that seeds gather for :func:`_batched_normals`.
+    ``columns`` (m, size) holds the same points as :func:`_normal_rows`
+    prepares them, component-major, and ``norms`` their Euclidean norms
+    (:func:`_norms`): what seeds gather for :func:`_batched_normals`.
     """
 
     kind: Kind
@@ -83,8 +91,8 @@ class LiftedSet:
     epsilon: float
     scales: np.ndarray = field(init=False, repr=False)
     tol: np.ndarray = field(init=False, repr=False)
-    zt: np.ndarray = field(init=False, repr=False)
-    rows: np.ndarray = field(init=False, repr=False)
+    columns: np.ndarray = field(init=False, repr=False)
+    norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.z = np.asarray(self.z, dtype=float)
@@ -92,10 +100,7 @@ class LiftedSet:
         # (e.g. gross outliers) do not defeat the on-hyperplane test.
         self.scales = np.maximum(1.0, np.linalg.norm(self.z, axis=1))
         self.tol = ON_HYPERPLANE_TOL * self.scales
-        # Rows whose margins are a matrix product (see _margins), transposed once.
-        head = self.z[: self.n_points] if self.kind == "regression" else self.z
-        self.zt = np.ascontiguousarray(head.T)
-        self.rows = _normal_rows(self.z)
+        self.columns, self.norms = _seed_columns(self.z)
 
     @property
     def size(self) -> int:
@@ -253,10 +258,10 @@ def _laplace_tables(m: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norms over the last axis, the squares added first to last."""
-    sq = v[..., 0] * v[..., 0]
-    for c in range(1, v.shape[-1]):
-        sq += v[..., c] * v[..., c]
+    """Euclidean norms over the first axis, the squares added first to last."""
+    sq = v[0] * v[0]
+    for c in range(1, v.shape[0]):
+        sq += v[c] * v[c]
     return np.sqrt(sq)
 
 
@@ -280,13 +285,26 @@ def _normal_rows(z: np.ndarray) -> np.ndarray:
     return z * np.ldexp(1.0, -np.frexp(top)[1])[..., None]
 
 
-def _batched_normals(a: np.ndarray, ws: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Unit null-space directions of a stack of seed matrices (B, m-1, m).
+def _seed_columns(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The :func:`_normal_rows` of a point set (size, m), component-major (m, size), and their norms.
+
+    Seeds (k, B) gather their rows from the first as ``np.take(columns,
+    seeds, axis=1)`` and the norms those rows would have as ``norms[seeds]``.
+    """
+    columns = np.ascontiguousarray(_normal_rows(z).T)
+    return columns, _norms(columns)
+
+
+def _batched_normals(
+    a: np.ndarray, norms: np.ndarray, ws: _Workspace | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unit null-space directions (m, B) of a stack of seed matrices, seed-last (m, m-1, B).
 
     The one normal routine, run on blocks of seeds and on one-seed stacks
-    alike; the seed rows must be :func:`_normal_rows` rows.  Returns the raw
+    alike; ``a[:, r, b]`` is row r of seed b, a :func:`_normal_rows` row, and
+    ``norms`` (m-1, B) the Euclidean norms of those rows.  Returns the raw
     directions (sign not yet fixed, see :func:`_orient`) and the degeneracy
-    mask.  Up to ``_MAX_MINORS_DIM`` the normal is the generalized cross
+    mask (B,).  Up to ``_MAX_MINORS_DIM`` the normal is the generalized cross
     product: component j is (-1)^j times the minor of the seed without
     column j, built from the last row up by Laplace expansion (for two rows,
     the arithmetic of ``np.cross``; the exact row scaling keeps h[0] == 0 for
@@ -295,83 +313,85 @@ def _batched_normals(a: np.ndarray, ws: _Workspace | None = None) -> tuple[np.nd
     (Hadamard), and each minor carries a rounding error of a few eps times
     it; for two rows this is the cross-product rule ``||a0 x a1|| <= 3 eps
     ||a0|| ||a1||``.  Larger seeds take the last right singular vector of a
-    batched SVD, degenerate when the smallest singular value is at most
-    ``m eps`` times the largest.  A null space of dimension > 1 cannot pin
-    down a hyperplane, so such seeds are degenerate.  The minors and normals
-    are written into ``ws`` (a fresh one if None).
+    batched SVD of the seeds as (B, m-1, m) matrices, degenerate when the
+    smallest singular value is at most ``m eps`` times the largest.  A null
+    space of dimension > 1 cannot pin down a hyperplane, so such seeds are
+    degenerate.  The minors and normals are written into ``ws`` (a fresh one
+    if None).
     """
-    k, m = a.shape[1:]
+    m, k = a.shape[:2]
     if m > _MAX_MINORS_DIM:  # the SVD's outputs are fresh arrays
-        _, s, vh = np.linalg.svd(a)
-        return vh[:, -1, :].copy(), (s[:, 0] <= 0.0) | (s[:, -1] <= m * _EPS * s[:, 0])
+        _, s, vh = np.linalg.svd(a.transpose(2, 1, 0))
+        degen = (s[:, 0] <= 0.0) | (s[:, -1] <= m * _EPS * s[:, 0])
+        return np.ascontiguousarray(vh[:, -1, :].T), degen
     ws = _Workspace() if ws is None else ws
     minors = a[:, -1]
     for r, (cols, rest) in zip(range(k - 2, -1, -1), _laplace_tables(m)):
-        terms = ws.take("terms", a[:, r], cols, axis=1)
-        terms *= ws.take("gathered", minors, rest, axis=1)
-        minors = ws.array("minors", terms.shape[:2])  # the last level's minors are spent
-        minors[...] = terms[..., 0]
+        terms = ws.take("terms", a[:, r], cols)
+        terms *= ws.take("gathered", minors, rest)
+        minors = ws.array("minors", (cols.shape[0], a.shape[2]))  # the last level's are spent
+        minors[...] = terms[:, 0]
         for p in range(1, cols.shape[1]):
-            (np.subtract if p % 2 else np.add)(minors, terms[..., p], out=minors)
+            (np.subtract if p % 2 else np.add)(minors, terms[:, p], out=minors)
     # the (m-1)-subsets are listed by the column they omit, the last one first
-    h = ws.array("normals", (a.shape[0], m))
-    np.multiply(minors[:, ::-1], (-1.0) ** np.arange(m), out=h)
-    norms = _norms(h)
-    degen = norms <= reduce(np.multiply, _norms(a).T, m * _EPS)
-    h /= np.where(degen, 1.0, norms)[:, None]
+    h = ws.array("normals", (m, a.shape[2]))
+    np.multiply(minors[::-1], ((-1.0) ** np.arange(m))[:, None], out=h)
+    h_norms = _norms(h)
+    degen = h_norms <= reduce(np.multiply, norms, m * _EPS)
+    h /= np.where(degen, 1.0, h_norms)
     return h, degen
 
 
 def _orient(h: np.ndarray) -> None:
-    """The one orientation rule, in place on a stack of normals (B, m): ``h[0] >= 0``.
+    """The one orientation rule, in place on a stack of normals (m, B): ``h[0] >= 0``.
 
     Regression needs this sign for its orientation argument; subspace
     search explores both sides of each hyperplane and only needs a
     deterministic one.
     """
-    np.negative(h, out=h, where=h[:, :1] < 0)
-
-
-def _margins(zset: LiftedSet, h: np.ndarray, ws: _Workspace | None = None) -> list[np.ndarray]:
-    """Margins of a stack of normals (B, m) as column blocks, in lifted order.
-
-    For the regression kind the first half is a matrix product and the
-    second comes from the identity ``h @ z_(i+n) = -h @ z_i - 2 eps h[0]``.
-    Both are written into ``ws`` (a fresh one if None).
-    """
-    ws = _Workspace() if ws is None else ws
-    g = np.matmul(h, zset.zt, out=ws.array("margins", (h.shape[0], zset.zt.shape[1])))
-    if zset.kind != "regression":
-        return [g]
-    second = np.negative(g, out=ws.array("margins2", g.shape))
-    return [g, np.subtract(second, 2.0 * zset.epsilon * h[:, :1], out=second)]
+    h *= np.where(h[0] < 0, -1.0, 1.0)  # exact; a masked negation broadcasts slowly
 
 
 def _classify(
     zset: LiftedSet, h: np.ndarray, ws: _Workspace | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean masks (B, size) of the lifted points below and on each hyperplane.
+    """Boolean masks (size, B) of the lifted points below and below-or-on each hyperplane.
 
     The one on-hyperplane test: a point is on the hyperplane when its margin
     is within ``ON_HYPERPLANE_TOL * max(1, ||z||)`` of zero, below it when the
-    margin is smaller still.  The searches call it on blocks of oriented
-    normals with their workspace, the public helpers on a one-row stack.
+    margin is smaller still.  Returns ``below`` (margin < -tol) and
+    ``closed`` (margin <= tol, so the on-points are ``closed & ~below``).
+    The margins are one product ``z @ h`` of the (first) lifted rows; for
+    the regression kind the second copy's margin is ``-h @ z_i - 2 eps
+    h[0]``, which is ``-fl(g + 2 eps h[0])`` to the bit for g the first
+    copy's margin (rounding to nearest is symmetric), so ``g + 2 eps h[0]``
+    is written over g and tested against the negated bounds.  The searches
+    call it on blocks of oriented normals (m, B) with their workspace, the
+    public helpers on a one-column stack.
     """
     ws = _Workspace() if ws is None else ws
-    below = ws.array("below", (h.shape[0], zset.size), bool)
-    on = ws.array("on", below.shape, bool)
-    start = 0
-    for m in _margins(zset, h, ws):
-        cols = slice(start, start + m.shape[1])
-        start = cols.stop
-        np.less(m, -zset.tol[cols], out=below[:, cols])
-        np.less_equal(np.abs(m, out=m), zset.tol[cols], out=on[:, cols])
-    return below, on
+    head = zset.n_points if zset.kind == "regression" else zset.size
+    g = np.matmul(zset.z[:head], h, out=ws.array("margins", (head, h.shape[1])))
+    below = ws.array("below", (zset.size, h.shape[1]), bool)
+    closed = ws.array("closed", below.shape, bool)
+    tol = zset.tol[:, None]
+    np.less(g, -tol[:head], out=below[:head])
+    np.less_equal(g, tol[:head], out=closed[:head])
+    if zset.kind == "regression":
+        g += 2.0 * zset.epsilon * h[:1]
+        np.greater(g, tol[head:], out=below[head:])
+        np.greater_equal(g, -tol[head:], out=closed[head:])
+    return below, closed
 
 
 def signed_values(zset: LiftedSet, normal: np.ndarray) -> np.ndarray:
-    """Margins ``normal @ z_i`` for every lifted point (a one-row :func:`_margins`)."""
-    return np.concatenate(_margins(zset, np.asarray(normal, dtype=float)[None]), axis=1)[0]
+    """Margins ``normal @ z_i`` for every lifted point, by the formulas of :func:`_classify`."""
+    h = np.asarray(normal, dtype=float)
+    head = zset.n_points if zset.kind == "regression" else zset.size
+    g = zset.z[:head] @ h
+    if zset.kind != "regression":
+        return g
+    return np.concatenate([g, -(g + 2.0 * zset.epsilon * h[0])])
 
 
 def hyperplane_through(zset: LiftedSet, subset) -> Hyperplane | None:
@@ -386,12 +406,13 @@ def hyperplane_through(zset: LiftedSet, subset) -> Hyperplane | None:
     if len(idx) != zset.dim - 1 or len({i for i in idx if 0 <= i < zset.size}) != len(idx):
         k, size = zset.dim - 1, zset.size
         raise ValueError(f"seed must hold {k} distinct indices in [0, {size}), got {subset!r}")
-    h, degen = _batched_normals(zset.rows[None, list(idx)])
+    seed = np.array(idx)[:, None]
+    h, degen = _batched_normals(zset.columns[:, seed], zset.norms[seed])
     if degen[0]:
         return None
     _orient(h)
-    onset = np.flatnonzero(_classify(zset, h)[1][0])
-    return Hyperplane(h[0], onset, idx)
+    below, closed = _classify(zset, h)
+    return Hyperplane(h[:, 0], np.flatnonzero(closed[:, 0] & ~below[:, 0]), idx)
 
 
 def classify(zset: LiftedSet, normal: np.ndarray) -> np.ndarray:
@@ -405,8 +426,8 @@ def classify(zset: LiftedSet, normal: np.ndarray) -> np.ndarray:
     norm = np.linalg.norm(normal)
     if norm == 0.0:
         raise ValueError("normal must be nonzero")
-    below, on = _classify(zset, (normal / norm)[None])
-    return np.where(on[0], 0, np.where(below[0], -1, 1)).astype(np.int8)
+    below, closed = _classify(zset, (normal / norm)[:, None])
+    return np.where(below[:, 0], -1, np.where(closed[:, 0], 0, 1)).astype(np.int8)
 
 
 def inliers_from_signs(

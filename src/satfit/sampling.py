@@ -30,7 +30,7 @@ from .core import (
     PointDataset,
     RegressionDataset,
     RegressionModel,
-    _row_counts,
+    _counts,
     _within,
     loss,
     regression_inliers,
@@ -251,7 +251,7 @@ def ransac_regression(
         ws, ranks = _ls_fits(data.x[idx], data.y[idx])
         degenerate += int(np.count_nonzero(ranks < d))
         # one mat-vec per draw, as data.x @ w, so the counts keep their bits
-        counts = _row_counts(_within(spec, data.y - (data.x[None] @ ws[:, :, None])[:, :, 0]))
+        counts = _counts(_within(spec, data.y - (data.x[None] @ ws[:, :, None])[:, :, 0]), axis=1)
         top = int(np.argmax(counts))  # the first best draw
         if counts[top] > best_count:
             best_count, best_w = int(counts[top]), ws[top]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import satfit as sf
-from satfit.core import _row_counts
+from satfit.core import _counts
 from helpers import (
     axis_dataset,
     exact_fit_dataset,
@@ -202,7 +202,10 @@ class TestRowCounts:
         mask[2] = True
         mask[3] = rng.random(mask.shape[1]) < 0.5
         for block in (mask, mask[:, 1:], mask[:, ::2]):  # contiguous rows or not
-            counts = _row_counts(block)
+            counts = _counts(block, axis=1)
             assert counts.dtype == np.int32
             assert np.array_equal(counts, np.count_nonzero(block, axis=1))
-        assert _row_counts(mask)[:2].tolist() == [300, 70_000]
+            # the same block point-major, as the searches count it
+            assert np.array_equal(_counts(np.ascontiguousarray(block.T), axis=0), counts)
+            assert np.array_equal(_counts(block.T, axis=0), counts)
+        assert _counts(mask, axis=1)[:2].tolist() == [300, 70_000]

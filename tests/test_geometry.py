@@ -1,3 +1,6 @@
+from fractions import Fraction
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -9,8 +12,13 @@ from satfit.geometry import (
     _MAX_MINORS_DIM,
     LiftedSet,
     _batched_normals,
+    _classify,
+    _laplace_tables,
     _normal_rows,
+    _norms,
     _orient,
+    _seed_columns,
+    _Workspace,
 )
 from helpers import exact_fit_dataset, random_orthonormal
 
@@ -200,14 +208,21 @@ _DIMS = range(2, 12)  # lifted dimensions on both sides of the minors / SVD swit
 _MINORS_DIMS = range(2, _MAX_MINORS_DIM + 1)
 
 
+def _seed_last(rows):
+    # a seed-major stack of prepared rows (B, m-1, m) as the seed-last rows
+    # (m, m-1, B) and row norms (m-1, B) that _batched_normals takes
+    a = np.ascontiguousarray(rows.transpose(2, 1, 0))
+    return a, _norms(a)
+
+
 class TestBatchedNormals:
     @pytest.mark.parametrize("m", _DIMS)
     def test_agrees_with_the_svd_null_vector(self, m):
         rng = np.random.default_rng(17)
         a = rng.normal(size=(500, m - 1, m)) * rng.uniform(0.01, 100.0, size=(500, m - 1, 1))
-        h, degen = _batched_normals(_normal_rows(a))
+        h, degen = _batched_normals(*_seed_last(_normal_rows(a)))
         assert not degen.any()
-        svd_h = np.linalg.svd(a)[2][:, -1, :].copy()
+        svd_h = np.linalg.svd(a)[2][:, -1, :].T.copy()
         _orient(h)
         _orient(svd_h)
         assert np.allclose(h, svd_h, rtol=0, atol=1e-10)
@@ -216,9 +231,9 @@ class TestBatchedNormals:
     def test_unit_norm_and_orthogonal_to_the_rows(self, m):
         rng = np.random.default_rng(18)
         a = rng.normal(size=(500, m - 1, m)) * rng.uniform(0.01, 100.0, size=(500, m - 1, 1))
-        h, _ = _batched_normals(_normal_rows(a))
-        assert np.allclose(np.linalg.norm(h, axis=1), 1.0, rtol=0, atol=1e-12)
-        margins = np.abs(np.einsum("bij,bj->bi", a, h))
+        h, _ = _batched_normals(*_seed_last(_normal_rows(a)))
+        assert np.allclose(np.linalg.norm(h, axis=0), 1.0, rtol=0, atol=1e-12)
+        margins = np.abs(np.einsum("bij,jb->bi", a, h))
         assert np.all(margins <= 1e-12 * np.linalg.norm(a, axis=2))
 
     @pytest.mark.parametrize(
@@ -226,7 +241,7 @@ class TestBatchedNormals:
     )
     def test_rank_deficient_seeds_are_degenerate(self, m, case):
         a = _degenerate_seeds(m)[case]
-        assert _batched_normals(_normal_rows(a[None]))[1][0]
+        assert _batched_normals(*_seed_last(_normal_rows(a[None])))[1][0]
         assert sf.hyperplane_through(_seed_set(a), range(m - 1)) is None
 
     @pytest.mark.parametrize(
@@ -238,8 +253,8 @@ class TestBatchedNormals:
         rng = np.random.default_rng(19)
         degenerate = list(_degenerate_seeds(m).values())
         a = np.array([rng.normal(size=(m - 1, m)) for _ in range(50)] + degenerate)
-        h, degen = _batched_normals(_normal_rows(a))
-        hs, degens = _batched_normals(_normal_rows(a * scale))
+        h, degen = _batched_normals(*_seed_last(_normal_rows(a)))
+        hs, degens = _batched_normals(*_seed_last(_normal_rows(a * scale)))
         assert np.all(np.isfinite(hs))
         assert np.array_equal(degen, degens)
         assert degen.sum() == len(degenerate)
@@ -247,7 +262,7 @@ class TestBatchedNormals:
         # dimension > 1, and rescales extreme inputs by a rounded factor
         keep = ~degen if m > _MAX_MINORS_DIM else slice(None)
         atol = 1e-14 if m <= _MAX_MINORS_DIM else 1e-13
-        assert np.allclose(hs[keep], h[keep], rtol=0, atol=atol)
+        assert np.allclose(hs[:, keep], h[:, keep], rtol=0, atol=atol)
 
     @pytest.mark.parametrize("m", range(3, _MAX_MINORS_DIM + 1))
     def test_degeneracy_bound_at_its_edge(self, m):
@@ -259,10 +274,11 @@ class TestBatchedNormals:
         for s, expected in ((np.nextafter(bound, 0.0), True), (bound, True),
                             (np.nextafter(bound, 1.0), False)):
             for scale in (1.0, 2.0**500, 2.0**-500, 2.0**700, 2.0**-700):
-                h, degen = _batched_normals(_normal_rows(_edge_seed(m, s)[None] * scale))
+                h, degen = _batched_normals(*_seed_last(_normal_rows(_edge_seed(m, s)[None] * scale)))
                 assert degen[0] == expected, (s, scale)
-        h, _ = _batched_normals(_normal_rows(_edge_seed(m, np.nextafter(bound, 1.0))[None]))
-        assert np.array_equal(np.abs(h[0]), np.eye(m)[-1])
+        edge = _edge_seed(m, np.nextafter(bound, 1.0))[None]
+        h, _ = _batched_normals(*_seed_last(_normal_rows(edge)))
+        assert np.array_equal(np.abs(h[:, 0]), np.eye(m)[-1])
 
     @pytest.mark.parametrize("m", _DIMS)
     def test_one_seed_calls_match_the_batch_bit_for_bit(self, m):
@@ -271,22 +287,22 @@ class TestBatchedNormals:
         # the SVD (m >= 10) alike
         rng = np.random.default_rng(20)
         a = rng.normal(size=(300, m - 1, m))
-        h, degen = _batched_normals(_normal_rows(a))
+        h, degen = _batched_normals(*_seed_last(_normal_rows(a)))
         _orient(h)
         assert not degen.any()
         for i in range(a.shape[0]):
             normal = sf.hyperplane_through(_seed_set(a[i]), range(m - 1)).normal
-            assert np.array_equal(normal, h[i]), (m, i)
+            assert np.array_equal(normal, h[:, i]), (m, i)
 
     def test_two_row_normals_are_the_cross_product(self):
         # exact power-of-two row scaling leaves the d = 2 normals bit-identical
         # to the normalized np.cross, the cross-product rule unchanged
         rng = np.random.default_rng(23)
         a = rng.normal(size=(500, 2, 3)) * rng.uniform(0.01, 100.0, size=(500, 2, 1))
-        h, degen = _batched_normals(_normal_rows(a))
+        h, degen = _batched_normals(*_seed_last(_normal_rows(a)))
         cross = np.cross(a[:, 0], a[:, 1])
         assert not degen.any()
-        assert np.array_equal(h, cross / np.linalg.norm(cross, axis=1)[:, None])
+        assert np.array_equal(h.T, cross / np.linalg.norm(cross, axis=1)[:, None])
 
 
 def _per_seed_scaled(a):
@@ -308,6 +324,7 @@ def _point_rows(m, kind, rng):
         "all-zero": np.zeros((8, m)),
         "huge": rng.normal(size=(8, m)) * np.array([1e300, -1e300] * 4)[:, None],
         "tiny": rng.normal(size=(8, m)) * 1e-300,
+        "dependent": -4.0 * plain,  # exact multiples: a seed holding both rows is degenerate
     }[kind]
     return np.stack([plain, other], axis=1).reshape(16, m)
 
@@ -324,8 +341,9 @@ class TestNormalRows:
         rows = _normal_rows(z)
         scaled = _per_seed_scaled(z[idx])
         assert np.array_equal(rows[idx], scaled)
-        h, degen = _batched_normals(rows[idx])
-        h_ref, degen_ref = _batched_normals(scaled)
+        columns, norms = _seed_columns(z)
+        h, degen = _batched_normals(columns[:, idx.T], norms[idx.T])
+        h_ref, degen_ref = _batched_normals(*_seed_last(scaled))
         assert np.array_equal(h, h_ref) and np.array_equal(degen, degen_ref)
         assert np.all(np.isfinite(h))
         if kind == "all-zero":  # a seed with a zero row
@@ -337,20 +355,108 @@ class TestNormalRows:
         regression = sf.lift_regression(small_regression(rng, n=9, d=3), spec)
         subspace = sf.lift_subspace(sf.PointDataset(rng.normal(size=(9, 3)), 1), spec)
         for zset in (regression, subspace):
-            assert np.array_equal(zset.rows, _normal_rows(zset.z))
-            assert np.array_equal(zset.rows, _per_seed_scaled(zset.z[None])[0])
+            assert zset.columns.flags.c_contiguous
+            assert np.array_equal(zset.columns.T, _normal_rows(zset.z))
+            assert np.array_equal(zset.columns.T, _per_seed_scaled(zset.z[None])[0])
+            # each point's norm, its squares added first to last
+            sq = np.zeros(zset.size)
+            for c in range(zset.dim):
+                sq += zset.columns[c] ** 2
+            assert np.array_equal(zset.norms, np.sqrt(sq))
 
     @pytest.mark.parametrize("m", [_MAX_MINORS_DIM + 1, _MAX_MINORS_DIM + 2])
     def test_svd_dimensions_take_raw_rows(self, m):
         rng = np.random.default_rng(70 + m)
         z = rng.normal(size=(16, m)) * rng.uniform(0.01, 100.0, size=(16, 1))
-        rows = LiftedSet("subspace", z, z.shape[0], 1.0).rows
-        assert np.array_equal(rows, z)
+        zset = LiftedSet("subspace", z, z.shape[0], 1.0)
+        assert np.array_equal(zset.columns.T, z)
         idx = np.array([rng.choice(16, size=m - 1, replace=False) for _ in range(50)])
         _, s, vh = np.linalg.svd(z[idx])
-        h, degen = _batched_normals(rows[idx])
-        assert np.array_equal(h, vh[:, -1, :])
+        h, degen = _batched_normals(zset.columns[:, idx.T], zset.norms[idx.T])
+        assert np.array_equal(h, vh[:, -1, :].T)
         assert np.array_equal(degen, (s[:, 0] <= 0.0) | (s[:, -1] <= m * _EPS * s[:, 0]))
+
+
+def _seed_major_normals(a):
+    # _batched_normals as it ran before the pipeline went seed-last: prepared
+    # seed rows (B, m-1, m) in, normals (B, m) out, the degeneracy rule on
+    # the norms of the gathered rows (squares added first to last)
+    def norms(v):
+        sq = v[..., 0] * v[..., 0]
+        for c in range(1, v.shape[-1]):
+            sq += v[..., c] * v[..., c]
+        return np.sqrt(sq)
+
+    k, m = a.shape[1:]
+    minors = a[:, -1]
+    for r, (cols, rest) in zip(range(k - 2, -1, -1), _laplace_tables(m)):
+        terms = a[:, r][:, cols] * minors[:, rest]
+        minors = terms[..., 0].copy()
+        for p in range(1, cols.shape[1]):
+            (np.subtract if p % 2 else np.add)(minors, terms[..., p], out=minors)
+    h = minors[:, ::-1] * (-1.0) ** np.arange(m)
+    h_norms = norms(h)
+    degen = h_norms <= reduce(np.multiply, norms(a).T, m * _EPS)
+    h /= np.where(degen, 1.0, h_norms)[:, None]
+    return h, degen
+
+
+def _seed_major_masks(zset, h):
+    # the (below, on) masks (B, size) of normals h (B, m) by the margin
+    # formula _classify used before the pipeline went seed-last
+    head = zset.z[: zset.n_points] if zset.kind == "regression" else zset.z
+    g = h @ np.ascontiguousarray(head.T)
+    if zset.kind == "regression":
+        g = np.concatenate([g, -g - 2.0 * zset.epsilon * h[:, :1]], axis=1)
+    return g < -zset.tol, np.abs(g) <= zset.tol
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=float).view(np.uint64)
+
+
+class TestSeedLastReference:
+    """The seed-last pipeline equals the seed-major one it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("m", _MINORS_DIMS)
+    @pytest.mark.parametrize("kind", ["random", "integer", "huge", "tiny", "dependent"])
+    @pytest.mark.parametrize("blocks", [1, 7, 2048])
+    def test_normals_match_the_seed_major_routine(self, m, kind, blocks):
+        rng = np.random.default_rng(80 + m)
+        z = _point_rows(m, kind, rng)
+        idx = np.argsort(rng.random((blocks, 16)), axis=1)[:, : m - 1]  # distinct rows per seed
+        columns, norms = _seed_columns(z)
+        h, degen = _batched_normals(columns[:, idx.T], norms[idx.T], _Workspace())
+        h_ref, degen_ref = _seed_major_normals(_normal_rows(z)[idx])
+        assert np.array_equal(_bits(h.T), _bits(h_ref))
+        assert np.array_equal(degen, degen_ref)
+        if kind == "dependent":
+            assert degen.any() or m == 2 or blocks < 2048  # seeds holding a row and its multiple
+            stacks = np.array(list(_degenerate_seeds(m).values()))
+            h, degen = _batched_normals(*_seed_last(_normal_rows(stacks)))
+            h_ref, degen_ref = _seed_major_normals(_normal_rows(stacks))
+            assert np.array_equal(_bits(h.T), _bits(h_ref)) and degen.all() and degen_ref.all()
+
+    @pytest.mark.parametrize("kind", ["regression", "subspace"])
+    @pytest.mark.parametrize("full", [False, True])
+    def test_classify_matches_the_seed_major_formula(self, kind, full):
+        rng = np.random.default_rng(90)
+        if kind == "regression":
+            zset = sf.lift_regression(small_regression(rng, n=60, d=3), sf.LossSpec(2, 0.7))
+            block = exact._RegressionSearch.seed_block
+        else:
+            zset = sf.lift_subspace(sf.PointDataset(rng.normal(size=(12, 3)), 1), sf.LossSpec(2, 0.5))
+            block = exact._SubspaceSearch.seed_block
+        seeds = exact._combination_block(zset.size, zset.dim - 1, 0, block if full else 1)
+        h, degen = _batched_normals(zset.columns[:, seeds], zset.norms[seeds])
+        _orient(h)
+        below, closed = _classify(zset, h)
+        assert below.shape == closed.shape == (zset.size, seeds.shape[1])
+        below_ref, on_ref = _seed_major_masks(zset, h.T)
+        assert np.array_equal(below, below_ref.T)
+        assert np.array_equal(closed, (below_ref | on_ref).T)
+        assert np.array_equal(closed & ~below, on_ref.T)
+        assert on_ref[~degen].any(axis=1).all()  # a seed's own points are on its hyperplane
 
 
 class TestClassify:
@@ -400,7 +506,7 @@ class TestSharedClassification:
     """The public helpers equal the blocks the searches classify, bit for bit."""
 
     def _recorded_blocks(self, monkeypatch, search_cls, solve):
-        # (seeds, oriented normals, below, on) of every block process_chunk classifies
+        # (seeds, oriented normals, below, closed) of every block process_chunk classifies
         blocks, current = [], []
         chunk, classify_block = search_cls.process_chunk, exact._classify
 
@@ -410,9 +516,9 @@ class TestSharedClassification:
 
         def record_classify(zset, h, ws=None):
             # the masks are views of the search's workspace, which the next block reuses
-            below, on = classify_block(zset, h, ws)
-            blocks.append((current[0], h.copy(), below.copy(), on.copy()))
-            return below, on
+            below, closed = classify_block(zset, h, ws)
+            blocks.append((current[0], h.copy(), below.copy(), closed.copy()))
+            return below, closed
 
         monkeypatch.setattr(search_cls, "process_chunk", record_chunk)
         monkeypatch.setattr(exact, "_classify", record_classify)
@@ -421,14 +527,15 @@ class TestSharedClassification:
 
     def _check(self, zset, blocks):
         checked = 0
-        for subsets, h, below, on in blocks:
-            for i, seed in enumerate(subsets):
+        for subsets, h, below, closed in blocks:
+            for i, seed in enumerate(subsets.T):
                 hp = sf.hyperplane_through(zset, seed)
                 if hp is None:
                     continue
-                assert np.array_equal(hp.normal, h[i]), seed
-                assert np.array_equal(hp.onset, np.flatnonzero(on[i])), seed
-                assert np.array_equal(sf.classify(zset, hp.normal), _signs(below[i], on[i])), seed
+                on = closed[:, i] & ~below[:, i]
+                assert np.array_equal(hp.normal, h[:, i]), seed
+                assert np.array_equal(hp.onset, np.flatnonzero(on)), seed
+                assert np.array_equal(sf.classify(zset, hp.normal), _signs(below[:, i], on)), seed
                 checked += 1
         assert checked > 0
 
@@ -463,6 +570,150 @@ class TestSharedClassification:
         for i in range(data.n):
             assert sf.hyperplane_through(z, (i, i + data.n)).normal[0] == 0.0
         assert sf.exact_regression(data, spec).seeds_skipped == data.n
+
+
+_TOL = ON_HYPERPLANE_TOL
+# margins at the edges of the closed on-band |margin| <= tol, for a point
+# whose tolerance is tol itself (||z|| <= 1), and how each classifies
+_EDGES = {
+    -np.nextafter(_TOL, 1.0): "below",
+    -_TOL: "on",
+    -np.nextafter(_TOL, 0.0): "on",
+    np.nextafter(_TOL, 0.0): "on",
+    _TOL: "on",
+    np.nextafter(_TOL, 1.0): "above",
+}
+
+
+def _near(x, steps=4):
+    # x, then its neighbours up to ``steps`` ulps away, nearest first
+    out, lo, hi = [x], x, x
+    for _ in range(steps):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return out
+
+
+def _inexact(a, b):
+    return Fraction(a) + Fraction(b) != Fraction(a + b)
+
+
+def _edge_instance(eps, copies, rounding=False):
+    """Regression data (d = 1) whose lifted copies sit at the given margins of the normal e_0.
+
+    ``copies`` lists (copy, margin) pairs: the tested points have x = 0, so
+    ||z|| <= 1 and their tolerance is ``ON_HYPERPLANE_TOL`` itself; copy 1's
+    margin is fl(y - eps), copy 2's -fl(fl(y - eps) + 2 eps), which with
+    ``rounding`` is reached by a sum that rounds.  Point 0, at (1, eps), is
+    the seed whose normal is e_0.  Returns the data and the margins of every
+    lifted point, copy 2's by the formula -g - 2 eps.
+    """
+    ys = [eps]
+    for copy, margin in copies:
+        g = margin
+        if copy == 2:
+            sums = (g for g in _near(-margin - 2.0 * eps) if g + 2.0 * eps == -margin)
+            g = next((g for g in sums if not rounding or _inexact(g, 2.0 * eps)), None)
+        y = next((y for y in _near(g + eps) if y - eps == g), None)
+        assert g is not None and y is not None, (copy, margin)
+        ys.append(y)
+    y = np.array(ys)
+    x = np.zeros((y.size, 1))
+    x[0] = 1.0
+    g = y - eps
+    return sf.RegressionDataset(x, y), np.concatenate([g, -g - 2.0 * eps])
+
+
+def _search_counts(data, spec, base, n0):
+    """Whether the regression search counts ``base`` and ``n0`` for its one-seed block [0].
+
+    n0 is the onset counter; base is read off the block-start bound
+    eps^p (n - base) > J + eps^p n0, which at p = 0 with J = n - n0 - b + o
+    skips the seed exactly when base < b - o: base == b when o = -1/2 skips
+    it and o = +1/2 does not.  The completion step is stubbed out.
+    """
+    skipped = []
+    for offset in (-0.5, 0.5):
+        search = exact._RegressionSearch(data, spec)
+        search.j = data.n - n0 - base + offset
+        search._handle_seed = lambda halves, flips: None
+        search.process_chunk(np.zeros((1, 1), dtype=np.intp))
+        assert search.stats.max_onset_size == n0
+        skipped.append(search.stats.inner_loops_skipped == 1)
+    return skipped == [True, False]
+
+
+class TestToleranceEdge:
+    """Margins of exactly +-tol, and one ulp inside and outside, classify by |margin| <= tol."""
+
+    @pytest.mark.parametrize(
+        "eps, copies, rounding, rounded",
+        [
+            # every edge on each lifted copy of a regression point
+            (2.0**-32, [(c, v) for c in (1, 2) for v in _EDGES], False, 0),
+            # the below edges, the other copy below: base counts the point
+            # once it leaves the band
+            (1.2e-9, [(c, v) for c in (1, 2) for v in list(_EDGES)[:3]], False, 0),
+            # the same on copy 1, where fl(g + 2 eps) of copy 2 rounds
+            (1.6e-9, [(1, v) for v in list(_EDGES)[:3]], False, 1),
+            # copy 2 at the edges reached by a sum that rounds (+tol would
+            # take a tie, which rounds to even)
+            (2.9e-10, [(2, v) for v in _EDGES if v != _TOL], True, 5),
+        ],
+    )
+    def test_regression_copies(self, eps, copies, rounding, rounded):
+        data, margins = _edge_instance(eps, copies, rounding)
+        spec = sf.LossSpec(0, eps)
+        zset = sf.lift_regression(data, spec)
+        n = data.n
+        assert np.array_equal(zset.tol, np.full(2 * n, _TOL))
+        rows = [(copy - 1) * n + 1 + i for i, (copy, _) in enumerate(copies)]
+        assert margins[rows].tolist() == [v for _, v in copies]
+        below, on = margins < -_TOL, np.abs(margins) <= _TOL
+        assert [("below" if b else "on" if o else "above") for b, o in zip(below[rows], on[rows])] == [
+            _EDGES[v] for _, v in copies
+        ]
+        # copy 2's margin is tested as -fl(g + 2 eps), the same bits as fl(-g - 2 eps)
+        g = margins[:n]
+        assert np.array_equal(_bits(-(g + 2.0 * eps)), _bits(margins[n:]))
+        assert sum(_inexact(a, 2.0 * eps) for a in g[1:]) >= rounded
+        e0 = np.array([1.0, 0.0])
+        # the lifted classification itself
+        got_below, got_closed = _classify(zset, e0[:, None])
+        assert np.array_equal(got_below[:, 0], below)
+        assert np.array_equal(got_closed[:, 0], below | on)
+        # the public helpers
+        assert np.array_equal(_bits(sf.signed_values(zset, e0)), _bits(margins))
+        assert np.array_equal(sf.classify(zset, e0), _signs(below, on))
+        hp = sf.hyperplane_through(zset, [0])
+        assert np.array_equal(_bits(hp.normal), _bits(e0))
+        assert np.array_equal(hp.onset, np.flatnonzero(on))
+        # the search's counts of the same seed
+        base = int(np.count_nonzero(below[:n] & below[n:]))
+        assert _search_counts(data, spec, base, int(np.count_nonzero(on)))
+        if eps == 1.2e-9:
+            assert base == 2  # the points one ulp below the band, copy 1 and copy 2
+
+    def test_subspace_point(self):
+        # lifted points at every edge of the normal e_0, and a seed through the other axes
+        edges = list(_EDGES)
+        z = np.zeros((len(edges) + 3, 4))
+        z[: len(edges), 0] = edges
+        z[len(edges) :, 1:] = np.eye(3)
+        zset = LiftedSet("subspace", z, z.shape[0], 0.5)
+        assert np.array_equal(zset.tol, np.full(z.shape[0], _TOL))
+        margins = z[:, 0]
+        below, on = margins < -_TOL, np.abs(margins) <= _TOL
+        e0 = np.eye(4)[0]
+        got_below, got_closed = _classify(zset, e0[:, None])
+        assert np.array_equal(got_below[:, 0], below)
+        assert np.array_equal(got_closed[:, 0], below | on)
+        signs = sf.classify(zset, e0)
+        assert np.array_equal(signs, _signs(below, on))
+        assert signs[: len(edges)].tolist() == [{"below": -1, "on": 0, "above": 1}[_EDGES[v]] for v in edges]
+        hp = sf.hyperplane_through(zset, range(len(edges), z.shape[0]))
+        assert np.array_equal(_bits(np.abs(hp.normal)), _bits(e0))
+        assert np.array_equal(hp.onset, np.flatnonzero(on))
 
 
 class TestInliersFromSigns:
