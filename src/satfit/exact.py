@@ -38,19 +38,18 @@ W = ceil(n / 64) ``uint64`` words, point i being bit i % 64 of word i // 64.
 clears one on-hyperplane point per level in its lifted halves, then ANDs
 them; the subspace search adds one seed point per level to its sides.  The
 one branch loop, ``_Search._complete``, takes at most ``_BRANCH_CELLS`` bits
-per call, counts each set's size |S| off its words, prunes a set that is too
-small or fails the count bound eps^p (n - |S|) >= J where that applies
-(regression); skips a set fitted before, keyed by the bytes of its words;
-and fits and scores the rest with the subproblem that p selects:
+per call, counts each set's size |S| off its words, prunes a set by its
+search's rule (regression: the count bound eps^p (n - |S|) >= J; subspace:
+|S| < ds); skips a set fitted before, keyed by the bytes of its words; and
+fits and scores the rest with the subproblem that p selects:
 :func:`.subsolvers._regression_fit` (minimax, LAD or least squares for
-p = 0, 1, 2) or the SVD subspace fit.  While the count bound is on, each new
-set is fitted at once, since its objective can prune the next row;
-otherwise the first row of each set is found with one sort, and only the new
-sets are unpacked and fitted, in row order, in stacks of at most
-``_STACK_CELLS // n``, the subspace fit with one stacked SVD per set size,
-bit for bit the one-set results.  Skipping a repeat cannot change the
-answer: it would reproduce an objective already seen, and only a strictly
-smaller objective replaces the incumbent.
+p = 0, 1, 2) or the SVD subspace fit.  Regression fits each new set at once,
+since its objective can prune the next row; the subspace search finds the
+first row of each set with one sort, and unpacks and fits only the new sets,
+in row order, in stacks of at most ``_STACK_CELLS // n``, with one stacked
+SVD per set size, bit for bit the one-set results.  Skipping a repeat cannot
+change the answer: it would reproduce an objective already seen, and only a
+strictly smaller objective replaces the incumbent.
 """
 
 from __future__ import annotations
@@ -115,8 +114,8 @@ _MAX_ONSET = 20
 # (16,384 rows at n = 10), which amortizes the call's fixed cost.
 _BRANCH_CELLS = 1 << 20
 
-# Mask cells per stack of new inlier sets fitted and scored together (without
-# the count bound): a stack takes max(1, _STACK_CELLS // n) sets, so its
+# Mask cells per stack of new inlier sets fitted and scored together (by the
+# subspace search): a stack takes max(1, _STACK_CELLS // n) sets, so its
 # (sets, n, d) float temporaries stay at most 256 KiB times d.  A stack has a
 # fixed cost, which small stacks repeat; stacks of several MB run slower per
 # set, since their fresh pages are faulted in on use (the glibc rule is in
@@ -320,21 +319,24 @@ class _Search:
     and its solution (``None`` while ``j`` is the trivial eps^p n); it moves
     only on a strictly smaller objective, so the first tie in scan order wins.
     A subclass declares ``seed_block``, the seeds per block of its scan, and
-    implements ``process_chunk(subsets)``, its only per-seed entry point,
-    which builds branch words with :func:`_branch_words` and hands them to
+    its completion rule: ``count_bound`` True prunes a set S by
+    eps^p (n - |S|) >= J, False by |S| < ``min_size``.  It implements
+    ``process_chunk(subsets)``, its only per-seed entry point, which builds
+    branch words with :func:`_branch_words` and hands them to
     :meth:`_complete`, at most ``_BRANCH_CELLS`` bits per call;
     ``_solve_many(masks)``, the objectives and solutions of a stack of inlier
     sets, in row order; and ``_winner()``, the (model, inliers) of ``best``.
     Fitted sets are remembered by the bytes of their packed words.
     """
 
-    def __init__(self, zset, k: int, n: int, eps_p: float, min_size: int, count_bound: bool):
+    count_bound: bool
+    min_size: int  # read only without the count bound
+
+    def __init__(self, zset, k: int, n: int, eps_p: float):
         self.zset = zset
         self.k = k
         self.n = n
         self.eps_p = eps_p
-        self.min_size = min_size
-        self.count_bound = count_bound
         # New sets per _solve_many call without the count bound; under it
         # _complete fits each new set at once, as its objective can prune
         # the next row.
@@ -354,10 +356,10 @@ class _Search:
 
         Row i holds the packed inlier set S of one branch, its set bits the
         size |S|.  The count bound tests eps^p (n - |S|) >= J with the live
-        incumbent J, so while it is on the rows are taken one at a time and
-        each new set is fitted at once: its objective can prune the next row.
-        Otherwise the first row of each set is found at once, and the new
-        sets among them are fitted together, ``stack`` at a time, by
+        incumbent J, so under it the rows are taken one at a time and each
+        new set is fitted at once: its objective can prune the next row.
+        Under the size floor the first row of each set is found at once, and
+        the new sets among them are fitted together, ``stack`` at a time, by
         ``_solve_many``; the first strictly smaller objective in row order
         wins, as it would one row at a time.
         """
@@ -366,7 +368,7 @@ class _Search:
         stats.sign_completions += counts.size
         if self.count_bound:
             for i, cnt in enumerate(counts.tolist()):
-                if cnt < self.min_size or self.eps_p * (self.n - cnt) >= self.j:
+                if self.eps_p * (self.n - cnt) >= self.j:
                     stats.subproblems_pruned += 1
                 elif (key := words[i].tobytes()) in self.fitted:
                     stats.subproblems_reused += 1
@@ -517,32 +519,29 @@ class _Search:
 class _RegressionSearch(_Search):
     """Incumbent-tracking state shared by the exact and sampled regression solvers.
 
-    For p = 0 the count bound applies even without pruning, which keeps
-    pruned and unpruned runs bit-identical.  It stays exact: the minimax fit
-    of a feasible set S leaves at most n - |S| outliers, so an optimal
-    inlier set passes the bound until the optimum is reached.
+    Its completion rule is the count bound, and the bound is exact.  Let S
+    be the inlier set of an optimal model, of objective J*.  Its points
+    outside S each cost eps^p, so J* >= eps^p (n - |S|), and fitting S
+    reaches J* (for p = 0 the minimax fit of the feasible S leaves at most
+    n - |S| outliers).  So S fails the bound only once J <= J*, when the
+    optimum has been reached.  The bound also prunes every empty set, as
+    J <= eps^p n from the start.
     """
 
     seed_block = 2048
+    count_bound = True
 
-    def __init__(self, data: RegressionDataset, spec: LossSpec, *, prune: bool = True):
-        super().__init__(
-            lift_regression(data, spec), data.d, data.n, spec.saturation,
-            min_size=1, count_bound=prune or spec.p == 0,
-        )
+    def __init__(self, data: RegressionDataset, spec: LossSpec):
+        super().__init__(lift_regression(data, spec), data.d, data.n, spec.saturation)
         self.data = data
         self.spec = spec
-        self.prune = prune
         self.p = spec.p
 
     def _solve_many(self, masks: np.ndarray) -> tuple[list[float], list[np.ndarray]]:
-        """Fit and score a stack of inlier sets, one set at a time."""
-        objectives, solutions = [], []
-        for mask in masks:
-            w = _regression_fit(self.data.x[mask], self.data.y[mask], self.p)
-            objectives.append(float(np.sum(loss(self.spec, self.data.y - self.data.x @ w))))
-            solutions.append(w)
-        return objectives, solutions
+        """Fit and score the one inlier set that ``_complete`` hands over per call."""
+        (mask,) = masks
+        w = _regression_fit(self.data.x[mask], self.data.y[mask], self.p)
+        return [float(np.sum(loss(self.spec, self.data.y - self.data.x @ w)))], [w]
 
     def _handle_seed(self, halves: np.ndarray, flips: np.ndarray) -> None:
         """Complete one seed from its packed lifted mask ``closed`` (below or on).
@@ -576,18 +575,14 @@ class _RegressionSearch(_Search):
         stats.seeds_skipped += int(np.count_nonzero(h1_small & ~degen))
         if valid.any():
             stats.max_onset_size = max(stats.max_onset_size, int(n0[valid].max()))
-        if self.prune:
-            # The bound uses the incumbent at block start, which is never
-            # smaller than the live incumbent, so everything skipped here
-            # would also be skipped by a seed-by-seed scan.  Survivors are
-            # re-tested against the live incumbent (cheaply, from the
-            # precomputed counts) before paying for the completion loop.
-            skip = self.eps_p * (self.n - base) > self.j + self.eps_p * n0
-            stats.inner_loops_skipped += int(np.count_nonzero(valid & skip))
-            maybe = valid & ~skip
-        else:
-            maybe = valid
-        seeds = np.flatnonzero(maybe)
+        # The bound uses the incumbent at block start, which is never smaller
+        # than the live incumbent, so everything skipped here would also be
+        # skipped by a seed-by-seed scan.  Survivors are re-tested against
+        # the live incumbent (cheaply, from the precomputed counts) before
+        # paying for the completion loop.
+        skip = self.eps_p * (self.n - base) > self.j + self.eps_p * n0
+        stats.inner_loops_skipped += int(np.count_nonzero(valid & skip))
+        seeds = np.flatnonzero(valid & ~skip)
         if not seeds.size:
             return
         # Packed once per block: the halves of closed (below | on) of the seeds
@@ -602,7 +597,7 @@ class _RegressionSearch(_Search):
         bits = _bit_words(point, self.n)[:, None] * np.eye(2, dtype="<u8")[row % 2, :, None]
         ends = np.cumsum(sizes * kept).tolist()
         for r, (inliers, size) in enumerate(zip(base[seeds].tolist(), sizes.tolist())):
-            if self.prune and self.eps_p * (self.n - inliers) > self.j + self.eps_p * size:
+            if self.eps_p * (self.n - inliers) > self.j + self.eps_p * size:
                 stats.inner_loops_skipped += 1
                 continue
             if size > _MAX_ONSET:
@@ -618,8 +613,8 @@ class _RegressionSearch(_Search):
 
 
 def _regression_range_task(payload) -> dict:
-    x, y, p, eps, prune, start, stop = payload
-    search = _RegressionSearch(RegressionDataset(x, y), LossSpec(p, eps), prune=prune)
+    x, y, p, eps, start, stop = payload
+    search = _RegressionSearch(RegressionDataset(x, y), LossSpec(p, eps))
     search.run_range(start, stop)
     return search.partial()
 
@@ -629,7 +624,6 @@ def exact_regression(
     spec: LossSpec,
     *,
     threads: int = 1,
-    prune: bool = True,
     progress: ProgressFn | None = None,
     should_stop: StopFn | None = None,
 ) -> SolveReport:
@@ -646,16 +640,14 @@ def exact_regression(
     ``threads`` > 1, at least 8,192 seeds and no ``should_stop``,
     min(``threads``, cores) worker processes scan contiguous ranges; the
     answer does not depend on the schedule, the solved/reused counters do
-    (each worker has its own fit memo).  ``prune=False`` disables the
-    incumbent bounds (for verification; the result must not change).
-    ``progress(seeds done, incumbent)`` and ``should_stop`` run after every
-    block (with workers, ``progress`` once per range); a run given
-    ``should_stop`` scans sequentially, so it can be cancelled at any
-    thread count.
+    (each worker has its own fit memo).  ``progress(seeds done,
+    incumbent)`` and ``should_stop`` run after every block (with workers,
+    ``progress`` once per range); a run given ``should_stop`` scans
+    sequentially, so it can be cancelled at any thread count.
     """
     t0 = perf_counter()
-    search = _RegressionSearch(data, spec, prune=prune)
-    payload = (data.x, data.y, spec.p, spec.epsilon, prune)
+    search = _RegressionSearch(data, spec)
+    payload = (data.x, data.y, spec.p, spec.epsilon)
     search.solve(_regression_range_task, payload, threads, progress, should_stop)
     return search.build_report(perf_counter() - t0, approximate=False)
 
@@ -708,9 +700,14 @@ def approx_regression_p0(data: RegressionDataset, spec: LossSpec) -> tuple[Regre
 
 
 class _SubspaceSearch(_Search):
-    """Incumbent-tracking state shared by the exact and sampled subspace solvers."""
+    """Incumbent-tracking state shared by the exact and sampled subspace solvers.
+
+    Its completion rule is the size floor: a set of fewer than ds points
+    does not determine a ds-dimensional subspace.
+    """
 
     seed_block = _BLOCK
+    count_bound = False
 
     def __init__(self, data: PointDataset, spec: LossSpec):
         if spec.p == 1:
@@ -718,13 +715,10 @@ class _SubspaceSearch(_Search):
                 "p = 1 subspace estimation is unsupported: the "
                 "fixed-classification subproblem has no solver here"
             )
-        super().__init__(
-            lift_subspace(data, spec), data.lifted_dim, data.n, spec.saturation,
-            min_size=max(data.subspace_dim, 1), count_bound=False,
-        )
+        super().__init__(lift_subspace(data, spec), data.lifted_dim, data.n, spec.saturation)
         self.data = data
         self.spec = spec
-        self.ds = data.subspace_dim
+        self.ds = self.min_size = data.subspace_dim
 
     def process_chunk(self, subsets: np.ndarray) -> None:
         """Process a block of seeds, in order.

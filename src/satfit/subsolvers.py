@@ -391,9 +391,7 @@ def _svd_basis(points: np.ndarray, ds: int) -> tuple[np.ndarray, np.ndarray | fl
     return u[..., :ds], gap
 
 
-def solve_subspace_p2(
-    data: PointDataset, subset, subspace_dim: int | None = None
-) -> SubspaceModel:
+def solve_subspace_p2(data: PointDataset, subset) -> SubspaceModel:
     """Best squared-residual subspace through the subset, via the SVD.
 
     Minimizes the sum of squared projection residuals over the subset.  When
@@ -401,7 +399,7 @@ def solve_subspace_p2(
     not unique; the result is still valid and a
     :class:`NonUniqueBasisWarning` is emitted.
     """
-    ds = data.subspace_dim if subspace_dim is None else int(subspace_dim)
+    ds = data.subspace_dim
     idx = _subset_array(subset, data.n, ds)
     basis, gap = _svd_basis(data.x[idx], ds)
     if gap <= 1e-10:

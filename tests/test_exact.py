@@ -85,6 +85,14 @@ def random_regression_instance(seed, n=9, d=2, r=0.3):
     return generate_regression(cfg)[0]
 
 
+def oracle_instances():
+    """(data, eps) pairs at d = 2 that the search is checked on against the oracles."""
+    for seed in range(10):
+        yield random_regression_instance(seed), 0.5 if seed % 2 else 1.0
+    for seed in range(8):
+        yield random_regression_instance(seed, n=8), 0.7
+
+
 def stat_fields(pid):
     """Fields of /proc/<pid>/stat after the command name (state first), or None if gone."""
     try:
@@ -262,9 +270,8 @@ class TestExactRegression:
 
     @pytest.mark.parametrize("p", [0, 2])
     def test_matches_oracle(self, p):
-        for seed in range(10):
-            data = random_regression_instance(seed)
-            spec = sf.LossSpec(p, 0.5 if seed % 2 else 1.0)
+        for data, eps in oracle_instances():
+            spec = sf.LossSpec(p, eps)
             report = sf.exact_regression(data, spec)
             reference = sf.oracle_regression(data, spec)
             if p == 0:
@@ -277,13 +284,16 @@ class TestExactRegression:
     def test_matches_oracle_p1(self):
         # The p = 1 oracle scans the vertices of its arrangement and shares
         # no solver with the search.
-        for d, n in ((1, 10), (2, 9), (3, 8)):
-            for seed in range(10):
-                data = random_regression_instance(seed, n=n, d=d)
-                spec = sf.LossSpec(1, 0.5 if seed % 2 else 1.0)
-                report = sf.exact_regression(data, spec)
-                reference = sf.oracle_regression(data, spec)
-                assert report.objective == pytest.approx(reference.objective, rel=1e-9, abs=1e-12)
+        instances = [
+            (random_regression_instance(seed, n=n, d=d), 0.5 if seed % 2 else 1.0)
+            for d, n in ((1, 10), (3, 8))
+            for seed in range(10)
+        ]
+        for data, eps in instances + list(oracle_instances()):
+            spec = sf.LossSpec(1, eps)
+            report = sf.exact_regression(data, spec)
+            reference = sf.oracle_regression(data, spec)
+            assert report.objective == pytest.approx(reference.objective, rel=1e-9, abs=1e-12)
 
     def test_matches_the_p1_vertex_scan_at_n60(self):
         # The public oracle refuses n > 20; its p = 1 vertex scan visits
@@ -318,21 +328,18 @@ class TestExactRegression:
     @pytest.mark.parametrize("p", [0, 1, 2])
     def test_every_branch_is_solved_pruned_or_reused(self, p):
         data = random_regression_instance(1, n=8, d=2)
-        for prune in (True, False):
-            report = sf.exact_regression(data, sf.LossSpec(p, 0.5), prune=prune)
-            assert (
-                report.subproblems_solved
-                + report.subproblems_pruned
-                + report.subproblems_reused
-                == report.sign_completions
-            )
-            if p == 0:
-                # The minimax fit of a feasible set S leaves at most
-                # n - |S| outliers, so the incumbent drops to at most that
-                # count and S fails the count bound when it is met again.
-                assert report.subproblems_reused == 0
-            else:
-                assert report.subproblems_reused > 0
+        report = sf.exact_regression(data, sf.LossSpec(p, 0.5))
+        assert (
+            report.subproblems_solved + report.subproblems_pruned + report.subproblems_reused
+            == report.sign_completions
+        )
+        if p == 0:
+            # The minimax fit of a feasible set S leaves at most n - |S|
+            # outliers, so the incumbent drops to at most that count and S
+            # fails the count bound when it is met again.
+            assert report.subproblems_reused == 0
+        else:
+            assert report.subproblems_reused > 0
 
     def test_monotone_incumbent(self, monkeypatch):
         data = random_regression_instance(2, n=10)
@@ -340,20 +347,6 @@ class TestExactRegression:
         monkeypatch.setattr(exact._RegressionSearch, "seed_block", 8)
         sf.exact_regression(data, sf.LossSpec(2, 0.6), progress=lambda done, j: seen.append(j))
         assert all(a >= b for a, b in zip(seen, seen[1:]))
-
-    def test_pruning_does_not_change_the_answer(self):
-        for seed in range(8):
-            data = random_regression_instance(seed, n=8)
-            for p in (0, 1, 2):
-                spec = sf.LossSpec(p, 0.7)
-                fast = sf.exact_regression(data, spec)
-                slow = sf.exact_regression(data, spec, prune=False)
-                assert np.array_equal(fast.inliers, slow.inliers)
-                # Distinct inlier sets can share one LAD model; pruning may
-                # keep another of them, and the vertex solver computes that
-                # model from its sorted basis, so it is the same bits.
-                assert fast.objective == slow.objective
-                assert np.array_equal(fast.model.w, slow.model.w)
 
     def test_bit_identical_reruns(self):
         data = random_regression_instance(3)
@@ -961,7 +954,7 @@ class TestBranchLoop:
         on[0, [point, n + point]] = True
         below = ~on & (rng.random((seeds, 2 * n)) < 0.8)
         data = sf.RegressionDataset(rng.normal(size=(n, 1)), rng.normal(size=n))
-        search = exact._RegressionSearch(data, sf.LossSpec(1, 0.5), prune=False)
+        search = exact._RegressionSearch(data, sf.LossSpec(1, 0.5))
         subsets = np.zeros((1, seeds), dtype=np.intp)
         calls = branch_rows(search, subsets, below, on, rows * 64 * -(-n // 64))
         masks = np.concatenate([reference_regression_masks(b, o) for b, o in zip(below, on)])
@@ -1013,7 +1006,7 @@ class TestBranchLoop:
         fitted, pruned, reused = [], 0, 0
         seen, j = set(search.fitted), search.j
         for row, cnt in zip(rows, counts):
-            if cnt < search.min_size or (search.count_bound and search.eps_p * (search.n - cnt) >= j):
+            if search.eps_p * (search.n - cnt) >= j if search.count_bound else cnt < search.min_size:
                 pruned += 1
             elif row.tobytes() in seen:
                 reused += 1
@@ -1027,8 +1020,13 @@ class TestBranchLoop:
     @pytest.mark.parametrize("count_bound", [False, True])
     @pytest.mark.parametrize("seed", range(4))
     def test_complete_matches_a_row_by_row_scan(self, n, count_bound, seed):
+        # Each search's rule: the count bound alone (regression), the size
+        # floor alone (subspace).
         rng = np.random.default_rng(seed)
-        search = exact._Search(None, 1, n, 1.0, min_size=n // 3, count_bound=count_bound)
+        search = exact._Search(None, 1, n, 1.0)
+        search.count_bound = count_bound
+        if not count_bound:
+            search.min_size = n // 3
         search.stack = 3
         fitted = []
 
@@ -1052,7 +1050,7 @@ class TestBranchLoop:
         for _ in range(2):  # the second call meets sets the first one fitted
             rows = np.concatenate([pool[rng.integers(pool.shape[0], size=300)], pair])
             counts = np.count_nonzero(exact._unpack(rows, n), axis=1)
-            assert counts[300:].min(initial=n) >= search.min_size  # the pair reaches the sort
+            assert counts[300:].min(initial=n) >= n // 3  # the pair reaches the sort
             expected, pruned, reused = self.reference_scan(search, rows, counts)
             before = dataclasses.replace(search.stats)
             fitted.clear()
@@ -1063,7 +1061,20 @@ class TestBranchLoop:
             assert search.stats.subproblems_reused - before.subproblems_reused == reused
             assert search.stats.sign_completions - before.sign_completions == rows.shape[0]
 
-    @pytest.mark.parametrize("n, d, draws", [(70, 2, 200), (70, 3, 40), (130, 2, 200), (130, 3, 40)])
+    @pytest.mark.parametrize("n", [9, 70])
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_count_bound_prunes_an_empty_branch(self, n, p):
+        # Regression has no size floor: J <= eps^p n from the start, so the
+        # count bound eps^p (n - 0) >= J prunes the empty set.
+        search = exact._RegressionSearch(random_regression_instance(1, n=n), sf.LossSpec(p, 0.7))
+        assert search.j == search.eps_p * n and search.best is None
+        fits = []
+        search._solve_many = fits.append
+        search._complete(np.zeros((1, -(-n // 64)), dtype="<u8"))
+        assert fits == []
+        assert search.stats == SearchStats(sign_completions=1, subproblems_pruned=1)
+
+    @pytest.mark.parametrize("n, d, draws",[(70, 2, 200), (70, 3, 40), (130, 2, 200), (130, 3, 40)])
     @pytest.mark.parametrize("p", [0, 2])
     def test_sampled_runs_with_several_words(self, n, d, draws, p):
         cfg = SubspaceGeneratorConfig(n=n, d=d, subspace_dim=1, outlier_fraction=0.3, rng_seed=n + d)
