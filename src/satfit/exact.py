@@ -39,17 +39,21 @@ clears one on-hyperplane point per level in its lifted halves, then ANDs
 them; the subspace search adds one seed point per level to its sides.  The
 one branch loop, ``_Search._complete``, takes at most ``_BRANCH_CELLS`` bits
 per call, counts each set's size |S| off its words, prunes a set by its
-search's rule (regression: the count bound eps^p (n - |S|) >= J; subspace:
-|S| < ds); skips a set fitted before, keyed by the bytes of its words; and
-fits and scores the rest with the subproblem that p selects:
-:func:`.subsolvers._regression_fit` (minimax, LAD or least squares for
-p = 0, 1, 2) or the SVD subspace fit.  Regression fits each new set at once,
-since its objective can prune the next row; the subspace search finds the
-first row of each set with one sort, and unpacks and fits only the new sets,
-in row order, in stacks of at most ``_STACK_CELLS // n``, with one stacked
-SVD per set size, bit for bit the one-set results.  Skipping a repeat cannot
-change the answer: it would reproduce an objective already seen, and only a
-strictly smaller objective replaces the incumbent.
+search's rule (regression and the exhaustive p = 2 subspace search: the
+count bound eps^p (n - |S|) >= J; subspace: also |S| < ds); skips a set
+fitted before, keyed by the bytes of its words; and fits and scores the rest
+with the subproblem that p selects: :func:`.subsolvers._regression_fit`
+(minimax, LAD or least squares for p = 0, 1, 2) or the SVD subspace fit.
+Regression fits each new set at once, since its objective can prune the
+next row; the subspace search finds the first row of each set with one sort,
+and unpacks and fits only the new sets, in stacks of at most
+``_STACK_CELLS // n``, with one stacked SVD per set size, bit for bit the
+one-set results.  Under the count bound it fits them largest first while
+their size passes the bound, then the others that a row-order replay can
+reach, and replays them in row order, so that its answer and counters are
+those of a scan one row at a time.  Skipping a repeat cannot change the
+answer: it would reproduce an objective already seen, and only a strictly
+smaller objective replaces the incumbent.
 """
 
 from __future__ import annotations
@@ -320,30 +324,30 @@ class _Search:
     only on a strictly smaller objective, so the first tie in scan order wins.
     A subclass declares ``seed_block``, the seeds per block of its scan, and
     its completion rule: ``count_bound`` True prunes a set S by
-    eps^p (n - |S|) >= J, False by |S| < ``min_size``.  It implements
-    ``process_chunk(subsets)``, its only per-seed entry point, which builds
-    branch words with :func:`_branch_words` and hands them to
-    :meth:`_complete`, at most ``_BRANCH_CELLS`` bits per call;
-    ``_solve_many(masks)``, the objectives and solutions of a stack of inlier
-    sets, in row order; and ``_winner()``, the (model, inliers) of ``best``.
-    Fitted sets are remembered by the bytes of their packed words.
+    eps^p (n - |S|) >= J; ``stack``, when set, makes :meth:`_complete` fit
+    the new sets in stacks, and then ``min_size`` also prunes S by
+    |S| < ``min_size``.  It implements ``process_chunk(subsets)``, its only
+    per-seed entry point, which builds branch words with
+    :func:`_branch_words` and hands them to :meth:`_complete`, at most
+    ``_BRANCH_CELLS`` bits per call; ``_solve_many(masks)``, the objectives
+    and solutions of a stack of inlier sets, in row order; and
+    ``_winner()``, the (model, inliers) of ``best``.  Fitted sets are
+    remembered by the bytes of their packed words.
     """
 
     count_bound: bool
-    min_size: int  # read only without the count bound
+    min_size: int  # read only by the stacked path
+    # New sets per _solve_many call of the stacked path, with ``hash``, the
+    # odd multipliers of the row hash that sorts rows of several words; None:
+    # each new set is fitted at its own row.
+    stack: int | None = None
+    hash: np.ndarray
 
     def __init__(self, zset, k: int, n: int, eps_p: float):
         self.zset = zset
         self.k = k
         self.n = n
         self.eps_p = eps_p
-        # New sets per _solve_many call without the count bound; under it
-        # _complete fits each new set at once, as its objective can prune
-        # the next row.
-        self.stack = max(1, _STACK_CELLS // n)
-        # Odd multipliers of the row hash that sorts rows of several words.
-        words = -(-n // 64)
-        self.hash = np.random.default_rng(0).integers(2**64, size=words, dtype=np.uint64) | 1
         self.j = eps_p * n
         self.best = None
         self.stats = SearchStats()
@@ -355,18 +359,32 @@ class _Search:
         """Prune, reuse or fit the branches in ``words``, as a row-order scan would.
 
         Row i holds the packed inlier set S of one branch, its set bits the
-        size |S|.  The count bound tests eps^p (n - |S|) >= J with the live
-        incumbent J, so under it the rows are taken one at a time and each
-        new set is fitted at once: its objective can prune the next row.
-        Under the size floor the first row of each set is found at once, and
-        the new sets among them are fitted together, ``stack`` at a time, by
-        ``_solve_many``; the first strictly smaller objective in row order
-        wins, as it would one row at a time.
+        size |S|.  A set is pruned by the rule at its row, with the live
+        incumbent J; else it is reused if fitted before, else fitted.  A
+        pruned set is not remembered: J only falls, so it fails again.
+        Without ``stack`` (regression) the rule is the count bound, the rows
+        are taken one at a time and each new set is fitted at once, as its
+        objective can prune the next row.
+
+        With ``stack``, a row is pruned at once if |S| < ``min_size`` or if
+        it fails the count bound against the incumbent of the call's start,
+        which it fails at its own row too.  One sort finds the first row of
+        each other set; a set can only be fitted there.  Without the count
+        bound the new sets among them are fitted in row order, ``stack`` at
+        a time, by ``_solve_many``.  Under it they are fitted largest first,
+        in calls of max(32, sets fitted before) sets, until a set fails the
+        bound against the smallest objective found; then the sets are fitted
+        that a row-order replay reaches when it leaves the unfitted ones
+        out, since its incumbent stays at least the true one.  A replay in
+        row order then moves the incumbent on the first strictly smaller
+        objective of a set that passes the rule; a set fitted ahead but
+        pruned at its own row counts as pruned, and each other row is pruned
+        by the rule with the incumbent of its row, or reused.
         """
         stats = self.stats
         counts = np.bitwise_count(words).sum(axis=1)
         stats.sign_completions += counts.size
-        if self.count_bound:
+        if self.stack is None:
             for i, cnt in enumerate(counts.tolist()):
                 if self.eps_p * (self.n - cnt) >= self.j:
                     stats.subproblems_pruned += 1
@@ -376,20 +394,72 @@ class _Search:
                     self.fitted.add(key)
                     self._fit(_unpack(words[i : i + 1], self.n))
             return
-        rows = np.flatnonzero(counts >= self.min_size)
+        # eps^p (n - |S|) of each row, which prunes S once J is at most it;
+        # J only falls, so a row that fails it now is pruned at once
+        if self.count_bound:
+            bound = self.eps_p * (self.n - counts)
+        else:
+            bound = np.full(counts.size, -np.inf)
+        rows = np.flatnonzero((counts >= self.min_size) & (bound < self.j))
         stats.subproblems_pruned += counts.size - rows.size
         if not rows.size:
             return
-        firsts = words[rows[self._first_rows(words[rows])]]
-        keys = firsts.view(np.dtype((np.void, firsts.itemsize * firsts.shape[1])))
-        new = []
-        for i, key in enumerate(keys.ravel().tolist()):
-            if key not in self.fitted:
-                self.fitted.add(key)
-                new.append(i)
-        stats.subproblems_reused += rows.size - len(new)
-        for first in range(0, len(new), self.stack):
-            self._fit(_unpack(firsts[new[first : first + self.stack]], self.n))
+        firsts = rows[self._first_rows(words[rows])]
+        keys = words[firsts].view(np.dtype((np.void, 8 * words.shape[1]))).ravel().tolist()
+        new = [i for i, key in enumerate(keys) if key not in self.fitted]
+        first_rows = firsts[new]
+        new_bound = bound[first_rows]
+        objectives = np.full(len(new), np.inf)  # inf until fitted; a fit scores at most eps^p n
+        solutions: list = [None] * len(new)
+
+        def fit(sets: np.ndarray) -> None:
+            """Fit the new sets at positions ``sets``, ``stack`` at a time."""
+            for at in range(0, sets.size, self.stack):
+                chunk = sets[at : at + self.stack]
+                masks = _unpack(words[first_rows[chunk]], self.n)
+                objectives[chunk], results = self._solve_many(masks)
+                for t, solution in zip(chunk.tolist(), results):
+                    solutions[t] = solution
+
+        if self.count_bound:
+            order, j, done = np.argsort(new_bound), self.j, 0  # the largest sets first
+            while done < order.size and new_bound[order[done]] < j:
+                chunk = order[done : done + max(32, done)]  # calls grow while J settles
+                chunk = chunk[new_bound[chunk] < j]
+                fit(chunk)
+                j, done = min(j, objectives[chunk].min()), done + chunk.size
+            reached = new_bound < self._replay(new_bound, objectives)[0][:-1]
+            fit(np.flatnonzero(reached & np.isinf(objectives)))
+        else:
+            fit(np.arange(len(new)))
+        incumbents, last = self._replay(new_bound, objectives)
+        solved = np.flatnonzero(new_bound < incumbents[:-1])
+        self.fitted.update([keys[new[t]] for t in solved.tolist()])
+        if last is not None:
+            self.j, self.best = float(objectives[last]), solutions[last]
+        # the incumbent of each row: of a new set's row, the one before it
+        at_row = np.repeat(incumbents, np.diff(first_rows, prepend=-1, append=counts.size - 1))
+        pruned = int(np.count_nonzero((bound >= at_row)[rows]))
+        stats.subproblems_solved += solved.size
+        stats.subproblems_pruned += pruned
+        stats.subproblems_reused += rows.size - pruned - solved.size
+
+    def _replay(self, bound: np.ndarray, objectives: np.ndarray) -> tuple[np.ndarray, int | None]:
+        """A row-order replay of the new sets of a call, from the incumbent ``j``.
+
+        Set t is pruned while J <= ``bound[t]``; else ``objectives[t]`` < J
+        moves J.  Returns the incumbent before each set and after the last,
+        and the position of the last move (None if J does not move); ``j``
+        itself is left as it is.
+        """
+        incumbents = np.empty(bound.size + 1)
+        j, t, last = self.j, 0, None
+        while (moves := np.flatnonzero((bound[t:] < j) & (objectives[t:] < j))).size:
+            incumbents[t : t + moves[0] + 1] = j
+            last = t + int(moves[0])
+            j, t = objectives[last], last + 1
+        incumbents[t:] = j
+        return incumbents, last
 
     def _first_rows(self, words: np.ndarray) -> np.ndarray:
         """Indices of the first row of each distinct row of ``words``, in row order.
@@ -702,14 +772,28 @@ def approx_regression_p0(data: RegressionDataset, spec: LossSpec) -> tuple[Regre
 class _SubspaceSearch(_Search):
     """Incumbent-tracking state shared by the exact and sampled subspace solvers.
 
-    Its completion rule is the size floor: a set of fewer than ds points
-    does not determine a ds-dimensional subspace.
+    Its completion rule is the size floor, since a set of fewer than ds
+    points does not determine a ds-dimensional subspace, and for an
+    ``exhaustive`` search at p = 2 also the count bound, which is then
+    exact.  Let S be the points within epsilon of an optimal basis, of
+    objective J*.  The points outside S each cost eps^2, so
+    J* >= eps^2 (n - |S|).  Under the SVD fit of S a point of S costs at
+    most its squared residual, whose sum over S is at most the sum under
+    the optimal basis, which is what S costs there; a point outside S costs
+    at most eps^2 under any basis.  So the fit of S scores at most J*.  The
+    enumeration of every seed reaches S as a branch, so S fails the bound
+    only once J <= J*, when the optimum has been reached.  At p = 0 the fit
+    of S is still an L2 fit, which can leave a point of S outside epsilon
+    and score above J*, so the bound could prune the best set the search can
+    find.  A sampled search sees only the branches of its drawn seeds, which
+    need not include S; a set it prunes can score below eps^2 (n - |S|),
+    since its fit can keep points outside it, and be the best drawn one.
+    Both keep the floor alone.
     """
 
     seed_block = _BLOCK
-    count_bound = False
 
-    def __init__(self, data: PointDataset, spec: LossSpec):
+    def __init__(self, data: PointDataset, spec: LossSpec, *, exhaustive: bool = True):
         if spec.p == 1:
             raise ValueError(
                 "p = 1 subspace estimation is unsupported: the "
@@ -719,6 +803,10 @@ class _SubspaceSearch(_Search):
         self.data = data
         self.spec = spec
         self.ds = self.min_size = data.subspace_dim
+        self.count_bound = exhaustive and spec.p == 2
+        self.stack = max(1, _STACK_CELLS // data.n)
+        words = -(-data.n // 64)
+        self.hash = np.random.default_rng(0).integers(2**64, size=words, dtype=np.uint64) | 1
 
     def process_chunk(self, subsets: np.ndarray) -> None:
         """Process a block of seeds, in order.
@@ -801,12 +889,17 @@ def exact_subspace(
     points form a candidate inlier set, which is fitted by the
     squared-residual subspace solver and scored with the true objective.
     Supports p in {0, 2}.  The p = 2 result is the global minimum for data
-    in general position; p = 0 results are flagged ``approximate``, because
-    the SVD fit of a feasible inlier set can leave one of its points outside
-    epsilon, so the reported outlier count may exceed the optimum.
-    ``threads`` is used as in :func:`exact_regression`, from 1,024 seeds on
-    and only without ``should_stop``; ``progress`` and ``should_stop`` run
-    every 256 seeds and after the last.
+    in general position, and p = 2 prunes a candidate set S by the count
+    bound eps^2 (n - |S|) >= J as well as by |S| < ds (see
+    :class:`_SubspaceSearch`); p = 0 results are flagged ``approximate``,
+    because the SVD fit of a feasible inlier set can leave one of its points
+    outside epsilon, so the reported outlier count may exceed the optimum,
+    and p = 0 prunes by size alone.  ``threads`` is used as in
+    :func:`exact_regression`, from 1,024 seeds on and only without
+    ``should_stop``; the answer does not depend on it, the solved and reused
+    counters do, and at p = 2 the pruned counter too, as each worker bounds
+    with its own incumbent.  ``progress`` and ``should_stop`` run every 256
+    seeds and after the last.
     """
     t0 = perf_counter()
     search = _SubspaceSearch(data, spec)

@@ -212,7 +212,7 @@ def sampled_subspace(
     ``progress`` is called after every block and after the last seed.
     """
     t0 = perf_counter()
-    search = _SubspaceSearch(data, spec)
+    search = _SubspaceSearch(data, spec, exhaustive=False)
     search.run_draws(_draw_seeds(cfg.rng_seed, cfg.n_iters, data.n, data.lifted_dim), progress)
     return search.build_report(perf_counter() - t0, approximate=True)
 

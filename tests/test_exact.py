@@ -851,9 +851,13 @@ class TestExactSubspace:
             assert np.array_equal(par.model.basis, seq.model.basis)
             assert np.array_equal(par.inliers, seq.inliers)
             # each worker keeps its own fit memo, so a set fitted by both
-            # workers moves one branch from reused to solved (here 4,058 sets
-            # are fitted with 2 threads against 2,319 with 1)
+            # workers moves one branch from reused to solved (at p = 0,
+            # 4,058 sets are fitted with 2 threads against 2,319 with 1); at
+            # p = 2 each worker also bounds with its own incumbent, so the
+            # pruned count moves too (1,878 fitted against 1,070)
             memo = ("subproblems_solved", "subproblems_reused")
+            if p == 2:
+                memo += ("subproblems_pruned",)
             for counter in COUNTERS:
                 if counter not in memo:
                     assert getattr(par, counter) == getattr(seq, counter), (p, counter)
@@ -1001,40 +1005,53 @@ class TestBranchLoop:
             assert np.array_equal(words[b], expected)
 
     @staticmethod
-    def reference_scan(search, rows, counts):
-        """(fitted rows, pruned, reused) of a one-row-at-a-time scan of a Python set."""
+    def fake_objective(packed, n):
+        """n - |S| + 1/2 less 0, 1/2 or 1 by the first byte of the set's packed bytes.
+
+        A fit moves the incumbent, so the count bound prunes later rows, and
+        an objective can fall below the set's own bound n - |S| (eps^p = 1).
+        """
+        return n - int(np.bitwise_count(packed).sum()) + 0.5 - 0.5 * int(packed[0] % 3)
+
+    @classmethod
+    def reference_scan(cls, search, rows, counts):
+        """(fitted rows, pruned, reused, incumbent) of a one-row-at-a-time scan of a Python set."""
         fitted, pruned, reused = [], 0, 0
-        seen, j = set(search.fitted), search.j
+        seen, j, best = set(search.fitted), search.j, search.best
+        floor = search.min_size if search.stack is not None else 0
         for row, cnt in zip(rows, counts):
-            if search.eps_p * (search.n - cnt) >= j if search.count_bound else cnt < search.min_size:
+            if cnt < floor or search.count_bound and search.eps_p * (search.n - cnt) >= j:
                 pruned += 1
             elif row.tobytes() in seen:
                 reused += 1
             else:
                 seen.add(row.tobytes())
                 fitted.append(row.tobytes())
-                j = min(j, search.n - cnt + 0.5)
-        return fitted, pruned, reused
+                if (objective := cls.fake_objective(row.view(np.uint8), search.n)) < j:
+                    j, best = objective, row.tobytes()
+        return fitted, pruned, reused, (j, best)
 
     @pytest.mark.parametrize("n", [64, 128, 150])
-    @pytest.mark.parametrize("count_bound", [False, True])
+    @pytest.mark.parametrize(
+        "count_bound, stack", [(True, None), (False, 3), (True, 3)], ids=["bound", "floor", "both"]
+    )
     @pytest.mark.parametrize("seed", range(4))
-    def test_complete_matches_a_row_by_row_scan(self, n, count_bound, seed):
-        # Each search's rule: the count bound alone (regression), the size
-        # floor alone (subspace).
+    def test_complete_matches_a_row_by_row_scan(self, n, count_bound, stack, seed):
+        # Each search's rule: the count bound alone, one row at a time
+        # (regression); the size floor alone, in stacks (subspace at p = 0
+        # and sampled); both, in stacks (exact subspace at p = 2).
         rng = np.random.default_rng(seed)
         search = exact._Search(None, 1, n, 1.0)
         search.count_bound = count_bound
-        if not count_bound:
-            search.min_size = n // 3
-        search.stack = 3
+        row_hash = np.random.default_rng(1).integers(2**64, size=-(-n // 64), dtype=np.uint64) | 1
+        if stack is not None:
+            search.stack, search.hash, search.min_size = stack, row_hash, n // 3
         fitted = []
 
         def solve_many(masks):
-            # objective n - |S| + 1/2: a fit moves the incumbent, so the
-            # count bound prunes later rows
-            fitted.extend(row.tobytes() for row in padded_packbits(masks))
-            return [n - int(c) + 0.5 for c in np.count_nonzero(masks, axis=1)], list(masks)
+            packed = padded_packbits(masks)
+            fitted.extend(row.tobytes() for row in packed)
+            return [self.fake_objective(row, n) for row in packed], [row.tobytes() for row in packed]
 
         search._solve_many = solve_many
         pool = exact._pack(rng.random((40, n)) < rng.uniform(0.3, 0.7, size=(40, 1)))
@@ -1044,22 +1061,75 @@ class TestBranchLoop:
             # sum(hash * words) mod 2**64
             a = exact._pack(np.ones((1, n), dtype=bool))[0]
             b = a.copy()
-            b[:2] += search.hash[[1, 0]] * np.array([1, -1 % 2**64], dtype=np.uint64)
-            assert (a * search.hash).sum() == (b * search.hash).sum() and not np.array_equal(a, b)
+            b[:2] += row_hash[[1, 0]] * np.array([1, -1 % 2**64], dtype=np.uint64)
+            assert (a * row_hash).sum() == (b * row_hash).sum() and not np.array_equal(a, b)
             pair = np.stack([a, b])
         for _ in range(2):  # the second call meets sets the first one fitted
             rows = np.concatenate([pool[rng.integers(pool.shape[0], size=300)], pair])
             counts = np.count_nonzero(exact._unpack(rows, n), axis=1)
             assert counts[300:].min(initial=n) >= n // 3  # the pair reaches the sort
-            expected, pruned, reused = self.reference_scan(search, rows, counts)
-            before = dataclasses.replace(search.stats)
+            expected, pruned, reused, incumbent = self.reference_scan(search, rows, counts)
+            before, memo = dataclasses.replace(search.stats), set(search.fitted)
             fitted.clear()
             search._complete(rows)
-            assert fitted == expected
+            if count_bound and stack is not None:
+                # sets are fitted largest first, and some ahead of the
+                # replay that then prunes them; only the replay's fits count
+                assert len(set(fitted)) == len(fitted) and set(expected) <= set(fitted)
+            else:
+                assert fitted == expected
+            assert search.fitted - memo == set(expected)
+            assert (search.j, search.best) == incumbent
             assert search.stats.subproblems_solved - before.subproblems_solved == len(expected)
             assert search.stats.subproblems_pruned - before.subproblems_pruned == pruned
             assert search.stats.subproblems_reused - before.subproblems_reused == reused
             assert search.stats.sign_completions - before.sign_completions == rows.shape[0]
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("fit_first", [False, True])
+    def test_count_bound_edge(self, extra, fit_first):
+        # At p = 2 a set S with eps^2 (n - |S|) == J is pruned and S plus one
+        # point is fitted, whether J is the incumbent at the call's start or
+        # the objective of a larger set fitted on an earlier row of the call.
+        cfg = SubspaceGeneratorConfig(n=10, d=2, subspace_dim=1, outlier_fraction=0.3, rng_seed=1)
+        search = _SubspaceSearch(generate_subspace(cfg)[0], sf.LossSpec(2, 0.5))
+        assert search.count_bound and search.eps_p == 0.25
+        masks = np.zeros((2, 10), dtype=bool)
+        masks[0, :8] = True
+        masks[1, : 4 + extra] = True
+        if not fit_first:
+            search.j, masks = 0.25 * (10 - 4), masks[1:]
+        search._solve_many = lambda sets: ([0.25 * (10 - 4)] * len(sets), [None] * len(sets))
+        search._complete(exact._pack(masks))
+        assert search.j == 0.25 * (10 - 4)
+        assert search.fitted == {row.tobytes() for row in exact._pack(masks[: fit_first + extra])}
+        assert search.stats == SearchStats(
+            sign_completions=masks.shape[0],
+            subproblems_solved=fit_first + extra,
+            subproblems_pruned=1 - extra,
+        )
+
+    def test_a_set_fitted_ahead_and_pruned_at_its_row_changes_nothing(self):
+        # Both sets are fitted in one call, the larger first.  The set of 8
+        # points on row 0 lowers J to 1; the set of 5 on row 1 then fails
+        # eps^2 (n - 5) = 1.25 >= J, so its smaller objective 0.9 is dropped
+        # and it counts as pruned, not solved.
+        cfg = SubspaceGeneratorConfig(n=10, d=2, subspace_dim=1, outlier_fraction=0.3, rng_seed=1)
+        search = _SubspaceSearch(generate_subspace(cfg)[0], sf.LossSpec(2, 0.5))
+        masks = np.zeros((2, 10), dtype=bool)
+        masks[0, :8] = masks[1, 5:] = True
+        fits = []
+
+        def solve_many(sets):
+            fits.extend(np.count_nonzero(sets, axis=1).tolist())
+            return [{8: 1.0, 5: 0.9}[size] for size in fits[-len(sets) :]], ["eight", "five"][: len(sets)]
+
+        search._solve_many = solve_many
+        search._complete(exact._pack(masks))
+        assert fits == [8, 5]
+        assert (search.j, search.best) == (1.0, "eight")
+        assert search.fitted == {exact._pack(masks[:1])[0].tobytes()}
+        assert search.stats == SearchStats(sign_completions=2, subproblems_solved=1, subproblems_pruned=1)
 
     @pytest.mark.parametrize("n", [9, 70])
     @pytest.mark.parametrize("p", [0, 1, 2])
