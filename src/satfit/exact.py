@@ -33,27 +33,26 @@ draws in iteration order.
 
 A completion step builds the inlier sets of its branches as rows of
 W = ceil(n / 64) ``uint64`` words, point i being bit i % 64 of word i // 64.
-``process_chunk`` packs the masks of a block's seeds once; the one builder,
-:func:`_branch_words`, doubles a seed's words level by level: regression
-clears one on-hyperplane point per level in its lifted halves, then ANDs
-them; the subspace search adds one seed point per level to its sides.  The
-one branch loop, ``_Search._complete``, takes at most ``_BRANCH_CELLS`` bits
-per call, counts each set's size |S| off its words, prunes a set by its
-search's rule (regression and the exhaustive p = 2 subspace search: the
-count bound eps^p (n - |S|) >= J; subspace: also |S| < ds); skips a set
-fitted before, keyed by the bytes of its words; and fits and scores the rest
-with the subproblem that p selects: :func:`.subsolvers._regression_fit`
-(minimax, LAD or least squares for p = 0, 1, 2) or the SVD subspace fit.
-Regression fits each new set at once, since its objective can prune the
-next row; the subspace search finds the first row of each set with one sort,
-and unpacks and fits only the new sets, in stacks of at most
-``_STACK_CELLS // n``, with one stacked SVD per set size, bit for bit the
-one-set results.  Under the count bound it fits them largest first while
-their size passes the bound, then the others that a row-order replay can
-reach, and replays them in row order, so that its answer and counters are
-those of a scan one row at a time.  Skipping a repeat cannot change the
-answer: it would reproduce an objective already seen, and only a strictly
-smaller objective replaces the incumbent.
+The one builder, :func:`_branch_words`, doubles a seed's words level by
+level: regression clears one on-hyperplane point per level in its lifted
+halves, then ANDs them, for a run of seeds of one on-set size at once;
+the subspace search adds one seed point per level to its sides.  The one branch loop, ``_Search._complete``, takes at most
+``_BRANCH_CELLS`` bits per call, counts each set's size |S| off its words,
+and makes one forward pass in row order, with the answer and counters of a
+scan one row at a time: a set is pruned by its search's rule (regression
+and the exhaustive p = 2 subspace search: the count bound
+eps^p (n - |S|) >= J; subspace: also |S| < ds), skipped if fitted before,
+keyed by the bytes of its words, or fitted and scored with the subproblem
+that p selects.  The pass fits the next sets that pass the rule against the
+live incumbent and are new, in chunks that grow, and replays each chunk in
+row order.  Both searches fit a chunk in stacks of at most
+``_STACK_CELLS // n`` sets, bit for bit the one-set results: regression by
+one stacked LAD (:func:`.subsolvers._lad_fit`) at p = 1, one stacked least
+squares per set size (:func:`.subsolvers._ls_fits`) at p = 2 and one
+minimax fit per set at p = 0; the subspace search by one stacked SVD per
+set size.  Skipping a repeat cannot change the answer: it would reproduce
+an objective already seen, and only a strictly smaller objective replaces
+the incumbent.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
-from itertools import combinations, groupby
+from itertools import combinations
 from time import perf_counter, sleep
 from typing import Callable, Iterable, Iterator
 
@@ -94,7 +93,7 @@ from .geometry import (
     lift_regression,
     lift_subspace,
 )
-from .subsolvers import _regression_fit, _svd_basis
+from .subsolvers import _lad_fit, _ls_fits, _minimax_fit, _size_stacks, _svd_basis
 
 __all__ = [
     "NoHyperplaneError",
@@ -112,15 +111,16 @@ _MAX_ONSET = 20
 # Bits of branch words (rows times 64 W) per _complete call, so a call's
 # words take at most 128 KiB: the subspace search hands over the branches of
 # max(1, _BRANCH_CELLS // (64 W b)) seeds of b branches, or of one seed;
-# regression splits a seed's 2**n0 branches on their high levels into runs
-# of the largest power of two of rows that fits (at least one), never all
-# 2**_MAX_ONSET at once.  At small n one call covers many subspace seeds
+# regression the branches of a run of at most _RUN seeds of one n0 that
+# fit, or of one seed, whose 2**n0 branches it splits on their high levels
+# into calls of the largest power of two of rows that fits (at least one),
+# never all 2**_MAX_ONSET at once.  At small n one call covers many subspace seeds
 # (16,384 rows at n = 10), which amortizes the call's fixed cost.
 _BRANCH_CELLS = 1 << 20
 
-# Mask cells per stack of new inlier sets fitted and scored together (by the
-# subspace search): a stack takes max(1, _STACK_CELLS // n) sets, so its
-# (sets, n, d) float temporaries stay at most 256 KiB times d.  A stack has a
+# Mask cells per stack of new inlier sets fitted and scored together: a
+# chunk of _Search._complete takes at most max(1, _STACK_CELLS // n) sets,
+# so its (sets, n, d) float temporaries stay at most 256 KiB times d.  A stack has a
 # fixed cost, which small stacks repeat; stacks of several MB run slower per
 # set, since their fresh pages are faulted in on use (the glibc rule is in
 # geometry._Workspace).  Stacking pays most when a call holds many new sets
@@ -131,6 +131,16 @@ _STACK_CELLS = 1 << 15
 # Seeds per block of the subspace scan and of the sampled draws; also their
 # progress period.  Regression scans blocks of _RegressionSearch.seed_block.
 _BLOCK = 256
+
+# Seeds per run of regression's completion: the seeds that pass the count
+# bound against the live incumbent at the run's start have their branch
+# words built together and reach _Search._complete in one call.  A run's
+# words, with both lifted halves, take at most _RUN_CELLS bits (64 KiB), so
+# its temporaries stay under glibc's first mmap threshold (the rule is in
+# geometry._Workspace): runs of 4,096 rows of four words had raised the
+# peak RSS of sampled regression at n = 200 by about 1 MB.
+_RUN = 256
+_RUN_CELLS = 1 << 19
 
 _PARENT_POLL_S = 0.25  # seconds between a worker's checks that its parent is alive
 
@@ -158,7 +168,10 @@ class SearchStats:
       branches fitted and scored, branches rejected before that (inlier set
       too small, or count bound), and branches skipped because the same
       search (or worker) had fitted their inlier set.  They add up to
-      ``sign_completions``.  For p = 0 regression each solved branch is one
+      ``sign_completions``, and are those of a scan one branch at a time: a
+      set that the branch loop fits ahead in a chunk and the scan prunes at
+      its own branch counts as pruned, so the fits can outnumber
+      ``subproblems_solved``.  For p = 0 regression each solved branch is one
       minimax fit, the winner's included; none is reused on generic data,
       where every branch's set S is feasible: its fit leaves at most
       n - |S| outliers, so the incumbent drops to at most that count and S
@@ -324,24 +337,18 @@ class _Search:
     only on a strictly smaller objective, so the first tie in scan order wins.
     A subclass declares ``seed_block``, the seeds per block of its scan, and
     its completion rule: ``count_bound`` True prunes a set S by
-    eps^p (n - |S|) >= J; ``stack``, when set, makes :meth:`_complete` fit
-    the new sets in stacks, and then ``min_size`` also prunes S by
-    |S| < ``min_size``.  It implements ``process_chunk(subsets)``, its only
-    per-seed entry point, which builds branch words with
-    :func:`_branch_words` and hands them to :meth:`_complete`, at most
-    ``_BRANCH_CELLS`` bits per call; ``_solve_many(masks)``, the objectives
-    and solutions of a stack of inlier sets, in row order; and
-    ``_winner()``, the (model, inliers) of ``best``.  Fitted sets are
-    remembered by the bytes of their packed words.
+    eps^p (n - |S|) >= J, and ``min_size`` prunes S by |S| < ``min_size``.
+    It implements ``process_chunk(subsets)``, its only per-seed entry point,
+    which builds branch words with :func:`_branch_words` and hands them to
+    :meth:`_complete`, at most ``_BRANCH_CELLS`` bits per call;
+    ``_solve_many(masks)``, the objectives and solutions of a chunk of
+    inlier sets, in row order; and ``_winner()``, the (model, inliers) of
+    ``best``.  Fitted sets are remembered by the bytes of their packed
+    words.
     """
 
     count_bound: bool
-    min_size: int  # read only by the stacked path
-    # New sets per _solve_many call of the stacked path, with ``hash``, the
-    # odd multipliers of the row hash that sorts rows of several words; None:
-    # each new set is fitted at its own row.
-    stack: int | None = None
-    hash: np.ndarray
+    min_size: int
 
     def __init__(self, zset, k: int, n: int, eps_p: float):
         self.zset = zset
@@ -354,112 +361,132 @@ class _Search:
         self.cancelled = False
         self.fitted: set[bytes] = set()  # packed words of the fitted inlier sets
         self.workspace = _Workspace()  # the block-sized arrays of process_chunk
+        self.stack = max(1, _STACK_CELLS // n)  # sets per _solve_many call at most
+        # odd multipliers of the row hash that sorts rows of several words
+        words = -(-n // 64)
+        self.hash = np.random.default_rng(0).integers(2**64, size=words, dtype=np.uint64) | 1
+        self.key_type = np.dtype((np.void, 8 * words))  # a packed row as one memo key
+        self.settled = 0  # sets solved since the incumbent last moved
 
-    def _complete(self, words: np.ndarray) -> None:
+    def _complete(self, words: np.ndarray, seeds: tuple | None = None) -> None:
         """Prune, reuse or fit the branches in ``words``, as a row-order scan would.
 
         Row i holds the packed inlier set S of one branch, its set bits the
-        size |S|.  A set is pruned by the rule at its row, with the live
-        incumbent J; else it is reused if fitted before, else fitted.  A
-        pruned set is not remembered: J only falls, so it fails again.
-        Without ``stack`` (regression) the rule is the count bound, the rows
-        are taken one at a time and each new set is fitted at once, as its
-        objective can prune the next row.
+        size |S|.  A scan one row at a time prunes S by the search's rule
+        with the live incumbent J (|S| < ``min_size``, or the count bound
+        eps^p (n - |S|) >= J), else reuses it if fitted before, else fits it
+        and moves J on a strictly smaller objective.  A pruned set is not
+        remembered: J only falls, so it fails again.  ``seeds``, given by
+        regression, is (ends, base, n0) of the seeds whose rows these are:
+        the scan skips seed s whole, its rows up to ``ends[s]`` uncounted,
+        when eps^p (n - base[s]) > J + eps^p n0[s] at its first row.
 
-        With ``stack``, a row is pruned at once if |S| < ``min_size`` or if
-        it fails the count bound against the incumbent of the call's start,
-        which it fails at its own row too.  One sort finds the first row of
-        each other set; a set can only be fitted there.  Without the count
-        bound the new sets among them are fitted in row order, ``stack`` at
-        a time, by ``_solve_many``.  Under it they are fitted largest first,
-        in calls of max(32, sets fitted before) sets, until a set fails the
-        bound against the smallest objective found; then the sets are fitted
-        that a row-order replay reaches when it leaves the unfitted ones
-        out, since its incumbent stays at least the true one.  A replay in
-        row order then moves the incumbent on the first strictly smaller
-        objective of a set that passes the rule; a set fitted ahead but
-        pruned at its own row counts as pruned, and each other row is pruned
-        by the rule with the incumbent of its row, or reused.
+        One forward pass in row order does the same, a chunk of sets at a
+        time.  From the current row it takes the next sets that pass the
+        rule (seed skip included) against the live J and are new to the
+        memo, in row order: one sort over a run of the passing rows, runs
+        that double until the chunk is full, finds the first row of each.
+        A row failing the rule now fails it at its own row, as J only falls,
+        and every set a scan could fit before the chunk's last row is in the
+        chunk.  ``_solve_many`` fits the chunk, and a replay of its rows in
+        row order moves J on the first strictly smaller objective of a set
+        that passes the rule at its row; a set fitted ahead but pruned there
+        counts as pruned.  The one chunk rule: without the count bound no
+        set is fitted ahead in vain, and a chunk holds ``stack`` sets; under
+        it the k-th chunk of a call (k = 0, 1, ...) holds at most
+        c 2**k sets, c the sets solved since J last moved (at least 1), as a
+        move can prune the sets fitted after it: a chunk starts small while
+        J moves and grows as it settles.
         """
         stats = self.stats
+        total = words.shape[0]
         counts = np.bitwise_count(words).sum(axis=1)
-        stats.sign_completions += counts.size
-        if self.stack is None:
-            for i, cnt in enumerate(counts.tolist()):
-                if self.eps_p * (self.n - cnt) >= self.j:
-                    stats.subproblems_pruned += 1
-                elif (key := words[i].tobytes()) in self.fitted:
-                    stats.subproblems_reused += 1
-                else:
-                    self.fitted.add(key)
-                    self._fit(_unpack(words[i : i + 1], self.n))
-            return
-        # eps^p (n - |S|) of each row, which prunes S once J is at most it;
-        # J only falls, so a row that fails it now is pruned at once
-        if self.count_bound:
-            bound = self.eps_p * (self.n - counts)
+        # eps^p (n - |S|): S fails the rule once J is at most it (at every J
+        # below the size floor, at none without the count bound)
+        bound = self.eps_p * (self.n - counts) if self.count_bound else np.full(total, -np.inf)
+        if self.min_size:
+            bound[counts < self.min_size] = np.inf
+        if seeds is None:  # one seed, never skipped
+            firsts, reach, cost, of = np.zeros(1, dtype=np.intp), np.full(1, -np.inf), np.zeros(1), None
         else:
-            bound = np.full(counts.size, -np.inf)
-        rows = np.flatnonzero((counts >= self.min_size) & (bound < self.j))
-        stats.subproblems_pruned += counts.size - rows.size
-        if not rows.size:
-            return
-        firsts = rows[self._first_rows(words[rows])]
-        keys = words[firsts].view(np.dtype((np.void, 8 * words.shape[1]))).ravel().tolist()
-        new = [i for i, key in enumerate(keys) if key not in self.fitted]
-        first_rows = firsts[new]
-        new_bound = bound[first_rows]
-        objectives = np.full(len(new), np.inf)  # inf until fitted; a fit scores at most eps^p n
-        solutions: list = [None] * len(new)
-
-        def fit(sets: np.ndarray) -> None:
-            """Fit the new sets at positions ``sets``, ``stack`` at a time."""
-            for at in range(0, sets.size, self.stack):
-                chunk = sets[at : at + self.stack]
-                masks = _unpack(words[first_rows[chunk]], self.n)
-                objectives[chunk], results = self._solve_many(masks)
-                for t, solution in zip(chunk.tolist(), results):
-                    solutions[t] = solution
-
-        if self.count_bound:
-            order, j, done = np.argsort(new_bound), self.j, 0  # the largest sets first
-            while done < order.size and new_bound[order[done]] < j:
-                chunk = order[done : done + max(32, done)]  # calls grow while J settles
-                chunk = chunk[new_bound[chunk] < j]
-                fit(chunk)
-                j, done = min(j, objectives[chunk].min()), done + chunk.size
-            reached = new_bound < self._replay(new_bound, objectives)[0][:-1]
-            fit(np.flatnonzero(reached & np.isinf(objectives)))
-        else:
-            fit(np.arange(len(new)))
-        incumbents, last = self._replay(new_bound, objectives)
-        solved = np.flatnonzero(new_bound < incumbents[:-1])
-        self.fitted.update([keys[new[t]] for t in solved.tolist()])
-        if last is not None:
-            self.j, self.best = float(objectives[last]), solutions[last]
-        # the incumbent of each row: of a new set's row, the one before it
-        at_row = np.repeat(incumbents, np.diff(first_rows, prepend=-1, append=counts.size - 1))
-        pruned = int(np.count_nonzero((bound >= at_row)[rows]))
-        stats.subproblems_solved += solved.size
-        stats.subproblems_pruned += pruned
-        stats.subproblems_reused += rows.size - pruned - solved.size
-
-    def _replay(self, bound: np.ndarray, objectives: np.ndarray) -> tuple[np.ndarray, int | None]:
-        """A row-order replay of the new sets of a call, from the incumbent ``j``.
-
-        Set t is pruned while J <= ``bound[t]``; else ``objectives[t]`` < J
-        moves J.  Returns the incumbent before each set and after the last,
-        and the position of the last move (None if J does not move); ``j``
-        itself is left as it is.
-        """
-        incumbents = np.empty(bound.size + 1)
-        j, t, last = self.j, 0, None
-        while (moves := np.flatnonzero((bound[t:] < j) & (objectives[t:] < j))).size:
-            incumbents[t : t + moves[0] + 1] = j
-            last = t + int(moves[0])
-            j, t = objectives[last], last + 1
-        incumbents[t:] = j
-        return incumbents, last
+            ends, base, n0 = seeds
+            firsts = np.concatenate(([0], ends[:-1]))
+            reach, cost = self.eps_p * (self.n - base), self.eps_p * n0
+            of = np.repeat(np.arange(ends.size), ends - firsts)  # the seed of each row
+        skipped = np.zeros(reach.size, dtype=bool)
+        pos = step = 0
+        while pos < total:
+            j = self.j
+            want = min(self.stack, max(1, self.settled) << step) if self.count_bound else self.stack
+            step += 1
+            # the first `want` sets past pos that pass the rule now and are
+            # new, from windows of rows that double
+            gone = reach > j + cost
+            sets, keys, seen, low, span = [], [], set(), pos, 16 * want
+            while low < total and len(sets) < want:
+                high = min(total, low + span)
+                dead = gone[of[low:high]] if of is not None else gone[0]
+                run = low + np.flatnonzero((bound[low:high] < j) & ~dead)
+                low, span = high, 2 * span
+                if not run.size:
+                    continue
+                first = self._first_rows(block := words[run])
+                met = block[first].view(self.key_type).ravel().tolist()
+                fresh = [i for i, key in enumerate(met) if key not in self.fitted and key not in seen]
+                fresh = fresh[: want - len(sets)]
+                sets.extend(run[first[fresh]].tolist())
+                keys.extend(fresh := [met[i] for i in fresh])
+                seen.update(fresh)
+            stop = sets[-1] + 1 if len(sets) == want else total
+            sets = np.array(sets, dtype=np.intp)
+            solved, last = sets[:0], None
+            first, end = np.searchsorted(firsts, (pos, stop))  # the seeds that start in pos..stop - 1
+            if sets.size:
+                objectives, solutions = self._solve_many(_unpack(words[sets], self.n))
+                objectives = np.asarray(objectives, dtype=float)
+                # the replay: J before each set and after the last
+                set_bound, set_seed = bound[sets], of[sets] if of is not None else np.zeros_like(sets)
+                incumbents = np.empty(sets.size + 1)
+                blocked = np.zeros(sets.size, dtype=bool)
+                t = 0
+                while (moves := np.flatnonzero(
+                    (set_bound[t:] < j) & (objectives[t:] < j) & ~blocked[t:]
+                )).size:
+                    u, seed = t + int(moves[0]), set_seed[t + int(moves[0])]
+                    k = int(np.searchsorted(sets, firsts[seed]))  # the first set of its seed
+                    if reach[seed] > (incumbents[k] if k < t else j) + cost[seed]:
+                        blocked[u] = True  # its seed is skipped at its first row
+                        continue
+                    incumbents[t : u + 1] = j
+                    j, t, last = objectives[u], u + 1, u
+                incumbents[t:] = j
+                # J at each row of pos..stop - 1
+                at_row = np.repeat(incumbents, np.diff(sets, prepend=pos - 1, append=stop - 1))
+                at_start = at_row[firsts[first:end] - pos]
+            else:
+                at_row = at_start = j
+            # a seed is skipped by J at its first row
+            skipped[first:end] = reach[first:end] > at_start + cost[first:end]
+            if of is not None:
+                counted = ~skipped[of[pos:stop]]
+            else:
+                counted = np.full(stop - pos, not skipped[0])
+            pruned = int(np.count_nonzero(counted & (bound[pos:stop] >= at_row)))
+            if sets.size:
+                solved = np.flatnonzero((set_bound < incumbents[:-1]) & ~skipped[set_seed])
+                self.fitted.update([keys[i] for i in solved.tolist()])
+            if last is None:
+                self.settled += solved.size
+            else:
+                self.j, self.best = float(objectives[last]), solutions[last]
+                self.settled = int(np.count_nonzero(solved > last))
+            completions = int(np.count_nonzero(counted))
+            stats.inner_loops_skipped += int(np.count_nonzero(skipped[first:end]))
+            stats.sign_completions += completions
+            stats.subproblems_solved += solved.size
+            stats.subproblems_pruned += pruned
+            stats.subproblems_reused += completions - pruned - solved.size
+            pos = stop
 
     def _first_rows(self, words: np.ndarray) -> np.ndarray:
         """Indices of the first row of each distinct row of ``words``, in row order.
@@ -469,6 +496,8 @@ class _Search:
         checked against its predecessor in its group; where two different
         rows share a hash, an exact sort of the rows replaces the hash.
         """
+        if words.shape[0] < 2:
+            return np.arange(words.shape[0])
         key = words[:, 0] if words.shape[1] == 1 else (words * self.hash).sum(axis=1)
         order = np.argsort(key)
         key = key[order]
@@ -479,15 +508,6 @@ class _Search:
                 return np.sort(np.unique(words, axis=0, return_index=True)[1])
         starts = np.flatnonzero(np.concatenate(([True], ~same)))
         return np.sort(np.minimum.reduceat(order, starts))
-
-    def _fit(self, masks: np.ndarray) -> None:
-        """Fit and score the inlier sets in ``masks``; keep the first strictly better one."""
-        objectives, solutions = self._solve_many(masks)
-        self.stats.subproblems_solved += len(objectives)
-        for candidate, solution in zip(objectives, solutions):
-            if candidate < self.j:
-                self.j = candidate
-                self.best = solution
 
     def scan(
         self,
@@ -589,6 +609,12 @@ class _Search:
 class _RegressionSearch(_Search):
     """Incumbent-tracking state shared by the exact and sampled regression solvers.
 
+    ``process_chunk`` completes a block's usable seeds in runs of seeds of
+    one on-set size: at a run's start the seeds are tested against the live
+    incumbent, and only those that pass have their branch words built, by
+    ``_handle_seed``; ``_complete`` tests each again at its first row.
+    ``_solve_many`` fits a chunk of sets in stacks.
+
     Its completion rule is the count bound, and the bound is exact.  Let S
     be the inlier set of an optimal model, of objective J*.  Its points
     outside S each cost eps^p, so J* >= eps^p (n - |S|), and fitting S
@@ -600,6 +626,7 @@ class _RegressionSearch(_Search):
 
     seed_block = 2048
     count_bound = True
+    min_size = 0
 
     def __init__(self, data: RegressionDataset, spec: LossSpec):
         super().__init__(lift_regression(data, spec), data.d, data.n, spec.saturation)
@@ -607,26 +634,59 @@ class _RegressionSearch(_Search):
         self.spec = spec
         self.p = spec.p
 
-    def _solve_many(self, masks: np.ndarray) -> tuple[list[float], list[np.ndarray]]:
-        """Fit and score the one inlier set that ``_complete`` hands over per call."""
-        (mask,) = masks
-        w = _regression_fit(self.data.x[mask], self.data.y[mask], self.p)
-        return [float(np.sum(loss(self.spec, self.data.y - self.data.x @ w)))], [w]
+    def _solve_many(self, masks: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Fit and score a chunk of inlier sets, in row order.
 
-    def _handle_seed(self, halves: np.ndarray, flips: np.ndarray) -> None:
-        """Complete one seed from its packed lifted mask ``closed`` (below or on).
-
-        ``halves`` holds the (2, W) :func:`_pack` words of the mask's first
-        and second half; ``flips[j]`` the bit in them of on-hyperplane point
-        n0 - 1 - j (lifted order).  Branch b puts on-point t below when bit
-        n0 - 1 - t of b is 0, the order of ``product((-1, 1), repeat=n0)``; its
-        set, the AND of its halves, holds the points whose two lifted copies
-        both lie strictly below the hyperplane.
+        p = 1 takes one stacked LAD fit, p = 2 one stacked least-squares fit
+        per set size, p = 0 one minimax fit per set; each fit has the bits
+        of the one-set fit.
         """
-        low = max(1, _BRANCH_CELLS // (64 * halves.shape[1])).bit_length() - 1
-        for base in _branch_words(halves, flips[low:]):
-            words = _branch_words(base, flips[:low])
-            self._complete(words[:, 0] & words[:, 1])
+        x, y = self.data.x, self.data.y
+        if self.p == 1:
+            w = _lad_fit(x, y, masks)
+        else:
+            w = np.empty((masks.shape[0], x.shape[1]))
+            if self.p == 2:
+                for sets, points in _size_stacks(masks):
+                    w[sets] = _ls_fits(x[points], y[points])[0]
+            else:
+                for i, mask in enumerate(masks):
+                    w[i] = _minimax_fit(x[mask], y[mask])[0]
+        # one mat-vec per set, as x @ w, so the objectives keep their bits
+        objectives = np.sum(loss(self.spec, y - (x[None] @ w[:, :, None])[:, :, 0]), axis=1)
+        return objectives, list(w)
+
+    def _handle_seed(self, closed: np.ndarray, on: np.ndarray, base: np.ndarray, n0: np.ndarray) -> None:
+        """Complete a run of seeds of one on-set size from their lifted masks ``closed`` and ``on``.
+
+        ``closed`` (below or on) and ``on`` hold one (2n,) row per seed,
+        ``base`` its points with both lifted copies strictly below and ``n0``
+        its on-hyperplane points, the same for every seed.  Branch b of a
+        seed puts its on-point t below when bit n0 - 1 - t of b is 0, the
+        order of ``product((-1, 1), repeat=n0)``; its set, the AND of the
+        lifted halves, holds the points whose two lifted copies both lie
+        below the hyperplane.  One :func:`_branch_words` call builds the
+        run's rows, which reach :meth:`_complete` in seed order, then branch
+        order, in one call.  A seed of more than ``_BRANCH_CELLS`` bits of
+        rows comes alone and is split on its high levels into calls of the
+        largest power of two of rows that fits.
+        """
+        size, count, width = int(n0[0]), closed.shape[0], -(-self.n // 64)
+        halves = _pack(closed.reshape(count, 2, self.n))
+        row, point = np.divmod(np.flatnonzero(on), self.n)  # row 2 * seed + half
+        flips = np.zeros((row.size, 2, width), dtype="<u8")
+        flips[np.arange(row.size), row % 2] = _bit_words(point, self.n)
+        flips = flips.reshape(count, size, 2, width)[:, ::-1].swapaxes(0, 1)  # level j: on-point n0 - 1 - j
+        cap = max(1, _BRANCH_CELLS // (64 * width))
+        if 1 << size > cap:  # one seed
+            low = cap.bit_length() - 1
+            for high in _branch_words(halves[0], flips[low:, 0]):
+                words = _branch_words(high, flips[:low, 0])
+                self._complete(words[:, 0] & words[:, 1])
+            return
+        branches = _branch_words(halves, flips)
+        words = (branches[:, :, 0] & branches[:, :, 1]).swapaxes(0, 1).reshape(-1, width)
+        self._complete(words, (np.arange(1, count + 1) << size, base, n0))
 
     def process_chunk(self, subsets: np.ndarray) -> None:
         """Process a block of seeds (k, B), in order."""
@@ -645,37 +705,36 @@ class _RegressionSearch(_Search):
         stats.seeds_skipped += int(np.count_nonzero(h1_small & ~degen))
         if valid.any():
             stats.max_onset_size = max(stats.max_onset_size, int(n0[valid].max()))
-        # The bound uses the incumbent at block start, which is never smaller
-        # than the live incumbent, so everything skipped here would also be
-        # skipped by a seed-by-seed scan.  Survivors are re-tested against
-        # the live incumbent (cheaply, from the precomputed counts) before
-        # paying for the completion loop.
-        skip = self.eps_p * (self.n - base) > self.j + self.eps_p * n0
-        stats.inner_loops_skipped += int(np.count_nonzero(valid & skip))
-        seeds = np.flatnonzero(valid & ~skip)
-        if not seeds.size:
-            return
-        # Packed once per block: the halves of closed (below | on) of the seeds
-        # that may complete, their columns turned into rows, and the bit of
-        # each on-point of those that _MAX_ONSET admits.
-        closed_rows = np.ascontiguousarray(closed[:, seeds].T)
-        onset = closed_rows & ~below[:, seeds].T
-        halves = _pack(closed_rows.reshape(-1, 2, self.n))
-        sizes = n0[seeds]
-        kept = sizes <= _MAX_ONSET
-        row, point = np.divmod(np.flatnonzero(onset & kept[:, None]), self.n)  # row 2 * seed + half
-        bits = _bit_words(point, self.n)[:, None] * np.eye(2, dtype="<u8")[row % 2, :, None]
-        ends = np.cumsum(sizes * kept).tolist()
-        for r, (inliers, size) in enumerate(zip(base[seeds].tolist(), sizes.tolist())):
-            if self.eps_p * (self.n - inliers) > self.j + self.eps_p * size:
-                stats.inner_loops_skipped += 1
-                continue
+        # A seed is skipped when no set of its branches can pass the count
+        # bound: eps^p (n - base) > J + eps^p n0.  J only falls, so a seed
+        # skipped against the live incumbent at a run's start is skipped at
+        # its own position too; _complete tests the seeds of a run again at
+        # their first row.
+        seeds = np.flatnonzero(valid)
+        base, n0 = base[seeds], n0[seeds]
+        cap = max(1, min(_RUN_CELLS // 2, _BRANCH_CELLS) // (64 * -(-self.n // 64)))  # rows per run
+        at = 0
+        while at < seeds.size:
+            skip = self.eps_p * (self.n - base[at:]) > self.j + self.eps_p * n0[at:]
+            kept = at + np.flatnonzero(~skip)
+            if not kept.size:
+                stats.inner_loops_skipped += seeds.size - at
+                return
+            size = int(n0[kept[0]])
             if size > _MAX_ONSET:
                 raise NoHyperplaneError(
                     f"{size} points lie on one candidate hyperplane; the data is far "
                     "from general position and the completion loop would not terminate"
                 )
-            self._handle_seed(halves[r], bits[ends[r] - size : ends[r]][::-1])
+            # the run: the next kept seeds, at most _RUN, up to one of another
+            # n0, whose rows fit in it (a seed of more rows alone)
+            other = np.flatnonzero(n0[kept[:_RUN]] != size)
+            run = kept[: max(1, min(int(other[0]) if other.size else _RUN, cap >> size))]
+            stats.inner_loops_skipped += int(run[-1] + 1 - at - run.size)
+            columns = seeds[run]
+            closed_rows = np.ascontiguousarray(closed[:, columns].T)
+            self._handle_seed(closed_rows, closed_rows & ~below[:, columns].T, base[run], n0[run])
+            at = int(run[-1]) + 1
 
     def _winner(self) -> tuple[RegressionModel, np.ndarray]:
         model = RegressionModel(self.best)
@@ -804,9 +863,6 @@ class _SubspaceSearch(_Search):
         self.spec = spec
         self.ds = self.min_size = data.subspace_dim
         self.count_bound = exhaustive and spec.p == 2
-        self.stack = max(1, _STACK_CELLS // data.n)
-        words = -(-data.n // 64)
-        self.hash = np.random.default_rng(0).integers(2**64, size=words, dtype=np.uint64) | 1
 
     def process_chunk(self, subsets: np.ndarray) -> None:
         """Process a block of seeds, in order.
@@ -842,24 +898,14 @@ class _SubspaceSearch(_Search):
             words = words.transpose(1, 0, 2, 3).reshape(-1, width)  # frees the level-major copy
             self._complete(words)
 
-    def _solve_many(self, masks: np.ndarray) -> tuple[list[float], list[np.ndarray]]:
-        """Fit and score a stack of inlier sets: one stacked SVD per set size."""
+    def _solve_many(self, masks: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Fit and score a chunk of inlier sets: one stacked SVD per set size."""
         x = self.data.x
-        sizes = _counts(masks, axis=1)
-        order = np.argsort(sizes, kind="stable")
-        # The points of every set, the sets taken by size: each size is one
-        # contiguous (count, size, d) block.
-        points = x[np.flatnonzero(masks[order]) % self.n]
         bases = np.empty((masks.shape[0], x.shape[1], self.ds))
-        row = cell = 0
-        for size, group in groupby(sizes[order].tolist()):
-            count = len(list(group))
-            sets = points[cell : cell + count * size].reshape(count, size, -1)
-            bases[order[row : row + count]] = _svd_basis(sets, self.ds)[0]
-            row += count
-            cell += count * size
+        for sets, points in _size_stacks(masks):
+            bases[sets] = _svd_basis(x[points], self.ds)[0]
         objectives = np.sum(loss(self.spec, _projection_residuals(x, bases)), axis=1)
-        return objectives.tolist(), list(bases)
+        return objectives, list(bases)
 
     def _winner(self) -> tuple[SubspaceModel, np.ndarray]:
         model = SubspaceModel(self.best)

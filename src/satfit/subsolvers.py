@@ -6,7 +6,8 @@ methods rather than a general linear program.  The LAD fit walks the
 vertices of the L1 objective, each pinned by d points with zero residual,
 with the long-step ratio test of Barrodale and Roberts: one d x d basis per
 pivot and an exact line search to the weighted median of the residual
-breakpoints.  The Chebyshev fit is the Stiefel exchange, a simplex method on
+breakpoints, for a stack of point sets at once (one set is a stack of
+one).  The Chebyshev fit is the Stiefel exchange, a simplex method on
 the dual of the minimax problem with a (d + 1) x (d + 1) basis of reference
 points.  Both start from a deterministic basis, compute every vertex from
 its sorted basis, and return an optimality certificate with the fit, so one
@@ -16,10 +17,11 @@ point set always gives the same bits.
 from __future__ import annotations
 
 import warnings
+from itertools import groupby
 
 import numpy as np
 
-from .core import PointDataset, RegressionDataset, RegressionModel, SubspaceModel
+from .core import PointDataset, RegressionDataset, RegressionModel, SubspaceModel, _counts
 
 __all__ = [
     "SolverFailure",
@@ -158,106 +160,197 @@ def _independent_rows(a: np.ndarray, order, limit: int) -> list[int]:
     return taken
 
 
-def _on_spanning_columns(vertex, x, y, rows, max_pivots, *no_columns):
-    """``vertex`` solved on the leftmost columns that keep ``rows`` independent.
+def _on_spanning_columns(x, rows, solve, *no_columns):
+    """``solve(cols)`` on the leftmost columns ``cols`` that keep ``rows`` independent.
 
     ``rows`` is a basis of the row space of a rank-deficient x, so x has the
     same column space as its restriction to those columns; the other
-    coefficients are 0.  Without any column the fit is w = 0 with the
-    certificate ``no_columns``.
+    coefficients are 0.  ``solve`` returns the fit on ``cols`` and its
+    certificate; without any column the fit is w = 0 with the certificate
+    ``no_columns``.
     """
     w = np.zeros(x.shape[1])
     cols = _independent_rows(x[rows].T, range(x.shape[1]), len(rows))
     if not cols:
         return (w, *no_columns)
-    w[cols], *certificate = vertex(x[:, cols], y, max_pivots)
+    w[cols], *certificate = solve(cols)
     return (w, *certificate)
 
 
-def _lad_vertex(
-    x: np.ndarray, y: np.ndarray, max_pivots: int | None = None
+def _size_stacks(masks: np.ndarray):
+    """The sets of ``masks`` (B, n) by size: (positions, (count, size) point indices) per size.
+
+    Sizes ascend, and the sets of one size keep their order.
+    """
+    sizes = _counts(masks, axis=1)
+    order = np.argsort(sizes, kind="stable")
+    points = np.flatnonzero(masks[order]) % masks.shape[1]
+    row = cell = 0
+    for size, group in groupby(sizes[order].tolist()):
+        count = len(list(group))
+        yield order[row : row + count], points[cell : cell + count * size].reshape(count, size)
+        row += count
+        cell += count * size
+
+
+def _lad_vertices(
+    x: np.ndarray, y: np.ndarray, masks: np.ndarray, max_pivots: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Optimal vertex of min sum |y - x w|: the fit, its basis and its dual certificate.
+    """Optimal vertices of min sum_S |y - x w| for a stack of point sets S.
+
+    The points are the rows of x (n, d) and y (n,); row b of ``masks`` (B, n)
+    selects set b.  Returns the (B, d) fits, their (B, d) bases (the sorted
+    basis points, then -1 where a rank-deficient set has fewer) and the
+    (B, n) dual certificates (0 off the set).
 
     A vertex is pinned by a basis B of d points with zero residual.  Its
     basic multipliers solve x_B.T lam_B = -x_N.T sign(r_N); the vertex is
-    optimal when |lam_B| <= 1, and the returned ``lam`` (lam_B on B,
-    sign(r_i) off it) then satisfies x.T lam = 0 and |lam| <= 1, which
-    certifies sum |r| = lam @ y as the minimum.  Otherwise basis point j with
-    the largest |lam_j| > 1 leaves: w moves along the edge that keeps the
-    other d - 1 residuals at zero, to the weighted median of the residual
-    breakpoints, where the point that stops the descent enters.
+    optimal when |lam_B| <= 1, and ``lam`` (lam_B on B, sign(r_i) off it)
+    then satisfies x.T lam = 0 and |lam| <= 1 over the set, which certifies
+    sum |r| = lam @ y as the minimum.  Otherwise basis point j with the
+    largest |lam_j| > 1 leaves: w moves along the edge that keeps the other
+    d - 1 residuals at zero, to the weighted median of the residual
+    breakpoints, where the point that stops the descent enters (the
+    long-step ratio test of Barrodale and Roberts).
 
-    Start rule: the minimum-norm least-squares fit ranks the points by
-    |residual| (stable order), and B takes the first d independent ones.
-    A point whose residual is zero off the basis keeps the side it was last
-    on (+1 at first).  After a degenerate pivot (step length 0) the
-    smallest violating point leaves instead of the largest multiplier, and
-    ties among breakpoints go to the smallest index.  More than
-    ``max_pivots`` pivots (default 50 (k + d) + 100) raise
-    :class:`SolverFailure`.
+    Start rule: the least-squares fit of the normal equations ranks the
+    points by |residual| (stable order), and B takes the first d
+    independent ones.  A point whose residual is zero off the basis keeps
+    the side it was last on (+1 at first).  After a degenerate pivot (step
+    length 0) the smallest violating point leaves instead of the largest
+    multiplier, and ties among breakpoints go to the smallest index.  A set
+    of k points taking more than ``max_pivots`` pivots (default
+    50 (k + d) + 100) raises :class:`SolverFailure`.
 
-    Rank-deficient x: the start finds fewer than d independent rows, and
-    the fit is solved by :func:`_on_spanning_columns`.
+    Every set pivots on its own rows of the stack, with elementwise
+    operations and one small matrix call per set, so its fit, basis and
+    certificate have the same bits in any stack, a stack of one included.
+    Each vertex is computed from its sorted basis, w = inv(x_B) y_B, so
+    sets sharing an optimal vertex share its bits.  A rank-deficient set
+    (fewer than d independent points) is solved by
+    :func:`_on_spanning_columns`, as a stack of one.
     """
-    k, d = x.shape
-    residual = np.abs(y - x @ np.linalg.lstsq(x, y, rcond=None)[0])
-    found = _independent_rows(x, np.argsort(residual, kind="stable"), d)
-    if len(found) < d:
-        return _on_spanning_columns(
-            _lad_vertex, x, y, found, max_pivots, np.empty(0, dtype=np.intp), np.sign(y)
+    n, d = x.shape
+    count = masks.shape[0]
+    member = masks.astype(float)
+    sizes = _counts(masks, axis=1)
+    # the start: normal equations of each set, one matrix call per set
+    xt = x.T * member[:, None, :]
+    gram, rhs = xt @ x, (xt @ y[:, None])[:, :, 0]
+    try:
+        start = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:  # a singular set: the others keep their bits alone
+        start = np.zeros((count, d))
+        for b in range(count):
+            try:
+                start[b] = np.linalg.solve(gram[b], rhs[b][:, None])[:, 0]
+            except np.linalg.LinAlgError:
+                start[b] = np.linalg.lstsq(x[masks[b]], y[masks[b]], rcond=None)[0]
+    residual = np.abs(y - (x @ start[:, :, None])[:, :, 0])
+    order = np.argsort(np.where(masks, residual, np.inf), axis=1, kind="stable")
+    # the first d independent points of each set in that order (Gram-Schmidt)
+    basis = np.full((count, d), -1, dtype=np.intp)
+    found = np.zeros(count, dtype=np.intp)
+    q = np.zeros((count, d, d))
+    for at in range(n):
+        open_ = np.flatnonzero((found < d) & (at < sizes))
+        if not open_.size:
+            break
+        i = order[open_, at]
+        v = x[i]
+        norm = np.sqrt(np.sum(v * v, axis=1))
+        for _ in range(2):  # a second pass restores orthogonality
+            v = v - ((q[open_] @ v[:, :, None]).transpose(0, 2, 1) @ q[open_])[:, 0]
+        rest = np.sqrt(np.sum(v * v, axis=1))
+        took = rest > _RANK_TOL * norm
+        b, t = open_[took], found[open_[took]]
+        q[b, t], basis[b, t] = v[took] / rest[took, None], i[took]
+        found[b] += 1
+    fits = np.zeros((count, d))
+    certificates = np.zeros((count, n))
+    done = found < d
+    for b in np.flatnonzero(done).tolist():
+        rows = basis[b, : found[b]]
+
+        def solve(cols, b=b):
+            w, basis_b, lam = _lad_vertices(x[:, cols], y, masks[b : b + 1], max_pivots)
+            return w[0], basis_b[0], lam[0]
+
+        fits[b], vertex, certificates[b] = _on_spanning_columns(
+            x, rows, solve, np.empty(0, dtype=np.intp), np.sign(y) * masks[b]
         )
-    basis = np.sort(np.asarray(found, dtype=np.intp))
-    limit = 50 * (k + d) + 100 if max_pivots is None else max_pivots
-    row_norms = np.sqrt(np.einsum("ij,ij->i", x, x))
-    zero = _ZERO_TOL * np.abs(y).max()
-    side = np.ones(k)
-    bland = False
-    pivots = 0
-    while True:
-        g = np.linalg.inv(x[basis])
-        w = g @ y[basis]
-        r = y - x @ w
-        r[basis] = 0.0
-        moved = np.abs(r) > zero
-        side = np.where(moved, np.sign(r), side)
-        side[basis] = 0.0
-        lam_b = -(side @ x) @ g
+        basis[b] = -1
+        basis[b, : vertex.size] = vertex
+    basis[~done] = np.sort(basis[~done], axis=1)
+    limit = 50 * (sizes + d) + 100 if max_pivots is None else np.full(count, max_pivots)
+    row_norms = np.sqrt(np.sum(x * x, axis=1))
+    zero = _ZERO_TOL * np.where(masks, np.abs(y), 0.0).max(axis=1, initial=0.0)
+    side = member.copy()
+    bland = np.zeros(count, dtype=bool)
+    pivots = np.zeros(count, dtype=np.intp)
+    while (live := np.flatnonzero(~done)).size:
+        rows = np.arange(live.size)[:, None]
+        at = basis[live]
+        g = np.linalg.inv(x[at])
+        w = (g @ y[at][:, :, None])[:, :, 0]
+        r = y - (x @ w[:, :, None])[:, :, 0]
+        r[rows, at] = 0.0
+        moved = (np.abs(r) > zero[live, None]) & masks[live]
+        s = np.where(moved, np.sign(r), side[live])
+        s[rows, at] = 0.0
+        lam_b = -((s[:, None, :] @ x) @ g)[:, 0]
         excess = np.abs(lam_b) - 1.0
-        j = int(np.argmax(excess > _ZERO_TOL) if bland else np.argmax(excess))
-        if excess[j] <= _ZERO_TOL:
-            side[basis] = lam_b
-            return w, basis, side
-        if pivots == limit:
-            raise SolverFailure(f"LAD fit exceeded its pivot guard ({limit} pivots)")
-        pivots += 1
-        sigma = -1.0 if lam_b[j] > 0 else 1.0
-        delta = sigma * g[:, j]
-        a = x @ delta
+        j = np.where(bland[live], np.argmax(excess > _ZERO_TOL, axis=1), np.argmax(excess, axis=1))
+        excess_j = excess[rows[:, 0], j]
+        optimal = excess_j <= _ZERO_TOL
+        if optimal.any():
+            b, lam = live[optimal], s[optimal]
+            lam[rows[: b.size], at[optimal]] = lam_b[optimal]
+            fits[b], certificates[b], done[b] = w[optimal], lam, True
+            if optimal.all():
+                break
+            go = ~optimal
+            live, rows, at, g, r, s, moved = live[go], rows[: go.sum()], at[go], g[go], r[go], s[go], moved[go]
+            j, lam_b, excess_j = j[go], lam_b[go], excess_j[go]
+        if (spent := pivots[live] >= limit[live]).any():
+            raise SolverFailure(f"LAD fit exceeded its pivot guard ({limit[live][spent][0]} pivots)")
+        pivots[live] += 1
+        flat = rows[:, 0]
+        sigma = np.where(lam_b[flat, j] > 0.0, -1.0, 1.0)
+        delta = sigma[:, None] * g[flat, :, j]
+        a = (x @ delta[:, :, None])[:, :, 0]
         # Points whose residual the step drives through zero, at t = r / a.
-        cand = np.flatnonzero(side * a > _PIVOT_TOL * np.sqrt(delta @ delta) * row_norms)
-        t = np.where(moved[cand], r[cand] / a[cand], 0.0)
-        order = np.argsort(t, kind="stable")
-        slope = 2.0 * np.cumsum(np.abs(a[cand[order]])) - excess[j]
-        if slope.size == 0 or slope[-1] < 0.0:
+        scale = _PIVOT_TOL * np.sqrt(np.sum(delta * delta, axis=1))
+        cand = s * a > scale[:, None] * row_norms
+        t = np.full_like(r, np.inf)
+        t[cand] = 0.0
+        np.divide(r, a, out=t, where=cand & moved)
+        order = np.argsort(t, axis=1, kind="stable")
+        slope = 2.0 * np.cumsum(np.where(cand, np.abs(a), 0.0)[rows, order], axis=1) - excess_j[:, None]
+        if (slope[:, -1] < 0.0).any() or not cand.any(axis=1).all():
             raise SolverFailure("LAD edge without a stopping breakpoint")
-        stop = int(np.argmax(slope >= 0.0))
-        passed = cand[order[:stop]]
-        side[passed] = -side[passed]
-        side[basis[j]] = -sigma  # the leaving point's side if the step is degenerate
-        bland = bland or t[order[stop]] == 0.0
-        basis[j] = cand[order[stop]]
-        basis.sort()
+        stop = np.argmax(slope >= 0.0, axis=1)
+        flip = np.ones_like(r)
+        flip[rows, order] = np.where(np.arange(n) < stop[:, None], -1.0, 1.0)
+        s *= flip
+        s[flat, at[flat, j]] = -sigma  # the leaving point's side if the step is degenerate
+        enter = order[flat, stop]
+        bland[live] |= t[flat, enter] == 0.0
+        at[flat, j] = enter
+        at.sort(axis=1)
+        side[live], basis[live] = s, at
+    return fits, basis, certificates
 
 
-def _lad_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return _lad_vertex(x, y)[0]
+def _lad_fit(x: np.ndarray, y: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """The (B, d) least-absolute-deviations fits of the sets ``masks`` (B, n) of the rows of x, y."""
+    return _lad_vertices(x, y, masks)[0]
 
 
 def solve_lad(data: RegressionDataset, subset) -> RegressionModel:
     """Least-absolute-deviations fit over the subset (always feasible)."""
     idx = _subset_array(subset, data.n)
-    return RegressionModel(_lad_fit(data.x[idx], data.y[idx]))
+    return RegressionModel(_lad_fit(data.x[idx], data.y[idx], np.ones((1, idx.size), dtype=bool))[0])
 
 
 def _chebyshev_vertex(
@@ -294,7 +387,12 @@ def _chebyshev_vertex(
         i = int(np.argmax(np.abs(y)))
         sign = np.array([-1.0 if y[i] < 0 else 1.0])
         return _on_spanning_columns(
-            _chebyshev_vertex, x, y, found, max_pivots, np.array([i]), sign, np.ones(1)
+            x,
+            found,
+            lambda cols: _chebyshev_vertex(x[:, cols], y, max_pivots),
+            np.array([i]),
+            sign,
+            np.ones(1),
         )
     if k == d:
         ref = np.sort(np.asarray(found, dtype=np.intp))
@@ -368,7 +466,7 @@ def _regression_fit(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     if p == 0:
         return _minimax_fit(x, y)[0]
     if p == 1:
-        return _lad_fit(x, y)
+        return _lad_fit(x, y, np.ones((1, y.size), dtype=bool))[0]
     return _ls_fit(x, y)[0]
 
 

@@ -921,7 +921,7 @@ def branch_rows(search, subsets, below, on, cells):
     ``below`` and ``on``; each call holds at most ``cells`` bits of words.
     """
     calls = []
-    search._complete = calls.append
+    search._complete = lambda words, seeds=None: calls.append(words)
 
     def normals(z, norms, ws=None):
         h = np.zeros((z.shape[0], z.shape[2]))
@@ -1014,46 +1014,89 @@ class TestBranchLoop:
         return n - int(np.bitwise_count(packed).sum()) + 0.5 - 0.5 * int(packed[0] % 3)
 
     @classmethod
-    def reference_scan(cls, search, rows, counts):
-        """(fitted rows, pruned, reused, incumbent) of a one-row-at-a-time scan of a Python set."""
-        fitted, pruned, reused = [], 0, 0
-        seen, j, best = set(search.fitted), search.j, search.best
-        floor = search.min_size if search.stack is not None else 0
-        for row, cnt in zip(rows, counts):
-            if cnt < floor or search.count_bound and search.eps_p * (search.n - cnt) >= j:
-                pruned += 1
-            elif row.tobytes() in seen:
-                reused += 1
-            else:
-                seen.add(row.tobytes())
-                fitted.append(row.tobytes())
-                if (objective := cls.fake_objective(row.view(np.uint8), search.n)) < j:
-                    j, best = objective, row.tobytes()
-        return fitted, pruned, reused, (j, best)
+    def reference_scan(cls, search, rows, counts, seeds=None):
+        """(fitted rows, pruned, reused, skipped, incumbent) of a one-row-at-a-time scan of a Python set.
 
-    @pytest.mark.parametrize("n", [64, 128, 150])
-    @pytest.mark.parametrize(
-        "count_bound, stack", [(True, None), (False, 3), (True, 3)], ids=["bound", "floor", "both"]
-    )
-    @pytest.mark.parametrize("seed", range(4))
-    def test_complete_matches_a_row_by_row_scan(self, n, count_bound, stack, seed):
-        # Each search's rule: the count bound alone, one row at a time
-        # (regression); the size floor alone, in stacks (subspace at p = 0
-        # and sampled); both, in stacks (exact subspace at p = 2).
-        rng = np.random.default_rng(seed)
+        The rows it reaches, those of the seeds it does not skip, are
+        ``len(fitted) + pruned + reused``.
+
+        ``seeds`` (ends, base, n0), as regression passes it, skips seed s
+        whole, rows and all, when eps^p (n - base) > J + eps^p n0 at its
+        first row.
+        """
+        fitted, pruned, reused, skipped = [], 0, 0, 0
+        seen, j, best = set(search.fitted), search.j, search.best
+        ends, base, n0 = seeds if seeds is not None else ([len(rows)], [0], [np.inf])
+        start = 0
+        for end, inliers, size in zip(ends, base, n0):
+            if search.eps_p * (search.n - inliers) > j + search.eps_p * size:
+                skipped += 1
+                start = end
+                continue
+            for row, cnt in zip(rows[start:end], counts[start:end]):
+                if cnt < search.min_size or search.count_bound and search.eps_p * (search.n - cnt) >= j:
+                    pruned += 1
+                elif row.tobytes() in seen:
+                    reused += 1
+                else:
+                    seen.add(row.tobytes())
+                    fitted.append(row.tobytes())
+                    if (objective := cls.fake_objective(row.view(np.uint8), search.n)) < j:
+                        j, best = objective, row.tobytes()
+            start = end
+        return fitted, pruned, reused, skipped, (j, best)
+
+    @staticmethod
+    def fake_search(n, count_bound, min_size):
+        """A search whose fits score :meth:`fake_objective`, recording the sets it fits."""
         search = exact._Search(None, 1, n, 1.0)
-        search.count_bound = count_bound
-        row_hash = np.random.default_rng(1).integers(2**64, size=-(-n // 64), dtype=np.uint64) | 1
-        if stack is not None:
-            search.stack, search.hash, search.min_size = stack, row_hash, n // 3
-        fitted = []
+        search.count_bound, search.min_size = count_bound, min_size
+        fits = []
 
         def solve_many(masks):
             packed = padded_packbits(masks)
-            fitted.extend(row.tobytes() for row in packed)
-            return [self.fake_objective(row, n) for row in packed], [row.tobytes() for row in packed]
+            fits.extend(row.tobytes() for row in packed)
+            objectives = [TestBranchLoop.fake_objective(row, n) for row in packed]
+            return np.array(objectives), [row.tobytes() for row in packed]
 
         search._solve_many = solve_many
+        return search, fits
+
+    def assert_matches_the_scan(self, search, fits, rows, seeds=None):
+        counts = np.count_nonzero(exact._unpack(rows, search.n), axis=1)
+        expected, pruned, reused, skipped, incumbent = self.reference_scan(search, rows, counts, seeds)
+        before, memo = dataclasses.replace(search.stats), set(search.fitted)
+        fits.clear()
+        search._complete(rows, seeds)
+        # sets are fitted in row order, each once, some ahead of a move of
+        # J that prunes them at their own row; only the scan's fits count
+        assert len(set(fits)) == len(fits) and set(expected) <= set(fits)
+        assert [row for row in fits if row in expected] == expected
+        if not search.count_bound:
+            assert fits == expected
+        assert search.fitted - memo == set(expected)
+        assert (search.j, search.best) == incumbent
+        stats = search.stats
+        assert stats.subproblems_solved - before.subproblems_solved == len(expected)
+        assert stats.subproblems_pruned - before.subproblems_pruned == pruned
+        assert stats.subproblems_reused - before.subproblems_reused == reused
+        assert stats.inner_loops_skipped - before.inner_loops_skipped == skipped
+        assert stats.sign_completions - before.sign_completions == pruned + reused + len(expected)
+        if seeds is None:
+            assert pruned + reused + len(expected) == rows.shape[0]
+
+    @pytest.mark.parametrize("n", [64, 128, 150])
+    @pytest.mark.parametrize(
+        "count_bound, min_size", [(True, 0), (False, 1), (True, 1)], ids=["bound", "floor", "both"]
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_complete_matches_a_row_by_row_scan(self, n, count_bound, min_size, seed):
+        # Each search's rule: the count bound alone (regression); the size
+        # floor alone (subspace at p = 0 and sampled); both (exact subspace
+        # at p = 2).  Chunks of at most 3 sets, and a floor of n // 3.
+        rng = np.random.default_rng(seed)
+        search, fits = self.fake_search(n, count_bound, min_size * (n // 3))
+        search.stack = 3
         pool = exact._pack(rng.random((40, n)) < rng.uniform(0.3, 0.7, size=(40, 1)))
         pair = pool[:0]
         if n > 64:
@@ -1061,36 +1104,95 @@ class TestBranchLoop:
             # sum(hash * words) mod 2**64
             a = exact._pack(np.ones((1, n), dtype=bool))[0]
             b = a.copy()
-            b[:2] += row_hash[[1, 0]] * np.array([1, -1 % 2**64], dtype=np.uint64)
-            assert (a * row_hash).sum() == (b * row_hash).sum() and not np.array_equal(a, b)
+            b[:2] += search.hash[[1, 0]] * np.array([1, -1 % 2**64], dtype=np.uint64)
+            assert (a * search.hash).sum() == (b * search.hash).sum() and not np.array_equal(a, b)
             pair = np.stack([a, b])
         for _ in range(2):  # the second call meets sets the first one fitted
             rows = np.concatenate([pool[rng.integers(pool.shape[0], size=300)], pair])
             counts = np.count_nonzero(exact._unpack(rows, n), axis=1)
             assert counts[300:].min(initial=n) >= n // 3  # the pair reaches the sort
-            expected, pruned, reused, incumbent = self.reference_scan(search, rows, counts)
-            before, memo = dataclasses.replace(search.stats), set(search.fitted)
-            fitted.clear()
-            search._complete(rows)
-            if count_bound and stack is not None:
-                # sets are fitted largest first, and some ahead of the
-                # replay that then prunes them; only the replay's fits count
-                assert len(set(fitted)) == len(fitted) and set(expected) <= set(fitted)
+            self.assert_matches_the_scan(search, fits, rows)
+
+    @pytest.mark.parametrize("n", [64, 150])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_regression_seeds_match_a_row_by_row_scan(self, n, seed):
+        # Regression hands over the rows of a run of seeds; a seed whose
+        # best set fails the bound at its first row is skipped whole.  Seeds
+        # of 1 to 8 rows; base + n0 bounds every set of a seed, so many are
+        # skipped once J has fallen.
+        rng = np.random.default_rng(seed)
+        search, fits = self.fake_search(n, True, 0)
+        search.stack = int(rng.integers(1, 6))
+        search.settled = int(rng.integers(0, 4))
+        pool = exact._pack(rng.random((60, n)) < rng.uniform(0.3, 0.9, size=(60, 1)))
+        for _ in range(2):
+            sizes = rng.integers(0, 4, size=40)
+            ends = np.cumsum(1 << sizes)
+            rows = pool[rng.integers(pool.shape[0], size=int(ends[-1]))]
+            counts = np.count_nonzero(exact._unpack(rows, n), axis=1)
+            largest = np.maximum.reduceat(counts, np.concatenate(([0], ends[:-1])))
+            n0 = sizes + rng.integers(0, 2, size=40)  # n0 may exceed what the rows show
+            base = largest - n0 + rng.integers(0, 3, size=40)
+            self.assert_matches_the_scan(search, fits, rows, (ends, base, n0))
+
+    def test_a_seed_skipped_at_its_first_row_counts_no_row(self):
+        # The first set lowers J to 1/2; the second seed's best set has
+        # n - base - n0 = 1 point outside, 1 > J + 0: skipped, its rows
+        # uncounted, though they passed the bound at the call's start.
+        n = 10
+        search, fits = self.fake_search(n, True, 0)
+        search.settled = 8  # one chunk holds every set
+        masks = np.zeros((3, n), dtype=bool)
+        masks[0, :9] = True
+        masks[1, :8], masks[2, :7] = True, True
+        search._solve_many = lambda sets: (np.array([0.5, 0.2, 0.1])[: len(sets)], ["a", "b", "c"])
+        search._complete(exact._pack(masks), (np.array([1, 3]), np.array([9, 7]), np.array([0, 2])))
+        assert (search.j, search.best) == (0.5, "a")
+        assert search.stats == SearchStats(
+            inner_loops_skipped=1, sign_completions=1, subproblems_solved=1
+        )
+
+    @pytest.mark.parametrize("score", [1.5, 9.0])
+    def test_a_refused_seed_raises_only_where_a_scan_reaches_it_unskipped(self, score):
+        # Seed 1 has 21 on-hyperplane points, past _MAX_ONSET, and 7 of 30
+        # points strictly below both copies: at p = 0 the bound skips it
+        # once 30 - 7 > J + 21, i.e. J < 2.  From J = 2.5, seed 0's set of
+        # 28 points passes the bound 2 < J; if it scores 1.5 the scan skips
+        # seed 1, and if it scores 9, J stays and the scan raises there.
+        n = 30
+        search = exact._RegressionSearch(random_regression_instance(1, n=n), sf.LossSpec(0, 0.5))
+        search.j = 2.5
+        below = np.zeros((2, 2 * n), dtype=bool)
+        on = np.zeros((2, 2 * n), dtype=bool)
+        below[0, :28], below[0, n : n + 28] = True, True
+        below[1, :7], below[1, n : n + 7] = True, True
+        on[1, 7:28] = True
+        search._solve_many = lambda masks: (np.full(len(masks), score), [None] * len(masks))
+
+        def normals(z, norms, ws=None):
+            h = np.zeros((z.shape[0], z.shape[2]))
+            h[0] = 1.0
+            return h, np.zeros(z.shape[2], dtype=bool)
+
+        masks = (below.T, (below | on).T)
+        with (
+            mock.patch.object(exact, "_batched_normals", normals),
+            mock.patch.object(exact, "_classify", lambda zset, h, ws=None: masks),
+        ):
+            if score < 2:
+                search.process_chunk(np.zeros((1, 2), dtype=np.intp))
+                assert (search.j, search.stats.inner_loops_skipped) == (1.5, 1)
             else:
-                assert fitted == expected
-            assert search.fitted - memo == set(expected)
-            assert (search.j, search.best) == incumbent
-            assert search.stats.subproblems_solved - before.subproblems_solved == len(expected)
-            assert search.stats.subproblems_pruned - before.subproblems_pruned == pruned
-            assert search.stats.subproblems_reused - before.subproblems_reused == reused
-            assert search.stats.sign_completions - before.sign_completions == rows.shape[0]
+                with pytest.raises(sf.NoHyperplaneError, match="21 points lie on one candidate"):
+                    search.process_chunk(np.zeros((1, 2), dtype=np.intp))
+        assert search.stats.subproblems_solved == 1
 
     @pytest.mark.parametrize("extra", [0, 1])
     @pytest.mark.parametrize("fit_first", [False, True])
     def test_count_bound_edge(self, extra, fit_first):
         # At p = 2 a set S with eps^2 (n - |S|) == J is pruned and S plus one
         # point is fitted, whether J is the incumbent at the call's start or
-        # the objective of a larger set fitted on an earlier row of the call.
+        # the objective of a larger set fitted in the chunk before it.
         cfg = SubspaceGeneratorConfig(n=10, d=2, subspace_dim=1, outlier_fraction=0.3, rng_seed=1)
         search = _SubspaceSearch(generate_subspace(cfg)[0], sf.LossSpec(2, 0.5))
         assert search.count_bound and search.eps_p == 0.25
@@ -1109,13 +1211,37 @@ class TestBranchLoop:
             subproblems_pruned=1 - extra,
         )
 
-    def test_a_set_fitted_ahead_and_pruned_at_its_row_changes_nothing(self):
-        # Both sets are fitted in one call, the larger first.  The set of 8
-        # points on row 0 lowers J to 1; the set of 5 on row 1 then fails
-        # eps^2 (n - 5) = 1.25 >= J, so its smaller objective 0.9 is dropped
-        # and it counts as pruned, not solved.
+    @pytest.mark.parametrize("settled", [0, 1])
+    def test_the_count_bound_edge_at_a_chunk_boundary(self, settled):
+        # The set of 8 points moves J to 0.25 (10 - 4) = 1.5; the set of 4
+        # then sits on the bound and is pruned, fitted ahead in one chunk
+        # with the first (J settled for 2 sets: a first chunk of 2) or not
+        # fitted at all when the chunk ends with the first set (a chunk of 1).
         cfg = SubspaceGeneratorConfig(n=10, d=2, subspace_dim=1, outlier_fraction=0.3, rng_seed=1)
         search = _SubspaceSearch(generate_subspace(cfg)[0], sf.LossSpec(2, 0.5))
+        search.settled = settled * 2
+        masks = np.zeros((2, 10), dtype=bool)
+        masks[0, :8], masks[1, :4] = True, True
+        fits = []
+
+        def solve_many(sets):
+            fits.extend(np.count_nonzero(sets, axis=1).tolist())
+            return [1.5] * len(sets), [None] * len(sets)
+
+        search._solve_many = solve_many
+        search._complete(exact._pack(masks))
+        assert fits == ([8, 4] if settled else [8])
+        assert search.j == 1.5 and search.settled == 0
+        assert search.stats == SearchStats(sign_completions=2, subproblems_solved=1, subproblems_pruned=1)
+
+    def test_a_set_fitted_ahead_and_pruned_at_its_row_changes_nothing(self):
+        # Both sets are fitted in one chunk, as J has not moved for 2 sets.
+        # The set of 8 points on row 0 lowers J to 1; the set of 5 on row 1
+        # then fails eps^2 (n - 5) = 1.25 >= J, so its smaller objective 0.9
+        # is dropped and it counts as pruned, not solved.
+        cfg = SubspaceGeneratorConfig(n=10, d=2, subspace_dim=1, outlier_fraction=0.3, rng_seed=1)
+        search = _SubspaceSearch(generate_subspace(cfg)[0], sf.LossSpec(2, 0.5))
+        search.settled = 2
         masks = np.zeros((2, 10), dtype=bool)
         masks[0, :8] = masks[1, 5:] = True
         fits = []
@@ -1315,3 +1441,33 @@ class TestWorkspace:
             tracemalloc.stop()
         assert search.stats.inner_loops_skipped - skipped > 0.9 * rows
         assert peak < rows * data.n * 8 // 2
+
+
+def test_the_solvers_load_no_module():
+    # A module that a solver imports lazily is imported again by every
+    # forked worker; the solvers must load nothing that importing satfit
+    # and the generators did not.
+    script = """
+import sys
+import satfit as sf
+from satfit.experiments import GeneratorConfig, SubspaceGeneratorConfig, generate_regression, generate_subspace
+data = generate_regression(GeneratorConfig(n=20, d=2, outlier_fraction=0.3, rng_seed=1))[0]
+points = generate_subspace(SubspaceGeneratorConfig(n=9, d=2, subspace_dim=1, outlier_fraction=0.3, rng_seed=1))[0]
+before = set(sys.modules)
+cfg = sf.SamplingConfig(50, 1)
+for p in (0, 1, 2):
+    spec = sf.LossSpec(p, 0.9)
+    sf.exact_regression(data, spec)
+    sf.sampled_regression(data, spec, cfg)
+    sf.ransac_regression(data, spec, cfg)
+for p in (0, 2):
+    spec = sf.LossSpec(p, 0.9)
+    sf.exact_subspace(points, spec)
+    sf.sampled_subspace(points, spec, cfg)
+print(sorted(set(sys.modules) - before))
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -636,7 +636,7 @@ def _search_counts(data, spec, base, n0):
     for offset in (-0.5, 0.5):
         search = exact._RegressionSearch(data, spec)
         search.j = data.n - n0 - base + offset
-        search._handle_seed = lambda halves, flips: None
+        search._handle_seed = lambda *run: None
         search.process_chunk(np.zeros((1, 1), dtype=np.intp))
         assert search.stats.max_onset_size == n0
         skipped.append(search.stats.inner_loops_skipped == 1)

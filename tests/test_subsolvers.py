@@ -7,7 +7,7 @@ from satfit.subsolvers import (
     NonUniqueBasisWarning,
     RankDeficientFitWarning,
     _chebyshev_vertex,
-    _lad_vertex,
+    _lad_vertices,
     _ls_fit,
     _ls_fits,
     _svd_basis,
@@ -22,6 +22,12 @@ from helpers import (
     minimax_reference,
     random_orthonormal,
 )
+
+
+def _lad_vertex(x, y, max_pivots=None):
+    """The stacked LAD solver on the one set of all rows: (fit, basis, certificate)."""
+    w, basis, lam = _lad_vertices(x, y, np.ones((1, y.size), dtype=bool), max_pivots)
+    return w[0], basis[0][basis[0] >= 0], lam[0]
 
 
 def two_point_vertical():
@@ -284,6 +290,109 @@ class TestVertexSolvers:
         w_big, basis_big, _ = _lad_vertex(x, y)
         assert np.array_equal(basis_small, basis_big)
         assert w_small.tobytes() == w_big.tobytes()
+
+
+class TestStackedLad:
+    """Each set of a stack has the bits it has alone, whatever the other sets are."""
+
+    @staticmethod
+    def assert_alone_equals_stacked(x, y, masks):
+        fits, bases, certificates = _lad_vertices(x, y, masks)
+        for b, mask in enumerate(masks):
+            w, basis, lam = _lad_vertices(x, y, mask[None])
+            assert w[0].tobytes() == fits[b].tobytes()
+            assert np.array_equal(basis[0], bases[b])
+            assert lam[0].tobytes() == certificates[b].tobytes()
+            assert not certificates[b][~mask].any()
+            # the set's own rows, without the others: the same vertex, whose
+            # multipliers sum other zeros
+            w_set, basis_set, lam_set = _lad_vertex(x[mask], y[mask])
+            assert w_set.tobytes() == fits[b].tobytes()
+            assert np.array_equal(np.flatnonzero(mask)[basis_set], bases[b][bases[b] >= 0])
+            assert lam_set == pytest.approx(certificates[b][mask], rel=1e-12, abs=1e-12)
+        return fits, bases, certificates
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_mixed_size_stacks(self, seed):
+        rng = np.random.default_rng(seed)
+        n, d = 25, int(rng.integers(1, 4))
+        x = rng.normal(size=(n, d))
+        y = x @ rng.normal(size=d) + rng.normal(size=n) * (rng.random(n) < 0.4) * 5
+        masks = rng.random((9, n)) < rng.uniform(0.2, 0.9, size=(9, 1))
+        masks[0] = True
+        masks[1] = False
+        masks[1, rng.choice(n, size=d, replace=False)] = True  # k == d: the interpolation
+        fits, bases, _ = self.assert_alone_equals_stacked(x, y, masks)
+        assert np.allclose(x[bases[1]] @ fits[1], y[bases[1]], atol=1e-12)
+
+    def test_rank_deficient_sets_in_a_stack(self):
+        # rows 0-3 span one direction, so a set of them has rank 1 and is
+        # solved on its leftmost spanning column; set 2 has one point
+        x = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0], [1.0, 2.0], [0.0, 1.0], [1.0, -1.0]])
+        y = np.array([1.0, 2.5, 2.9, 0.7, 0.3, -2.0])
+        masks = np.zeros((4, 6), dtype=bool)
+        masks[0, :4] = masks[1] = masks[3, [1, 4]] = True
+        masks[2, 5] = True
+        fits, bases, _ = self.assert_alone_equals_stacked(x, y, masks)
+        assert fits[0][1] == 0.0 and fits[0][0] == pytest.approx(2.9 / 3.0, rel=1e-12)
+        assert (bases[0] >= 0).sum() == 1 and (bases[2] >= 0).sum() == 1
+        assert x[5] @ fits[2] == pytest.approx(y[5], abs=1e-12)
+
+    def test_a_degenerate_pivot(self):
+        # The start vertex of this set takes a step of length 0 (a third
+        # point on its line), after which the smallest violating point
+        # leaves (Bland); the stack gives the set the same bits.
+        t = np.array([-2.0, 1.0, 2.0, -1.0, 0.0, 3.0, 2.0])
+        x = np.column_stack([np.ones(7), t])
+        y = np.array([4.0, -1.0, 2.0, 4.0, 1.0, 3.0, 2.0])
+        masks = np.ones((3, 7), dtype=bool)
+        masks[1, 0] = masks[2, [1, 2]] = False
+        self.assert_alone_equals_stacked(x, y, masks)
+        w, basis, lam = _lad_vertex(x, y)
+        assert np.abs(y - x @ w).sum() == pytest.approx(lad_reference(x, y), rel=1e-12)
+
+    def test_the_pivot_guard_raises_for_one_set_of_a_stack(self):
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(12, 2))
+        y = rng.normal(size=12)
+        y[:3] += 10.0
+        masks = np.zeros((3, 12), dtype=bool)
+        masks[0, :2] = masks[1, :2] = True  # k == d: optimal at the start
+        masks[2] = True
+        _lad_vertices(x, y, masks[:2], max_pivots=0)
+        with pytest.raises(sf.SolverFailure, match="pivot guard"):
+            _lad_vertices(x, y, masks, max_pivots=0)
+
+    def test_certificates_of_a_stack(self):
+        # test_lad_certificate's conditions for every set of one stack
+        for x, y in vertex_instances():
+            k = x.shape[0]
+            masks = np.ones((3, k), dtype=bool)
+            masks[1, ::2] = False
+            masks[2, : k // 2] = False
+            masks = masks[masks.sum(axis=1) > 0]
+            fits, bases, lams = _lad_vertices(x, y, masks)
+            for mask, w, basis, lam in zip(masks, fits, bases, lams):
+                xs, ys, lam = x[mask], y[mask], lam[mask]
+                r = ys - xs @ w
+                scale = 1.0 + np.abs(ys).max()
+                assert np.all(np.abs(lam) <= 1.0 + 1e-9)
+                assert np.abs(xs.T @ lam).max(initial=0.0) <= 1e-9 * scale
+                assert lam @ ys == pytest.approx(np.abs(r).sum(), rel=1e-9, abs=1e-12)
+                assert np.abs(y[basis[basis >= 0]] - x[basis[basis >= 0]] @ w).max(initial=0.0) <= 1e-9 * scale
+
+    def test_sets_sharing_a_vertex_share_its_bits_in_a_stack(self):
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(15, 3))
+        y = rng.normal(size=15)
+        x[13] = x[14] = rng.normal(size=3)
+        y[13], y[14] = 100.0, -100.0
+        masks = np.ones((3, 15), dtype=bool)
+        masks[0, 13:] = False
+        masks[2, 3] = False  # another set in the same stack
+        fits, bases, _ = _lad_vertices(x, y, masks)
+        assert np.array_equal(bases[0], bases[1])
+        assert fits[0].tobytes() == fits[1].tobytes()
 
 
 class TestSubspaceFit:
