@@ -36,23 +36,23 @@ W = ceil(n / 64) ``uint64`` words, point i being bit i % 64 of word i // 64.
 The one builder, :func:`_branch_words`, doubles a seed's words level by
 level: regression clears one on-hyperplane point per level in its lifted
 halves, then ANDs them, for a run of seeds of one on-set size at once;
-the subspace search adds one seed point per level to its sides.  The one branch loop, ``_Search._complete``, takes at most
-``_BRANCH_CELLS`` bits per call, counts each set's size |S| off its words,
-and makes one forward pass in row order, with the answer and counters of a
-scan one row at a time: a set is pruned by its search's rule (regression
-and the exhaustive p = 2 subspace search: the count bound
-eps^p (n - |S|) >= J; subspace: also |S| < ds), skipped if fitted before,
-keyed by the bytes of its words, or fitted and scored with the subproblem
-that p selects.  The pass fits the next sets that pass the rule against the
-live incumbent and are new, in chunks that grow, and replays each chunk in
-row order.  Both searches fit a chunk in stacks of at most
-``_STACK_CELLS // n`` sets, bit for bit the one-set results: regression by
-one stacked LAD (:func:`.subsolvers._lad_fit`) at p = 1, one stacked least
-squares per set size (:func:`.subsolvers._ls_fits`) at p = 2 and one
-minimax fit per set at p = 0; the subspace search by one stacked SVD per
-set size.  Skipping a repeat cannot change the answer: it would reproduce
-an objective already seen, and only a strictly smaller objective replaces
-the incumbent.
+the subspace search adds one seed point per level to its sides.  The one
+branch loop, ``_Search._complete``, takes at most ``_BRANCH_CELLS`` bits
+per call, counts each set's size |S| off its words, and makes one forward
+pass in row order, with the answer and counters of a scan one row at a
+time: a set is pruned by its search's rule (regression and the exhaustive
+p = 2 subspace search: the count bound eps^p (n - |S|) >= J; subspace:
+also |S| < ds), skipped if fitted before, keyed by the bytes of its words,
+or fitted and scored with the subproblem that p selects.  The pass fits
+the next sets that pass the rule against the live incumbent and are new,
+in chunks that grow, and replays each chunk in row order.  Both searches
+fit a chunk in stacks of at most ``_STACK_CELLS // n`` sets, bit for bit
+the one-set results: regression through
+:func:`.subsolvers._regression_fits` (one stacked LAD at p = 1, one
+stacked least squares per set size at p = 2, one minimax fit per set at
+p = 0), the subspace search by one stacked SVD per set size.  Skipping a
+repeat cannot change the answer: it would reproduce an objective already
+seen, and only a strictly smaller objective replaces the incumbent.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ from .geometry import (
     lift_regression,
     lift_subspace,
 )
-from .subsolvers import _lad_fit, _ls_fits, _minimax_fit, _size_stacks, _svd_basis
+from .subsolvers import _regression_fits, _size_stacks, _svd_basis
 
 __all__ = [
     "NoHyperplaneError",
@@ -136,7 +136,8 @@ _BLOCK = 256
 # bound against the live incumbent at the run's start have their branch
 # words built together and reach _Search._complete in one call.  A run's
 # words, with both lifted halves, take at most _RUN_CELLS bits (64 KiB), so
-# its temporaries stay under glibc's first mmap threshold (the rule is in
+# its rows, half of that, fit one call of _BRANCH_CELLS bits, and its
+# temporaries stay under glibc's first mmap threshold (the rule is in
 # geometry._Workspace): runs of 4,096 rows of four words had raised the
 # peak RSS of sampled regression at n = 200 by about 1 MB.
 _RUN = 256
@@ -283,6 +284,18 @@ def _unpack(words: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
 
 
+def _first_rows(words: np.ndarray) -> np.ndarray:
+    """Indices of the first row of each distinct row of ``words`` (rows, W), in row order.
+
+    One exact sort groups equal rows: ``argsort`` of the word for rows of
+    one word, ``lexsort`` of the words for longer rows.
+    """
+    order = np.argsort(words[:, 0]) if words.shape[1] == 1 else np.lexsort(words.T)
+    ranked = words[order]
+    starts = np.flatnonzero(np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1))))
+    return np.sort(np.minimum.reduceat(order, starts))
+
+
 def _bit_words(points: np.ndarray, n: int) -> np.ndarray:
     """The :func:`_pack` words (..., W) of the one-point sets {i} of ``points`` (...)."""
     flat = points.ravel()
@@ -362,11 +375,23 @@ class _Search:
         self.fitted: set[bytes] = set()  # packed words of the fitted inlier sets
         self.workspace = _Workspace()  # the block-sized arrays of process_chunk
         self.stack = max(1, _STACK_CELLS // n)  # sets per _solve_many call at most
-        # odd multipliers of the row hash that sorts rows of several words
-        words = -(-n // 64)
-        self.hash = np.random.default_rng(0).integers(2**64, size=words, dtype=np.uint64) | 1
-        self.key_type = np.dtype((np.void, 8 * words))  # a packed row as one memo key
+        self.key_type = np.dtype((np.void, 8 * -(-n // 64)))  # a packed row as one memo key
         self.settled = 0  # sets solved since the incumbent last moved
+
+    def _hyperplanes(self, subsets: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(h, degen, below, closed) of a block of seeds (k, B), counting its seeds and degenerate ones.
+
+        The normals h (m, B) are oriented, ``degen`` flags the rank-deficient
+        seeds, and ``below`` / ``closed`` are the point-major masks (size, B)
+        of the lifted classification.
+        """
+        self.stats.seeds_enumerated += subsets.shape[1]
+        ws, zset = self.workspace, self.zset
+        rows = ws.take("rows", zset.columns, subsets, axis=1)
+        h, degen = _batched_normals(rows, zset.norms[subsets], ws)
+        _orient(h)
+        self.stats.seeds_degenerate += int(np.count_nonzero(degen))
+        return h, degen, *_classify(zset, h, ws)
 
     def _complete(self, words: np.ndarray, seeds: tuple | None = None) -> None:
         """Prune, reuse or fit the branches in ``words``, as a row-order scan would.
@@ -376,16 +401,22 @@ class _Search:
         with the live incumbent J (|S| < ``min_size``, or the count bound
         eps^p (n - |S|) >= J), else reuses it if fitted before, else fits it
         and moves J on a strictly smaller objective.  A pruned set is not
-        remembered: J only falls, so it fails again.  ``seeds``, given by
-        regression, is (ends, base, n0) of the seeds whose rows these are:
-        the scan skips seed s whole, its rows up to ``ends[s]`` uncounted,
-        when eps^p (n - base[s]) > J + eps^p n0[s] at its first row.
+        remembered: J only falls, so it fails again.
+
+        ``seeds``, given by regression, is (ends, base, n0) of the seeds
+        whose rows these are (``None``: one seed, never skipped).  The scan
+        skips seed s, its rows up to ``ends[s]`` uncounted, when
+        eps^p (n - base[s]) > J + eps^p n0[s] at its first row.  That only
+        settles the counters: a point of a branch set S has both lifted
+        copies strictly below or one on the hyperplane, so |S| <= base + n0,
+        and S fails the count bound there and after, as J only falls (in
+        exact arithmetic; the two tests are separate float expressions).
 
         One forward pass in row order does the same, a chunk of sets at a
         time.  From the current row it takes the next sets that pass the
-        rule (seed skip included) against the live J and are new to the
-        memo, in row order: one sort over a run of the passing rows, runs
-        that double until the chunk is full, finds the first row of each.
+        rule against the live J and are new to the memo, in row order: one
+        :func:`_first_rows` sort over a run of the passing rows, runs that
+        double until the chunk is full, finds the first row of each.
         A row failing the rule now fails it at its own row, as J only falls,
         and every set a scan could fit before the chunk's last row is in the
         chunk.  ``_solve_many`` fits the chunk, and a replay of its rows in
@@ -406,14 +437,13 @@ class _Search:
         bound = self.eps_p * (self.n - counts) if self.count_bound else np.full(total, -np.inf)
         if self.min_size:
             bound[counts < self.min_size] = np.inf
-        if seeds is None:  # one seed, never skipped
-            firsts, reach, cost, of = np.zeros(1, dtype=np.intp), np.full(1, -np.inf), np.zeros(1), None
-        else:
-            ends, base, n0 = seeds
-            firsts = np.concatenate(([0], ends[:-1]))
-            reach, cost = self.eps_p * (self.n - base), self.eps_p * n0
-            of = np.repeat(np.arange(ends.size), ends - firsts)  # the seed of each row
-        skipped = np.zeros(reach.size, dtype=bool)
+        if seeds is None:  # one seed, never skipped: eps^p (n - n) > J + 0 at no J
+            seeds = np.array([total]), np.array([self.n]), np.zeros(1, dtype=np.intp)
+        ends, base, n0 = seeds
+        firsts = np.concatenate(([0], ends[:-1]))
+        reach, cost = self.eps_p * (self.n - base), self.eps_p * n0
+        of = np.repeat(np.arange(ends.size), ends - firsts)  # the seed of each row
+        skipped = np.zeros(ends.size, dtype=bool)
         pos = step = 0
         while pos < total:
             j = self.j
@@ -421,16 +451,14 @@ class _Search:
             step += 1
             # the first `want` sets past pos that pass the rule now and are
             # new, from windows of rows that double
-            gone = reach > j + cost
             sets, keys, seen, low, span = [], [], set(), pos, 16 * want
             while low < total and len(sets) < want:
                 high = min(total, low + span)
-                dead = gone[of[low:high]] if of is not None else gone[0]
-                run = low + np.flatnonzero((bound[low:high] < j) & ~dead)
+                run = low + np.flatnonzero(bound[low:high] < j)
                 low, span = high, 2 * span
                 if not run.size:
                     continue
-                first = self._first_rows(block := words[run])
+                first = _first_rows(block := words[run])
                 met = block[first].view(self.key_type).ravel().tolist()
                 fresh = [i for i, key in enumerate(met) if key not in self.fitted and key not in seen]
                 fresh = fresh[: want - len(sets)]
@@ -445,18 +473,11 @@ class _Search:
                 objectives, solutions = self._solve_many(_unpack(words[sets], self.n))
                 objectives = np.asarray(objectives, dtype=float)
                 # the replay: J before each set and after the last
-                set_bound, set_seed = bound[sets], of[sets] if of is not None else np.zeros_like(sets)
+                set_bound = bound[sets]
                 incumbents = np.empty(sets.size + 1)
-                blocked = np.zeros(sets.size, dtype=bool)
                 t = 0
-                while (moves := np.flatnonzero(
-                    (set_bound[t:] < j) & (objectives[t:] < j) & ~blocked[t:]
-                )).size:
-                    u, seed = t + int(moves[0]), set_seed[t + int(moves[0])]
-                    k = int(np.searchsorted(sets, firsts[seed]))  # the first set of its seed
-                    if reach[seed] > (incumbents[k] if k < t else j) + cost[seed]:
-                        blocked[u] = True  # its seed is skipped at its first row
-                        continue
+                while (moves := np.flatnonzero((set_bound[t:] < j) & (objectives[t:] < j))).size:
+                    u = t + int(moves[0])
                     incumbents[t : u + 1] = j
                     j, t, last = objectives[u], u + 1, u
                 incumbents[t:] = j
@@ -465,15 +486,12 @@ class _Search:
                 at_start = at_row[firsts[first:end] - pos]
             else:
                 at_row = at_start = j
-            # a seed is skipped by J at its first row
+            # a seed is skipped by J at its first row; its rows go uncounted
             skipped[first:end] = reach[first:end] > at_start + cost[first:end]
-            if of is not None:
-                counted = ~skipped[of[pos:stop]]
-            else:
-                counted = np.full(stop - pos, not skipped[0])
+            counted = ~skipped[of[pos:stop]]
             pruned = int(np.count_nonzero(counted & (bound[pos:stop] >= at_row)))
             if sets.size:
-                solved = np.flatnonzero((set_bound < incumbents[:-1]) & ~skipped[set_seed])
+                solved = np.flatnonzero(set_bound < incumbents[:-1])
                 self.fitted.update([keys[i] for i in solved.tolist()])
             if last is None:
                 self.settled += solved.size
@@ -487,27 +505,6 @@ class _Search:
             stats.subproblems_pruned += pruned
             stats.subproblems_reused += completions - pruned - solved.size
             pos = stop
-
-    def _first_rows(self, words: np.ndarray) -> np.ndarray:
-        """Indices of the first row of each distinct row of ``words``, in row order.
-
-        One sort groups equal rows.  A row of one word is its own sort key;
-        longer rows sort by a hash of their words, and each row is then
-        checked against its predecessor in its group; where two different
-        rows share a hash, an exact sort of the rows replaces the hash.
-        """
-        if words.shape[0] < 2:
-            return np.arange(words.shape[0])
-        key = words[:, 0] if words.shape[1] == 1 else (words * self.hash).sum(axis=1)
-        order = np.argsort(key)
-        key = key[order]
-        same = key[1:] == key[:-1]  # the row is in its predecessor's group
-        if words.shape[1] > 1:
-            ranked = words[order]
-            if (same & (ranked[1:] != ranked[:-1]).any(axis=1)).any():
-                return np.sort(np.unique(words, axis=0, return_index=True)[1])
-        starts = np.flatnonzero(np.concatenate(([True], ~same)))
-        return np.sort(np.minimum.reduceat(order, starts))
 
     def scan(
         self,
@@ -635,23 +632,9 @@ class _RegressionSearch(_Search):
         self.p = spec.p
 
     def _solve_many(self, masks: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Fit and score a chunk of inlier sets, in row order.
-
-        p = 1 takes one stacked LAD fit, p = 2 one stacked least-squares fit
-        per set size, p = 0 one minimax fit per set; each fit has the bits
-        of the one-set fit.
-        """
+        """Fit and score a chunk of inlier sets, in row order, with :func:`.subsolvers._regression_fits`."""
         x, y = self.data.x, self.data.y
-        if self.p == 1:
-            w = _lad_fit(x, y, masks)
-        else:
-            w = np.empty((masks.shape[0], x.shape[1]))
-            if self.p == 2:
-                for sets, points in _size_stacks(masks):
-                    w[sets] = _ls_fits(x[points], y[points])[0]
-            else:
-                for i, mask in enumerate(masks):
-                    w[i] = _minimax_fit(x[mask], y[mask])[0]
+        w = _regression_fits(x, y, masks, self.p)
         # one mat-vec per set, as x @ w, so the objectives keep their bits
         objectives = np.sum(loss(self.spec, y - (x[None] @ w[:, :, None])[:, :, 0]), axis=1)
         return objectives, list(w)
@@ -691,17 +674,11 @@ class _RegressionSearch(_Search):
     def process_chunk(self, subsets: np.ndarray) -> None:
         """Process a block of seeds (k, B), in order."""
         stats = self.stats
-        stats.seeds_enumerated += subsets.shape[1]
-        ws, zset = self.workspace, self.zset
-        rows = ws.take("rows", zset.columns, subsets, axis=1)
-        h, degen = _batched_normals(rows, zset.norms[subsets], ws)
-        _orient(h)
-        below, closed = _classify(zset, h, ws)
+        h, degen, below, closed = self._hyperplanes(subsets)
         h1_small = h[0] <= ON_HYPERPLANE_TOL
         base = _counts(below[: self.n] & below[self.n :], axis=0)
         n0 = _counts(closed, axis=0) - _counts(below, axis=0)
         valid = ~degen & ~h1_small
-        stats.seeds_degenerate += int(np.count_nonzero(degen))
         stats.seeds_skipped += int(np.count_nonzero(h1_small & ~degen))
         if valid.any():
             stats.max_onset_size = max(stats.max_onset_size, int(n0[valid].max()))
@@ -712,7 +689,7 @@ class _RegressionSearch(_Search):
         # their first row.
         seeds = np.flatnonzero(valid)
         base, n0 = base[seeds], n0[seeds]
-        cap = max(1, min(_RUN_CELLS // 2, _BRANCH_CELLS) // (64 * -(-self.n // 64)))  # rows per run
+        cap = max(1, _RUN_CELLS // 2 // (64 * -(-self.n // 64)))  # rows per run
         at = 0
         while at < seeds.size:
             skip = self.eps_p * (self.n - base[at:]) > self.j + self.eps_p * n0[at:]
@@ -874,13 +851,7 @@ class _SubspaceSearch(_Search):
         order, then branch order.
         """
         stats = self.stats
-        stats.seeds_enumerated += subsets.shape[1]
-        ws, zset = self.workspace, self.zset
-        rows = ws.take("rows", zset.columns, subsets, axis=1)
-        h, degen = _batched_normals(rows, zset.norms[subsets], ws)
-        _orient(h)
-        stats.seeds_degenerate += int(np.count_nonzero(degen))
-        below, closed = _classify(zset, h, ws)
+        _, degen, below, closed = self._hyperplanes(subsets)
         usable = ~degen
         idx, below, closed = subsets[:, usable], below[:, usable], closed[:, usable]
         on = closed & ~below

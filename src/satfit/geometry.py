@@ -89,7 +89,6 @@ class LiftedSet:
     z: np.ndarray
     n_points: int
     epsilon: float
-    scales: np.ndarray = field(init=False, repr=False)
     tol: np.ndarray = field(init=False, repr=False)
     columns: np.ndarray = field(init=False, repr=False)
     norms: np.ndarray = field(init=False, repr=False)
@@ -98,8 +97,7 @@ class LiftedSet:
         self.z = np.asarray(self.z, dtype=float)
         # Margin tolerances are scaled per point so huge lifted coordinates
         # (e.g. gross outliers) do not defeat the on-hyperplane test.
-        self.scales = np.maximum(1.0, np.linalg.norm(self.z, axis=1))
-        self.tol = ON_HYPERPLANE_TOL * self.scales
+        self.tol = ON_HYPERPLANE_TOL * np.maximum(1.0, np.linalg.norm(self.z, axis=1))
         self.columns, self.norms = _seed_columns(self.z)
 
     @property
@@ -109,12 +107,6 @@ class LiftedSet:
     @property
     def dim(self) -> int:
         return self.z.shape[1]
-
-    def link(self, i: int) -> int:
-        """Original data index of lifted row ``i``."""
-        if self.kind == "regression" and i >= self.n_points:
-            return i - self.n_points
-        return i
 
 
 def lift_regression(data: RegressionDataset, spec: LossSpec) -> LiftedSet:

@@ -36,7 +36,7 @@ from .core import (
     regression_inliers,
 )
 from .exact import _BLOCK, ProgressFn, SolveReport, _RegressionSearch, _SubspaceSearch
-from .subsolvers import _ls_fits, _regression_fit
+from .subsolvers import _ls_fits, _regression_fits
 
 __all__ = [
     "SamplingConfig",
@@ -258,9 +258,9 @@ def ransac_regression(
         if progress is not None:
             progress(start + idx.shape[0], float(n - best_count))
     solved = cfg.n_iters
-    consensus = np.flatnonzero(_within(spec, data.y - data.x @ best_w))
-    if consensus.size:
-        refit = _regression_fit(data.x[consensus], data.y[consensus], spec.p)
+    consensus = _within(spec, data.y - data.x @ best_w)
+    if consensus.any():
+        refit = _regression_fits(data.x, data.y, consensus[None], spec.p)[0]
         solved += 1
     else:
         refit = best_w  # no consensus at all; keep the best raw sample fit

@@ -456,18 +456,25 @@ def solve_minimax(data: RegressionDataset, subset) -> tuple[RegressionModel, flo
     return RegressionModel(w), float(value)
 
 
-def _regression_fit(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    """Coefficients of the fixed-classification fit that the loss exponent selects.
+def _regression_fits(x: np.ndarray, y: np.ndarray, masks: np.ndarray, p: int) -> np.ndarray:
+    """The (B, d) fits that the loss exponent selects, of the sets ``masks`` (B, n) of the rows of x, y.
 
     Minimax for p = 0 (the set fits within the threshold, every point an
     inlier, exactly when the attained maximum error is at most epsilon),
-    least absolute deviations for p = 1, least squares for p = 2.
+    one fit per set; least absolute deviations for p = 1, one stacked fit;
+    least squares for p = 2, one stacked fit per set size.  Each fit has the
+    bits of the one-set fit.
     """
-    if p == 0:
-        return _minimax_fit(x, y)[0]
     if p == 1:
-        return _lad_fit(x, y, np.ones((1, y.size), dtype=bool))[0]
-    return _ls_fit(x, y)[0]
+        return _lad_fit(x, y, masks)
+    w = np.empty((masks.shape[0], x.shape[1]))
+    if p == 2:
+        for sets, points in _size_stacks(masks):
+            w[sets] = _ls_fits(x[points], y[points])[0]
+    else:
+        for i, mask in enumerate(masks):
+            w[i] = _minimax_fit(x[mask], y[mask])[0]
+    return w
 
 
 # ---------------------------------------------------------------------------

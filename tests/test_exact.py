@@ -295,6 +295,25 @@ class TestExactRegression:
             reference = sf.oracle_regression(data, spec)
             assert report.objective == pytest.approx(reference.objective, rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_matches_oracle_on_noiseless_data_at_a_non_dyadic_epsilon(self, p):
+        # Lines with coefficients and abscissae on a 0.1 grid, outliers moved
+        # by multiples of 0.1, eps = 0.3: objectives land on multiples of
+        # eps^p plus round-off, where the count bound eps^p (n - |S|) and a
+        # seed's skip test eps^p (n - base) > J + eps^p n0 meet.
+        rng = np.random.default_rng(3)
+        for n in (8, 10, 12, 12):
+            t = np.round(rng.normal(size=n) * 2, 1)
+            a, b = np.round(rng.normal(size=2), 1)
+            y = np.round(a + b * t, 1)
+            out = rng.choice(n, size=n // 3, replace=False)
+            y[out] += np.round(rng.normal(size=out.size) * 3, 1)
+            data = sf.RegressionDataset(np.column_stack([np.ones(n), t]), y)
+            spec = sf.LossSpec(p, 0.3)
+            report = sf.exact_regression(data, spec)
+            reference = sf.oracle_regression(data, spec)
+            assert report.objective == pytest.approx(reference.objective, rel=1e-9, abs=1e-12)
+
     def test_matches_the_p1_vertex_scan_at_n60(self):
         # The public oracle refuses n > 20; its p = 1 vertex scan visits
         # C(n, d) 3^d vertices, few enough to certify the search at n = 60.
@@ -458,8 +477,10 @@ class TestExactRegression:
         for p in (0, 1, 2):
             spec = sf.LossSpec(p, 0.8)
             whole = sf.exact_regression(data, spec)
-            # at most 3 rows of one word per _complete call: runs of 2 branches
+            # at most 3 rows of one word per _complete call and per run (whose
+            # cells count both lifted halves): runs of 2 branches
             monkeypatch.setattr(exact, "_BRANCH_CELLS", 3 * 64)
+            monkeypatch.setattr(exact, "_RUN_CELLS", 2 * 3 * 64)
             blocked = sf.exact_regression(data, spec)
             monkeypatch.undo()
             assert blocked.objective == whole.objective
@@ -933,6 +954,7 @@ def branch_rows(search, subsets, below, on, cells):
         mock.patch.object(exact, "_batched_normals", normals),
         mock.patch.object(exact, "_classify", lambda zset, h, ws=None: masks),
         mock.patch.object(exact, "_BRANCH_CELLS", cells),
+        mock.patch.object(exact, "_RUN_CELLS", 2 * cells),  # a run's cells count both lifted halves
     ):
         search.process_chunk(subsets)
     return calls
@@ -1003,6 +1025,52 @@ class TestBranchLoop:
                 if b >> j & 1:
                     expected ^= flips[j]
             assert np.array_equal(words[b], expected)
+
+    @given(
+        width=st.sampled_from([1, 2, 4]),
+        rows=st.integers(1, 80),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_first_rows_are_the_first_index_of_each_distinct_row(self, width, rows, seed):
+        # Words from an alphabet of three, so that rows often share their
+        # leading words and differ only in a later one.
+        rng = np.random.default_rng(seed)
+        alphabet = np.array([0, 1, 2**64 - 1], dtype=np.uint64)
+        words = alphabet[rng.integers(alphabet.size, size=(rows, width))]
+        first = {}
+        for i, row in enumerate(words.tolist()):
+            first.setdefault(tuple(row), i)
+        assert exact._first_rows(words).tolist() == sorted(first.values())
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_branch_sets_hold_at_most_base_plus_n0_points(self, p):
+        # Why a seed only settles the counters of _complete: a point of a
+        # branch set S has both lifted copies strictly below, or one of them
+        # on the hyperplane, so |S| <= base + n0 for every set of the seed.
+        # Integer data puts more points than the seed's own d on many
+        # hyperplanes, and some sets reach the bound.
+        instances = [(random_regression_instance(d - 1, n=10, d=d), 0.7) for d in (1, 2, 3)]
+        instances += list(integer_regression_instances(count=40))
+        crowded = full = 0
+        for data, eps in instances:
+            search = exact._RegressionSearch(data, sf.LossSpec(p, eps))
+            complete = search._complete
+
+            def check(words, seeds=None):
+                nonlocal crowded, full
+                assert seeds is not None
+                ends, base, n0 = seeds
+                rows = np.diff(ends, prepend=0)  # rows per seed
+                largest = np.repeat(base + n0, rows)
+                sizes = np.bitwise_count(words).sum(axis=1)
+                assert (sizes <= largest).all()
+                crowded += int(np.count_nonzero(np.repeat(n0 > search.k, rows)))
+                full += int(np.count_nonzero(sizes == largest))
+                complete(words, seeds)
+
+            search._complete = check
+            search.run_range(0, exact._rank_tables(search.zset.size, search.k)[0])
+        assert crowded > 0 and full > 0
 
     @staticmethod
     def fake_objective(packed, n):
@@ -1100,12 +1168,10 @@ class TestBranchLoop:
         pool = exact._pack(rng.random((40, n)) < rng.uniform(0.3, 0.7, size=(40, 1)))
         pair = pool[:0]
         if n > 64:
-            # two rows with one hash but different words: the hash is
-            # sum(hash * words) mod 2**64
+            # two rows equal in word 0 that differ in a later word
             a = exact._pack(np.ones((1, n), dtype=bool))[0]
             b = a.copy()
-            b[:2] += search.hash[[1, 0]] * np.array([1, -1 % 2**64], dtype=np.uint64)
-            assert (a * search.hash).sum() == (b * search.hash).sum() and not np.array_equal(a, b)
+            b[-1] ^= np.uint64(1)  # without point 64 (W - 1)
             pair = np.stack([a, b])
         for _ in range(2):  # the second call meets sets the first one fitted
             rows = np.concatenate([pool[rng.integers(pool.shape[0], size=300)], pair])

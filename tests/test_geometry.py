@@ -39,7 +39,8 @@ class TestLiftRegression:
         z = sf.lift_regression(data, sf.LossSpec(0, 0.1))
         assert z.size == 2 * data.n
         assert z.dim == data.d + 1
-        assert [z.link(i) for i in range(z.size)] == [0, 1, 2, 3, 4, 0, 1, 2, 3, 4]
+        # rows i and i + n are the two copies of point i
+        assert np.array_equal(z.z[: data.n, 1:], -data.x) and np.array_equal(z.z[data.n :, 1:], data.x)
 
     def test_construction_formula(self):
         rng = np.random.default_rng(2)
@@ -756,7 +757,7 @@ def test_on_hyperplane_tolerance_is_relative():
     data = sf.PointDataset(np.array([[1.0, 0.0], [1e4, 0.0], [0.0, 1.0]]), 1)
     spec = sf.LossSpec(2, 1.0)
     z = sf.lift_subspace(data, spec)
-    margin = 0.5 * ON_HYPERPLANE_TOL * z.scales[1]
+    margin = 0.5 * z.tol[1]  # ON_HYPERPLANE_TOL times the point's scale, max(1, |z|)
     h = np.zeros(4)
     h[2] = 1.0  # picks out the x1*x2 monomial, zero for all three points
     h[0] = margin / (z.z[:, 0][0])  # adds margin/z0 * (-eps^2) = margin at every point

@@ -12,7 +12,7 @@ from satfit.sampling import (
     sampled_regression,
     sampled_subspace,
 )
-from satfit.subsolvers import _ls_fit, _regression_fit
+from satfit.subsolvers import _lad_fit, _ls_fit, _minimax_fit
 from helpers import axis_dataset, exact_fit_dataset, integer_regression_instances, numpy_draws
 
 
@@ -168,7 +168,15 @@ def check_against_the_per_draw_loop(data, spec, cfg) -> int:
         if done % 256 == 0 or done == cfg.n_iters:
             calls.append((done, float(data.n - best)))
     consensus = np.flatnonzero(np.abs(data.y - data.x @ best_w) <= spec.epsilon)
-    w = _regression_fit(data.x[consensus], data.y[consensus], spec.p) if consensus.size else best_w
+    x, y = data.x[consensus], data.y[consensus]
+    if not consensus.size:
+        w = best_w
+    elif spec.p == 0:
+        w = _minimax_fit(x, y)[0]
+    elif spec.p == 1:
+        w = _lad_fit(x, y, np.ones((1, consensus.size), dtype=bool))[0]
+    else:
+        w = _ls_fit(x, y)[0]
     model = sf.RegressionModel(w)
     seen = []
     report = ransac_regression(data, spec, cfg, progress=lambda *a: seen.append(a))
@@ -248,7 +256,7 @@ class TestRansac:
         report = ransac_regression(data, sf.LossSpec(p, eps), SamplingConfig(iters, rng_seed))
         assert np.array_equal(report.model.w, fit.w)
 
-    @pytest.mark.parametrize("p", [0, 2])
+    @pytest.mark.parametrize("p", [0, 1, 2])
     def test_equals_the_per_draw_loop(self, p):
         # two planes of ten points each tie in consensus, and the first block
         # of draws reaches both, so only the first best draw gives the answer;
