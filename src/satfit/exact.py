@@ -4,11 +4,15 @@ candidate inlier set, and track the incumbent.
 
 Both solvers are exhaustive over all seeds of lifted points and are exact on
 data in general position, except for p = 0 subspace estimation, whose L2
-subproblem can miss the optimum (see :func:`exact_subspace`).  Seeds are
-enumerated in lexicographic order, unranked a block of ranks at a time, and
-ties are broken by scan order (the first best candidate wins), so repeated
-runs are bit-identical.  An enumeration of 2**63 seeds or more is refused
-with a ``ValueError`` before any seed is processed.
+subproblem can miss the optimum (see :func:`exact_subspace`).  Exact p = 1
+regression needs neither lifting nor completion: its objective is concave
+on every cell of the arrangement of the hyperplanes r_i(w) = 0, so
+:class:`_VertexSearch` scans the C(n, d) fits through d data points, a
+block of them scored at once, and is exact for any x of full column rank.
+Seeds are enumerated in lexicographic order, unranked a block of ranks at a
+time, and ties are broken by scan order (the first best candidate wins), so
+repeated runs are bit-identical.  An enumeration of 2**63 seeds or more is
+refused with a ``ValueError`` before any seed is processed.
 
 Each search has one per-seed pipeline, ``process_chunk(subsets)``, laid
 out seed-last: a block holds its B seeds as columns (k, B), and every array
@@ -27,11 +31,14 @@ for packing (a regression block with no survivor stops before that).  Its
 block-sized arrays are views of the search's one
 :class:`.geometry._Workspace`, reused block after block: ``rows``,
 ``terms``, ``gathered``, ``minors``, ``normals``, ``margins``, ``below``
-and ``closed``.  The exact solvers feed it lexicographic blocks of the
-enumeration; the sampling variants in :mod:`.sampling` blocks of random
-draws in iteration order.
+and ``closed``.  The p = 1 scan seeds on data rows and stops after the
+orientation: it reads a model off each usable normal and scores the block
+in ``residuals`` and ``products``.  The exact solvers feed the pipeline
+lexicographic blocks of the enumeration; the sampling variants in
+:mod:`.sampling` blocks of random draws in iteration order.
 
-A completion step builds the inlier sets of its branches as rows of
+A completion step (every search but the p = 1 scan) builds the inlier
+sets of its branches as rows of
 W = ceil(n / 64) ``uint64`` words, point i being bit i % 64 of word i // 64.
 The one builder, :func:`_branch_words`, doubles a seed's words level by
 level: regression clears one on-hyperplane point per level in its lifted
@@ -48,9 +55,10 @@ the next sets that pass the rule against the live incumbent and are new,
 in chunks that grow, and replays each chunk in row order.  Both searches
 fit a chunk in stacks of at most ``_STACK_CELLS // n`` sets, bit for bit
 the one-set results: regression through
-:func:`.subsolvers._regression_fits` (one stacked LAD at p = 1, one
-stacked least squares per set size at p = 2, one minimax fit per set at
-p = 0), the subspace search by one stacked SVD per set size.  Skipping a
+:func:`.subsolvers._regression_fits` (one stacked LAD at p = 1, which
+only the sampled search fits, one stacked least squares per set size at
+p = 2, one minimax fit per set at p = 0), the subspace search by one
+stacked SVD per set size.  Skipping a
 repeat cannot change the answer: it would reproduce an objective already
 seen, and only a strictly smaller objective replaces the incumbent.
 """
@@ -63,10 +71,10 @@ import multiprocessing
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from itertools import combinations
 from time import perf_counter, sleep
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -78,9 +86,9 @@ from .core import (
     SubspaceModel,
     _counts,
     _projection_residuals,
-    _within,
     loss,
     regression_inliers,
+    regression_objective,
     subspace_inliers,
 )
 from .geometry import (
@@ -104,8 +112,9 @@ __all__ = [
     "exact_subspace",
 ]
 
-# Beyond this many on-hyperplane points the completion loop would explode;
-# such inputs grossly violate the general-position assumption.
+# Beyond this many on-hyperplane points the completion loop of the lifted
+# searches would explode; such inputs grossly violate the general-position
+# assumption.  The exact p = 1 scan builds no branches and refuses nothing.
 _MAX_ONSET = 20
 
 # Bits of branch words (rows times 64 W) per _complete call, so a call's
@@ -181,6 +190,14 @@ class SearchStats:
       usable seeds;
     * ``onset_outside_seed``: subspace runs only, on-hyperplane points that
       were not part of the seed (nonzero only for non-generic data).
+
+    An exact p = 1 regression report counts its scan of the fits through d
+    data points: ``seeds_enumerated`` is C(n, d), ``seeds_degenerate``
+    counts dependent rows [y_i, -x_i] and ``seeds_skipped`` fits with
+    h[0] ~ 0, which covers dependent x rows; each scored fit is one sign
+    completion and one solved subproblem, so ``subproblems_solved`` equals
+    ``sign_completions``, the sum above still holds, and the other counters
+    are 0.
     """
 
     seeds_enumerated: int = 0
@@ -343,21 +360,21 @@ def _exit_with_parent() -> None:
 
 
 class _Search:
-    """Incumbent, counters, fit memo, scan loops and branch loop of both searches.
+    """Incumbent, counters, fit memo, scan loops and branch loop of the searches.
 
     The incumbent is (``j``, ``best``), the smallest objective met so far
     and its solution (``None`` while ``j`` is the trivial eps^p n); it moves
     only on a strictly smaller objective, so the first tie in scan order wins.
     A subclass declares ``seed_block``, the seeds per block of its scan, and
-    its completion rule: ``count_bound`` True prunes a set S by
-    eps^p (n - |S|) >= J, and ``min_size`` prunes S by |S| < ``min_size``.
-    It implements ``process_chunk(subsets)``, its only per-seed entry point,
-    which builds branch words with :func:`_branch_words` and hands them to
-    :meth:`_complete`, at most ``_BRANCH_CELLS`` bits per call;
-    ``_solve_many(masks)``, the objectives and solutions of a chunk of
-    inlier sets, in row order; and ``_winner()``, the (model, inliers) of
-    ``best``.  Fitted sets are remembered by the bytes of their packed
-    words.
+    implements ``process_chunk(subsets)``, its only per-seed entry point,
+    and ``_winner()``, the (model, inliers) of ``best``.  A search that
+    completes branches also declares its completion rule: ``count_bound``
+    True prunes a set S by eps^p (n - |S|) >= J, and ``min_size`` prunes S
+    by |S| < ``min_size``.  Its ``process_chunk`` builds branch words with
+    :func:`_branch_words` and hands them to :meth:`_complete`, at most
+    ``_BRANCH_CELLS`` bits per call, and ``_solve_many(masks)`` gives the
+    objectives and solutions of a chunk of inlier sets, in row order.
+    Fitted sets are remembered by the bytes of their packed words.
     """
 
     count_bound: bool
@@ -378,12 +395,11 @@ class _Search:
         self.key_type = np.dtype((np.void, 8 * -(-n // 64)))  # a packed row as one memo key
         self.settled = 0  # sets solved since the incumbent last moved
 
-    def _hyperplanes(self, subsets: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(h, degen, below, closed) of a block of seeds (k, B), counting its seeds and degenerate ones.
+    def _normals(self, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(h, degen) of a block of seeds (k, B), counting its seeds and degenerate ones.
 
-        The normals h (m, B) are oriented, ``degen`` flags the rank-deficient
-        seeds, and ``below`` / ``closed`` are the point-major masks (size, B)
-        of the lifted classification.
+        The normals h (m, B) are oriented, and ``degen`` flags the
+        rank-deficient seeds.
         """
         self.stats.seeds_enumerated += subsets.shape[1]
         ws, zset = self.workspace, self.zset
@@ -391,7 +407,12 @@ class _Search:
         h, degen = _batched_normals(rows, zset.norms[subsets], ws)
         _orient(h)
         self.stats.seeds_degenerate += int(np.count_nonzero(degen))
-        return h, degen, *_classify(zset, h, ws)
+        return h, degen
+
+    def _hyperplanes(self, subsets: np.ndarray) -> tuple[np.ndarray, ...]:
+        """:meth:`_normals`, then the lifted masks (size, B) ``below`` and ``closed`` of :func:`_classify`."""
+        h, degen = self._normals(subsets)
+        return h, degen, *_classify(self.zset, h, self.workspace)
 
     def _complete(self, words: np.ndarray, seeds: tuple | None = None) -> None:
         """Prune, reuse or fit the branches in ``words``, as a row-order scan would.
@@ -403,14 +424,15 @@ class _Search:
         and moves J on a strictly smaller objective.  A pruned set is not
         remembered: J only falls, so it fails again.
 
-        ``seeds``, given by regression, is (ends, base, n0) of the seeds
-        whose rows these are (``None``: one seed, never skipped).  The scan
-        skips seed s, its rows up to ``ends[s]`` uncounted, when
-        eps^p (n - base[s]) > J + eps^p n0[s] at its first row.  That only
-        settles the counters: a point of a branch set S has both lifted
+        ``seeds``, given by regression, is (ends, reach) of the seeds whose
+        rows these are (``None``: one seed, never skipped), ``reach[s]``
+        being eps^p (n - base - n0) of seed s, the count bound's own float
+        expression at |S| = base + n0.  The scan skips seed s, its rows up
+        to ``ends[s]`` uncounted, when reach[s] >= J at its first row.  That
+        only settles the counters: a point of a branch set S has both lifted
         copies strictly below or one on the hyperplane, so |S| <= base + n0,
-        and S fails the count bound there and after, as J only falls (in
-        exact arithmetic; the two tests are separate float expressions).
+        and as rounding is monotone, eps^p (n - |S|) >= reach[s] >= J: S
+        fails the count bound there and after, as J only falls.
 
         One forward pass in row order does the same, a chunk of sets at a
         time.  From the current row it takes the next sets that pass the
@@ -437,11 +459,8 @@ class _Search:
         bound = self.eps_p * (self.n - counts) if self.count_bound else np.full(total, -np.inf)
         if self.min_size:
             bound[counts < self.min_size] = np.inf
-        if seeds is None:  # one seed, never skipped: eps^p (n - n) > J + 0 at no J
-            seeds = np.array([total]), np.array([self.n]), np.zeros(1, dtype=np.intp)
-        ends, base, n0 = seeds
+        ends, reach = seeds if seeds is not None else (np.array([total]), np.array([-np.inf]))
         firsts = np.concatenate(([0], ends[:-1]))
-        reach, cost = self.eps_p * (self.n - base), self.eps_p * n0
         of = np.repeat(np.arange(ends.size), ends - firsts)  # the seed of each row
         skipped = np.zeros(ends.size, dtype=bool)
         pos = step = 0
@@ -487,7 +506,7 @@ class _Search:
             else:
                 at_row = at_start = j
             # a seed is skipped by J at its first row; its rows go uncounted
-            skipped[first:end] = reach[first:end] > at_start + cost[first:end]
+            skipped[first:end] = reach[first:end] >= at_start
             counted = ~skipped[of[pos:stop]]
             pruned = int(np.count_nonzero(counted & (bound[pos:stop] >= at_row)))
             if sets.size:
@@ -595,7 +614,7 @@ class _Search:
             approximate=approximate,
             cancelled=self.cancelled,
             wall_time_seconds=wall,
-            **asdict(self.stats),
+            **vars(self.stats),
         )
 
 
@@ -604,7 +623,7 @@ class _Search:
 
 
 class _RegressionSearch(_Search):
-    """Incumbent-tracking state shared by the exact and sampled regression solvers.
+    """The lifted search of exact regression at p = 0 and 2 and of sampled regression at every p.
 
     ``process_chunk`` completes a block's usable seeds in runs of seeds of
     one on-set size: at a run's start the seeds are tested against the live
@@ -639,14 +658,13 @@ class _RegressionSearch(_Search):
         objectives = np.sum(loss(self.spec, y - (x[None] @ w[:, :, None])[:, :, 0]), axis=1)
         return objectives, list(w)
 
-    def _handle_seed(self, closed: np.ndarray, on: np.ndarray, base: np.ndarray, n0: np.ndarray) -> None:
-        """Complete a run of seeds of one on-set size from their lifted masks ``closed`` and ``on``.
+    def _handle_seed(self, closed: np.ndarray, on: np.ndarray, reach: np.ndarray, size: int) -> None:
+        """Complete a run of seeds of ``size`` on-points each from their lifted masks ``closed`` and ``on``.
 
-        ``closed`` (below or on) and ``on`` hold one (2n,) row per seed,
-        ``base`` its points with both lifted copies strictly below and ``n0``
-        its on-hyperplane points, the same for every seed.  Branch b of a
-        seed puts its on-point t below when bit n0 - 1 - t of b is 0, the
-        order of ``product((-1, 1), repeat=n0)``; its set, the AND of the
+        ``closed`` (below or on) and ``on`` hold one (2n,) row per seed, and
+        ``reach`` its skip threshold for :meth:`_complete`.  Branch b of a
+        seed puts its on-point t below when bit size - 1 - t of b is 0, the
+        order of ``product((-1, 1), repeat=size)``; its set, the AND of the
         lifted halves, holds the points whose two lifted copies both lie
         below the hyperplane.  One :func:`_branch_words` call builds the
         run's rows, which reach :meth:`_complete` in seed order, then branch
@@ -654,12 +672,12 @@ class _RegressionSearch(_Search):
         rows comes alone and is split on its high levels into calls of the
         largest power of two of rows that fits.
         """
-        size, count, width = int(n0[0]), closed.shape[0], -(-self.n // 64)
+        count, width = closed.shape[0], -(-self.n // 64)
         halves = _pack(closed.reshape(count, 2, self.n))
         row, point = np.divmod(np.flatnonzero(on), self.n)  # row 2 * seed + half
         flips = np.zeros((row.size, 2, width), dtype="<u8")
         flips[np.arange(row.size), row % 2] = _bit_words(point, self.n)
-        flips = flips.reshape(count, size, 2, width)[:, ::-1].swapaxes(0, 1)  # level j: on-point n0 - 1 - j
+        flips = flips.reshape(count, size, 2, width)[:, ::-1].swapaxes(0, 1)  # level j: on-point size - 1 - j
         cap = max(1, _BRANCH_CELLS // (64 * width))
         if 1 << size > cap:  # one seed
             low = cap.bit_length() - 1
@@ -669,7 +687,7 @@ class _RegressionSearch(_Search):
             return
         branches = _branch_words(halves, flips)
         words = (branches[:, :, 0] & branches[:, :, 1]).swapaxes(0, 1).reshape(-1, width)
-        self._complete(words, (np.arange(1, count + 1) << size, base, n0))
+        self._complete(words, (np.arange(1, count + 1) << size, reach))
 
     def process_chunk(self, subsets: np.ndarray) -> None:
         """Process a block of seeds (k, B), in order."""
@@ -683,17 +701,18 @@ class _RegressionSearch(_Search):
         if valid.any():
             stats.max_onset_size = max(stats.max_onset_size, int(n0[valid].max()))
         # A seed is skipped when no set of its branches can pass the count
-        # bound: eps^p (n - base) > J + eps^p n0.  J only falls, so a seed
-        # skipped against the live incumbent at a run's start is skipped at
-        # its own position too; _complete tests the seeds of a run again at
-        # their first row.
+        # bound: its reach eps^p (n - base - n0), the bound's own expression
+        # at |S| = base + n0, is at least J.  J only falls, so a seed skipped
+        # against the live incumbent at a run's start is skipped at its own
+        # position too; _complete tests the seeds of a run again at their
+        # first row.
         seeds = np.flatnonzero(valid)
-        base, n0 = base[seeds], n0[seeds]
+        n0 = n0[seeds]
+        reach = self.eps_p * (self.n - base[seeds] - n0)
         cap = max(1, _RUN_CELLS // 2 // (64 * -(-self.n // 64)))  # rows per run
         at = 0
         while at < seeds.size:
-            skip = self.eps_p * (self.n - base[at:]) > self.j + self.eps_p * n0[at:]
-            kept = at + np.flatnonzero(~skip)
+            kept = at + np.flatnonzero(reach[at:] < self.j)
             if not kept.size:
                 stats.inner_loops_skipped += seeds.size - at
                 return
@@ -710,7 +729,7 @@ class _RegressionSearch(_Search):
             stats.inner_loops_skipped += int(run[-1] + 1 - at - run.size)
             columns = seeds[run]
             closed_rows = np.ascontiguousarray(closed[:, columns].T)
-            self._handle_seed(closed_rows, closed_rows & ~below[:, columns].T, base[run], n0[run])
+            self._handle_seed(closed_rows, closed_rows & ~below[:, columns].T, reach[run], size)
             at = int(run[-1]) + 1
 
     def _winner(self) -> tuple[RegressionModel, np.ndarray]:
@@ -718,9 +737,96 @@ class _RegressionSearch(_Search):
         return model, regression_inliers(self.data, model, self.spec)
 
 
+class _Rows(NamedTuple):
+    """Seed points as :func:`.geometry._seed_columns` prepares them, with their count."""
+
+    columns: np.ndarray
+    norms: np.ndarray
+    size: int
+
+
+class _VertexSearch(_Search):
+    """Exact p = 1 regression: a scan of the fits through d data points, with no subproblem solver.
+
+    Each term min(|r_i(w)|, eps) of the objective is concave on each side of
+    r_i(w) = 0, so the objective is concave on every cell of the arrangement
+    of the hyperplanes r_i(w) = 0.  When x has full column rank no cell
+    holds a line, so every cell is a pointed polyhedron, and a concave
+    function bounded below on one reaches its minimum at a vertex: a w that
+    interpolates d points whose x rows are independent, an elemental fit.
+    This needs no general position.
+
+    The seeds are the d-subsets of the data rows [y_i, -x_i].  A seed's
+    oriented normal h is orthogonal to its rows, so w = h[1:] / h[0]
+    interpolates its points; it is usable when it is not degenerate and
+    h[0] > ``ON_HYPERPLANE_TOL`` (dependent x rows put h[0] at 0).  Each
+    block's fits are scored by :meth:`_scores`, and the first strictly
+    smaller score in scan order becomes the incumbent.  The report rescores
+    the winner with :func:`.core.regression_objective`, so its objective is
+    its model's loss to the bit.  ``approx_regression_p0`` runs the same
+    scan at p = 0 for its interpolations.
+    """
+
+    seed_block = 2048
+
+    def __init__(self, data: RegressionDataset, spec: LossSpec):
+        columns, norms = _seed_columns(np.column_stack([data.y, -data.x]))
+        super().__init__(_Rows(columns, norms, data.n), data.d, data.n, spec.saturation)
+        self.data = data
+        self.spec = spec
+        self.xt = np.ascontiguousarray(data.x.T)  # the columns of x, each contiguous
+
+    def _scores(self, w: np.ndarray) -> np.ndarray:
+        """The objectives (B,) of a stack of models w (d, B), each computed in one order whatever B.
+
+        The residuals (B, n) are summed elementwise over the d columns of x,
+        and each row's losses by numpy's pairwise sum over the contiguous
+        row, so a fit scores the same bits in a block of any size, at any
+        thread count; a matrix product's bits can depend on its shape.
+        """
+        ws = self.workspace
+        e = ws.array("residuals", (w.shape[1], self.n))
+        term = ws.array("products", e.shape)
+        np.multiply(w[0][:, None], self.xt[0], out=e)
+        for c in range(1, w.shape[0]):
+            e += np.multiply(w[c][:, None], self.xt[c], out=term)
+        np.subtract(self.data.y, e, out=e)
+        if self.spec.p == 1:  # the loss min(|e|, eps), in place
+            return np.sum(np.minimum(np.abs(e, out=e), self.spec.epsilon, out=e), axis=1)
+        return np.sum(loss(self.spec, e), axis=1)
+
+    def process_chunk(self, subsets: np.ndarray) -> None:
+        """Score the usable fits of a block of seeds (k, B), in order."""
+        stats = self.stats
+        h, degen = self._normals(subsets)
+        fits = np.flatnonzero(~degen & (h[0] > ON_HYPERPLANE_TOL))
+        stats.seeds_skipped += subsets.shape[1] - int(np.count_nonzero(degen)) - fits.size
+        stats.sign_completions += fits.size
+        stats.subproblems_solved += fits.size
+        if not fits.size:
+            return
+        w = h[1:, fits] / h[0, fits]
+        scores = self._scores(w)
+        i = int(np.argmin(scores))  # argmin returns the first minimizer
+        if scores[i] < self.j:
+            self.j, self.best = float(scores[i]), w[:, i].copy()
+
+    _winner = _RegressionSearch._winner
+
+    def build_report(self, wall: float, approximate: bool) -> SolveReport:
+        report = super().build_report(wall, approximate)
+        report.objective = regression_objective(self.data, report.model, self.spec)
+        return report
+
+
+def _regression_search(data: RegressionDataset, spec: LossSpec) -> _Search:
+    """The exact regression search of ``spec.p``: the vertex scan at p = 1, the lifted search else."""
+    return (_VertexSearch if spec.p == 1 else _RegressionSearch)(data, spec)
+
+
 def _regression_range_task(payload) -> dict:
     x, y, p, eps, start, stop = payload
-    search = _RegressionSearch(RegressionDataset(x, y), LossSpec(p, eps))
+    search = _regression_search(RegressionDataset(x, y), LossSpec(p, eps))
     search.run_range(start, stop)
     return search.partial()
 
@@ -735,24 +841,30 @@ def exact_regression(
 ) -> SolveReport:
     """Globally minimize the saturated regression loss by seed enumeration.
 
-    Every d-subset of the 2n lifted points is used to build a candidate
-    hyperplane; ambiguous (on-hyperplane) points are resolved by enumerating
-    both labels, and the fixed-classification subproblem is solved for each
-    surviving candidate inlier set.  The returned objective is the global
-    minimum for data in general position.
+    At p = 0 and 2, every d-subset of the 2n lifted points is used to build
+    a candidate hyperplane; ambiguous (on-hyperplane) points are resolved by
+    enumerating both labels, and the fixed-classification subproblem is
+    solved for each surviving candidate inlier set.  The returned objective
+    is the global minimum for data in general position.  At p = 1 the
+    search scans the fits through every d-subset of the n data points and
+    keeps the first of least loss (:class:`_VertexSearch`): the objective is
+    concave on each cell of the arrangement of the hyperplanes
+    r_i(w) = 0, so it reaches its minimum at such a fit whenever x has full
+    column rank, general position or not.  A rank-deficient x raises
+    :class:`NoHyperplaneError`.
 
     Seeds are scanned in blocks of 2,048 with the answer and counters of a
     seed-by-seed scan; ties go to the first candidate in scan order.  With
     ``threads`` > 1, at least 8,192 seeds and no ``should_stop``,
     min(``threads``, cores) worker processes scan contiguous ranges; the
-    answer does not depend on the schedule, the solved/reused counters do
-    (each worker has its own fit memo).  ``progress(seeds done,
-    incumbent)`` and ``should_stop`` run after every block (with workers,
-    ``progress`` once per range); a run given ``should_stop`` scans
+    answer does not depend on the schedule, the solved/reused counters of
+    p = 0 and 2 do (each worker has its own fit memo).  ``progress(seeds
+    done, incumbent)`` and ``should_stop`` run after every block (with
+    workers, ``progress`` once per range); a run given ``should_stop`` scans
     sequentially, so it can be cancelled at any thread count.
     """
     t0 = perf_counter()
-    search = _RegressionSearch(data, spec)
+    search = _regression_search(data, spec)
     payload = (data.x, data.y, spec.p, spec.epsilon)
     search.solve(_regression_range_task, payload, threads, progress, should_stop)
     return search.build_report(perf_counter() - t0, approximate=False)
@@ -767,38 +879,31 @@ def approx_regression_p0(data: RegressionDataset, spec: LossSpec) -> tuple[Regre
     as the searches classify it, and its objective is n minus the number of
     points whose two lifted copies both lie strictly below it.  Seed points
     lie on the hyperplane, so they count as outliers, not by the round-off
-    of their computed errors.  A second scan takes the normals of the
-    d-subsets of data rows ``[y_i, -x_i]``, the interpolations through d
-    points, which covers noiseless data and the regime where only d points
-    are approximable; there errors are counted directly.
+    of their computed errors.  A second scan, that of the exact p = 1
+    search (:class:`_VertexSearch`), scores the interpolations through d
+    data points, which covers noiseless data and the regime where only d
+    points are approximable; there errors are counted directly.  A later
+    model replaces an earlier one only on a strictly smaller objective.
     """
     if spec.p != 0:
         raise ValueError("this shortcut is defined for p = 0 only")
-    zset = lift_regression(data, spec)
+    lifted = _RegressionSearch(data, spec)
     n, d = data.n, data.d
     best_j, best_w = np.inf, None
-    ws = _Workspace()
-    data_columns = _seed_columns(np.column_stack([data.y, -data.x]))
-    for (columns, norms), lifted in (((zset.columns, zset.norms), True), (data_columns, False)):
-        size = columns.shape[1]
-        total, _ = _rank_tables(size, d)  # the lifted scan, first, has the larger count
-        for block in _lex_blocks(size, d, 0, total, _RegressionSearch.seed_block):
-            h, degen = _batched_normals(ws.take("rows", columns, block, axis=1), norms[block], ws)
-            _orient(h)
-            usable = ~degen & (h[0] > ON_HYPERPLANE_TOL)
-            w = h[1:] / np.where(usable, h[0], 1.0)
-            if lifted:
-                below = _classify(zset, h, ws)[0]
-                inliers = below[:n] & below[n:]
-            else:
-                inliers = _within(spec, data.y[:, None] - data.x @ w)
-            j = np.where(usable, n - _counts(inliers, axis=0), np.inf)
-            i = int(np.argmin(j))  # argmin returns the first minimizer
-            if j[i] < best_j:
-                best_j, best_w = float(j[i]), w[:, i].copy()
-    if best_w is None:
+    total, _ = _rank_tables(lifted.zset.size, d)  # the lifted scan, first, has the larger count
+    for block in _lex_blocks(lifted.zset.size, d, 0, total, lifted.seed_block):
+        h, degen, below, _ = lifted._hyperplanes(block)
+        usable = ~degen & (h[0] > ON_HYPERPLANE_TOL)
+        j = np.where(usable, n - _counts(below[:n] & below[n:], axis=0), np.inf)
+        i = int(np.argmin(j))  # argmin returns the first minimizer
+        if j[i] < best_j:
+            best_j, best_w = float(j[i]), h[1:, i] / h[0, i]
+    scan = _VertexSearch(data, spec)
+    scan.j, scan.best = best_j, best_w
+    scan.run_range(0, _rank_tables(n, d)[0])
+    if scan.best is None:
         raise NoHyperplaneError("no usable hyperplane seed was found")
-    return RegressionModel(best_w), float(best_j)
+    return RegressionModel(scan.best), float(scan.j)
 
 
 # ---------------------------------------------------------------------------

@@ -234,7 +234,8 @@ def run_sweep(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if "exact" in methods:
-        n_seeds = math.comb(2 * base_cfg.n, base_cfg.d)
+        # d-subsets of the n data rows at p = 1, of the 2n lifted points else
+        n_seeds = math.comb(base_cfg.n if spec.p == 1 else 2 * base_cfg.n, base_cfg.d)
         if n_seeds > exact_budget:
             raise BudgetExceededError(
                 f"exact enumeration needs {n_seeds} seeds for n={base_cfg.n}, "

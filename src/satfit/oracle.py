@@ -2,7 +2,9 @@
 
 The oracle never touches the lifted geometry.  For p = 1 regression the
 objective is piecewise linear in w, so it is evaluated at every vertex of
-the arrangement of the hyperplanes r_i(w) in {0, +eps, -eps}.  For p = 0
+the arrangement of the hyperplanes r_i(w) in {0, +eps, -eps}, solved with
+``np.linalg.solve``: a superset of the fits through d points (offset 0)
+that the exact p = 1 search scans through its own normal routine.  For p = 0
 and p = 2, regression and subspace alike, one loop (:func:`_certify`)
 enumerates candidate inlier subsets, largest first, fits the
 fixed-classification subproblem on each, scores the fitted model on the
@@ -125,9 +127,12 @@ def _oracle_regression_p1(data: RegressionDataset, spec: LossSpec) -> OracleResu
     The objective is linear on each cell of the arrangement of the
     hyperplanes r_i(w) = 0, +eps, -eps and bounded below, so its minimum sits
     at a vertex: d of those hyperplanes, from d independent points, meeting
-    in one point.  A rank-deficient x leaves the objective constant along its
-    null space; only the leftmost columns that raise the rank are kept, and
-    the other coefficients are 0.
+    in one point.  The 3^d offsets per subset are a superset of the exact
+    search's vertices, its offset 0 alone (the objective is concave on each
+    cell of r_i(w) = 0 already), so the oracle certifies the search without
+    relying on that argument.  A rank-deficient x leaves the objective
+    constant along its null space; only the leftmost columns that raise the
+    rank are kept, and the other coefficients are 0.
     """
     x, y, eps = data.x, data.y, spec.epsilon
     ranks = [np.linalg.matrix_rank(x[:, :j]) for j in range(data.d + 1)]

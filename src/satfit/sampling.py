@@ -15,7 +15,8 @@ numpy, and each drawn subset has the bits of one ``Generator(Philox(child))``
 per iteration, except where ``Generator.choice`` would tail-shuffle (a pool
 above 10,000 with more than pool // 50 draws): there the draw stays Floyd's
 algorithm.  The pool must be below 2**32 and the iteration count at most
-2**32.  RANSAC fits its draws in stacks of 256 with one batched Cholesky.
+2**32.  RANSAC fits its draws in stacks of 256 with one batched Cholesky
+and counts their inliers in one workspace.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .core import (
     regression_inliers,
 )
 from .exact import _BLOCK, ProgressFn, SolveReport, _RegressionSearch, _SubspaceSearch
+from .geometry import _Workspace
 from .subsolvers import _ls_fits, _regression_fits
 
 __all__ = [
@@ -246,12 +248,19 @@ def ransac_regression(
     best_w: np.ndarray | None = None
     degenerate = 0
     draws = _draw_seeds(cfg.rng_seed, cfg.n_iters, n, size)
+    # Each block's errors and inlier mask live in one workspace: allocated
+    # fresh, they would be faulted in block after block whenever glibc's
+    # thresholds stand low (the rule is in geometry._Workspace).
+    space = _Workspace()
     for start in range(0, cfg.n_iters, _BLOCK):
         idx = draws[start : start + _BLOCK]
         ws, ranks = _ls_fits(data.x[idx], data.y[idx])
         degenerate += int(np.count_nonzero(ranks < d))
-        # one mat-vec per draw, as data.x @ w, so the counts keep their bits
-        counts = _counts(_within(spec, data.y - (data.x[None] @ ws[:, :, None])[:, :, 0]), axis=1)
+        # one mat-vec per draw, as data.x @ w, so the counts keep their bits;
+        # then |e| <= eps, the rule of core._within, in place
+        e = np.matmul(data.x[None], ws[:, :, None], out=space.array("errors", (ws.shape[0], n, 1)))[:, :, 0]
+        np.abs(np.subtract(data.y, e, out=e), out=e)
+        counts = _counts(np.less_equal(e, spec.epsilon, out=space.array("within", e.shape, bool)), axis=1)
         top = int(np.argmax(counts))  # the first best draw
         if counts[top] > best_count:
             best_count, best_w = int(counts[top]), ws[top]

@@ -73,15 +73,30 @@ class TestRegress:
                      "--output", str(out)]) == 2
         assert not out.exists()
 
-    def test_too_many_points_on_a_hyperplane_is_solver_failure(self, tmp_path):
+    @staticmethod
+    def write_line_csv(path):
         data = line_dataset(22)
-        data_file = tmp_path / "line.csv"
         rows = [f"{a!r},{b!r},{c!r}" for (a, b), c in zip(data.x.tolist(), data.y.tolist())]
-        data_file.write_text("\n".join(["x1,x2,y", *rows]) + "\n")
+        path.write_text("\n".join(["x1,x2,y", *rows]) + "\n")
+
+    def test_too_many_points_on_a_hyperplane_is_solver_failure(self, tmp_path):
+        data_file = tmp_path / "line.csv"
+        self.write_line_csv(data_file)
         out = tmp_path / "report.json"
         assert main(["regress", "--p", "2", "--epsilon", "0.5", "--threads", "1",
                      str(data_file), "--output", str(out)]) == 4
         assert not out.exists()
+
+    def test_p1_solves_points_on_one_line(self, tmp_path):
+        # the exact p = 1 search scans fits through two points: no refusal
+        data_file = tmp_path / "line.csv"
+        self.write_line_csv(data_file)
+        out = tmp_path / "report.json"
+        assert main(["regress", "--p", "1", "--epsilon", "0.5", "--threads", "1",
+                     str(data_file), "--output", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["objective"] == 0.0
+        assert doc["inliers"] == list(range(1, 23))
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["regress", "--p", "0", "--epsilon", "0.1", str(tmp_path / "no.csv")]) == 3

@@ -112,6 +112,18 @@ def children_of(pid):
     return [child for child in pids if (stat_fields(child) or [None, None])[1] == str(pid)]
 
 
+def lifted_search(data, spec):
+    """The report of the lifted branch search over every seed.
+
+    ``exact_regression`` runs it at p = 0 and 2, ``sampled_regression`` on
+    drawn seeds at every p; at p = 1 it is exact too, and its branch and
+    skip edges stay covered here.
+    """
+    search = exact._RegressionSearch(data, spec)
+    search.run_range(0, math.comb(2 * data.n, data.d))
+    return search.build_report(0.0, approximate=False)
+
+
 def collinear_instance():
     """Seven noiseless points on y = 1 + 2t (with an intercept) and two outliers."""
     t = np.linspace(-2.0, 2.0, 9)
@@ -300,7 +312,9 @@ class TestExactRegression:
         # Lines with coefficients and abscissae on a 0.1 grid, outliers moved
         # by multiples of 0.1, eps = 0.3: objectives land on multiples of
         # eps^p plus round-off, where the count bound eps^p (n - |S|) and a
-        # seed's skip test eps^p (n - base) > J + eps^p n0 meet.
+        # seed's skip test eps^p (n - base - n0) >= J meet.  At p = 1 the
+        # lifted search, which exact_regression leaves to the vertex scan,
+        # is checked too.
         rng = np.random.default_rng(3)
         for n in (8, 10, 12, 12):
             t = np.round(rng.normal(size=n) * 2, 1)
@@ -310,9 +324,9 @@ class TestExactRegression:
             y[out] += np.round(rng.normal(size=out.size) * 3, 1)
             data = sf.RegressionDataset(np.column_stack([np.ones(n), t]), y)
             spec = sf.LossSpec(p, 0.3)
-            report = sf.exact_regression(data, spec)
             reference = sf.oracle_regression(data, spec)
-            assert report.objective == pytest.approx(reference.objective, rel=1e-9, abs=1e-12)
+            for report in (sf.exact_regression(data, spec), lifted_search(data, spec)):
+                assert report.objective == pytest.approx(reference.objective, rel=1e-9, abs=1e-12)
 
     def test_matches_the_p1_vertex_scan_at_n60(self):
         # The public oracle refuses n > 20; its p = 1 vertex scan visits
@@ -347,7 +361,7 @@ class TestExactRegression:
     @pytest.mark.parametrize("p", [0, 1, 2])
     def test_every_branch_is_solved_pruned_or_reused(self, p):
         data = random_regression_instance(1, n=8, d=2)
-        report = sf.exact_regression(data, sf.LossSpec(p, 0.5))
+        report = lifted_search(data, sf.LossSpec(p, 0.5))
         assert (
             report.subproblems_solved + report.subproblems_pruned + report.subproblems_reused
             == report.sign_completions
@@ -476,12 +490,12 @@ class TestExactRegression:
         data = collinear_instance()  # seeds with 7 on-hyperplane points: 128 branches
         for p in (0, 1, 2):
             spec = sf.LossSpec(p, 0.8)
-            whole = sf.exact_regression(data, spec)
+            whole = lifted_search(data, spec)
             # at most 3 rows of one word per _complete call and per run (whose
             # cells count both lifted halves): runs of 2 branches
             monkeypatch.setattr(exact, "_BRANCH_CELLS", 3 * 64)
             monkeypatch.setattr(exact, "_RUN_CELLS", 2 * 3 * 64)
-            blocked = sf.exact_regression(data, spec)
+            blocked = lifted_search(data, spec)
             monkeypatch.undo()
             assert blocked.objective == whole.objective
             assert np.array_equal(blocked.model.w, whole.model.w)
@@ -489,7 +503,7 @@ class TestExactRegression:
             for counter in COUNTERS:
                 assert getattr(blocked, counter) == getattr(whole, counter), (p, counter)
 
-    @pytest.mark.parametrize("p", [0, 1, 2])
+    @pytest.mark.parametrize("p", [0, 2])
     def test_too_many_points_on_a_hyperplane_raise(self, monkeypatch, p):
         # 22 points on one line put 22 lifted points on the hyperplane of a
         # seed of two of them, beyond _MAX_ONSET = 20.  With calls large
@@ -506,6 +520,16 @@ class TestExactRegression:
         with pytest.raises(sf.NoHyperplaneError, match="22 points lie on one candidate hyperplane"):
             sf.exact_regression(line_dataset(22), sf.LossSpec(p, 0.5))
 
+    @pytest.mark.parametrize("n", [22, 40])
+    def test_p1_solves_points_on_one_line(self, n):
+        # The vertex scan builds no branches, so the points on one line that
+        # the lifted search refuses at p = 0 and 2 are an answer at p = 1.
+        data = line_dataset(n)
+        report = sf.exact_regression(data, sf.LossSpec(1, 0.5))
+        assert report.objective == 0.0
+        assert report.inliers.tolist() == list(range(n))
+        assert report.max_onset_size == 0
+
     def test_too_many_points_on_a_hyperplane_raise_in_small_memory(self):
         # At n = 3000 about half of 64 draws put nearly 3000 lifted points on
         # their hyperplane.  The refused seeds must cost no branch words: the
@@ -521,8 +545,11 @@ class TestExactRegression:
         assert peak < 20 * 2**20
 
     def test_threads_match_sequential(self, monkeypatch):
-        data = random_regression_instance(5, n=12)  # 276 seeds: forks with blocks of 32
+        # 276 lifted seeds fork with blocks of 32; the 66 seeds of the p = 1
+        # vertex scan with blocks of 16
+        data = random_regression_instance(5, n=12)
         monkeypatch.setattr(exact._RegressionSearch, "seed_block", 32)
+        monkeypatch.setattr(exact._VertexSearch, "seed_block", 16)
         for p in (1, 2):
             spec = sf.LossSpec(p, 0.6)
             seq = sf.exact_regression(data, spec)
@@ -531,6 +558,8 @@ class TestExactRegression:
             assert np.array_equal(par.model.w, seq.model.w)
             assert np.array_equal(par.inliers, seq.inliers)
             assert par.seeds_enumerated == seq.seeds_enumerated
+            if p == 1:  # no counter of the scan depends on the schedule
+                assert_same_report(par, seq)
 
     @staticmethod
     def d3_forked_instance():
@@ -678,6 +707,115 @@ class TestApproxP0:
     def test_rejects_other_losses(self):
         with pytest.raises(ValueError):
             sf.approx_regression_p0(exact_fit_dataset(), sf.LossSpec(2, 0.1))
+
+
+class TestVertexSearch:
+    """Exact p = 1 regression scans the C(n, d) fits through d data points."""
+
+    def test_matches_the_vertex_oracle(self):
+        # The oracle solves every d x d system of the 3^d offset arrangement
+        # with np.linalg.solve; the scan's offset-0 vertices are a subset.
+        for d, n in ((1, 25), (2, 20), (3, 15)):
+            for seed in range(4):
+                data = random_regression_instance(seed, n=n, d=d, r=0.4)
+                spec = sf.LossSpec(1, 0.5 if seed % 2 else 1.0)
+                report = sf.exact_regression(data, spec)
+                reference = oracle._oracle_regression_p1(data, spec)
+                assert report.objective == pytest.approx(reference.objective, rel=1e-9, abs=1e-12)
+
+    def test_matches_the_vertex_oracle_on_integer_data(self):
+        for data, eps in integer_regression_instances():
+            spec = sf.LossSpec(1, eps)
+            report = sf.exact_regression(data, spec)
+            reference = oracle._oracle_regression_p1(data, spec)
+            assert report.objective == pytest.approx(reference.objective, rel=1e-9, abs=1e-12)
+
+    def test_counters(self):
+        # A repeated point makes a degenerate seed, and a point with the x of
+        # another but a different y a seed of dependent x rows, h[0] = 0.
+        base = random_regression_instance(3, n=10, d=2)
+        x = np.vstack([base.x, base.x[[0, 1]]])
+        y = np.concatenate([base.y, [base.y[0], base.y[1] + 1.0]])
+        report = sf.exact_regression(sf.RegressionDataset(x, y), sf.LossSpec(1, 0.5))
+        assert report.seeds_enumerated == math.comb(12, 2)
+        assert (report.seeds_degenerate, report.seeds_skipped) == (1, 1)
+        scored = math.comb(12, 2) - 2
+        assert report.sign_completions == report.subproblems_solved == scored
+        assert report.subproblems_pruned == report.subproblems_reused == 0
+        assert report.inner_loops_skipped == report.max_onset_size == report.onset_outside_seed == 0
+
+    def test_seed_blocks_do_not_change_the_report(self, monkeypatch):
+        # A fit scores the same bits in a block of any size, one seed included.
+        for d, n in ((2, 12), (3, 10)):
+            data = random_regression_instance(8, n=n, d=d)
+            spec = sf.LossSpec(1, 0.7)
+            whole = sf.exact_regression(data, spec)
+            for size in (1, 7):
+                monkeypatch.setattr(exact._VertexSearch, "seed_block", size)
+                assert_same_report(sf.exact_regression(data, spec), whole)
+                monkeypatch.undo()
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_a_fit_scores_the_same_bits_in_any_block(self, p):
+        # The score of a model does not depend on the block around it, one
+        # column included, and is its loss up to round-off.
+        rng = np.random.default_rng(9)
+        for d, n in ((1, 30), (2, 45), (3, 60)):
+            data = sf.RegressionDataset(rng.normal(size=(n, d)), rng.normal(size=n))
+            spec = sf.LossSpec(p, 0.7)
+            search = exact._VertexSearch(data, spec)
+            w = rng.normal(size=(d, 300))
+            whole = search._scores(w)
+            assert np.array_equal(search._scores(w[:, 5:200]), whole[5:200])
+            for i in range(0, 300, 37):
+                assert search._scores(w[:, i : i + 1])[0] == whole[i]
+                model = sf.RegressionModel(w[:, i])
+                assert whole[i] == pytest.approx(sf.regression_objective(data, model, spec), rel=1e-12)
+
+    @pytest.mark.parametrize("n, d", [(130, 2), (40, 3)])
+    def test_threads_match_sequential_from_the_fork_threshold(self, pool_sizes, n, d):
+        # C(130, 2) = 8,385 and C(40, 3) = 9,880 seeds, from 8,192 on a run forks
+        data = random_regression_instance(n, n=n, d=d)
+        spec = sf.LossSpec(1, 1.0)
+        seq = sf.exact_regression(data, spec)
+        assert pool_sizes == []
+        par = sf.exact_regression(data, spec, threads=2)
+        assert pool_sizes == [2]
+        assert seq.seeds_enumerated == math.comb(n, d) >= 4 * exact._VertexSearch.seed_block
+        assert_same_report(par, seq)
+
+    def test_cancellation_and_progress(self, monkeypatch):
+        data = random_regression_instance(6, n=12)  # 66 seeds, blocks of 16
+        spec = sf.LossSpec(1, 0.5)
+        monkeypatch.setattr(exact._VertexSearch, "seed_block", 16)
+        seen = []
+        report = sf.exact_regression(data, spec, progress=lambda done, j: seen.append((done, j)))
+        assert [done for done, _ in seen] == [16, 32, 48, 64, 66]
+        assert all(a >= b for (_, a), (_, b) in zip(seen, seen[1:]))
+        assert not report.cancelled
+        polls = []
+
+        def stop():
+            polls.append(1)
+            return len(polls) > 1
+
+        cancelled = sf.exact_regression(data, spec, threads=2, should_stop=stop)
+        assert cancelled.cancelled
+        assert cancelled.seeds_enumerated == 32
+        assert cancelled.objective >= report.objective
+
+    @pytest.mark.parametrize("columns", ["zero", "multiple", "sum"])
+    def test_rank_deficient_x_raises(self, columns):
+        rng = np.random.default_rng(4)
+        t, u = rng.normal(size=(2, 12))
+        x = {
+            "zero": np.column_stack([t, np.zeros(12)]),
+            "multiple": np.column_stack([t, 3.0 * t]),
+            "sum": np.column_stack([t, u, t + u]),
+        }[columns]
+        data = sf.RegressionDataset(x, rng.normal(size=12))
+        with pytest.raises(sf.NoHyperplaneError):
+            sf.exact_regression(data, sf.LossSpec(1, 0.5))
 
 
 class TestExactSubspace:
@@ -981,6 +1119,7 @@ class TestBranchLoop:
         below = ~on & (rng.random((seeds, 2 * n)) < 0.8)
         data = sf.RegressionDataset(rng.normal(size=(n, 1)), rng.normal(size=n))
         search = exact._RegressionSearch(data, sf.LossSpec(1, 0.5))
+        search.j = np.inf  # no seed skipped, not even one whose only set is empty
         subsets = np.zeros((1, seeds), dtype=np.intp)
         calls = branch_rows(search, subsets, below, on, rows * 64 * -(-n // 64))
         masks = np.concatenate([reference_regression_masks(b, o) for b, o in zip(below, on)])
@@ -1046,7 +1185,9 @@ class TestBranchLoop:
     def test_branch_sets_hold_at_most_base_plus_n0_points(self, p):
         # Why a seed only settles the counters of _complete: a point of a
         # branch set S has both lifted copies strictly below, or one of them
-        # on the hyperplane, so |S| <= base + n0 for every set of the seed.
+        # on the hyperplane, so |S| <= base + n0 for every set of the seed,
+        # and its count bound eps^p (n - |S|) is at least the seed's reach
+        # eps^p (n - base - n0), in floats too.  A seed's rows number 2**n0.
         # Integer data puts more points than the seed's own d on many
         # hyperplanes, and some sets reach the bound.
         instances = [(random_regression_instance(d - 1, n=10, d=d), 0.7) for d in (1, 2, 3)]
@@ -1059,13 +1200,13 @@ class TestBranchLoop:
             def check(words, seeds=None):
                 nonlocal crowded, full
                 assert seeds is not None
-                ends, base, n0 = seeds
+                ends, reach = seeds
                 rows = np.diff(ends, prepend=0)  # rows per seed
-                largest = np.repeat(base + n0, rows)
-                sizes = np.bitwise_count(words).sum(axis=1)
-                assert (sizes <= largest).all()
-                crowded += int(np.count_nonzero(np.repeat(n0 > search.k, rows)))
-                full += int(np.count_nonzero(sizes == largest))
+                reach = np.repeat(reach, rows)
+                bound = search.eps_p * (search.n - np.bitwise_count(words).sum(axis=1))
+                assert (bound >= reach).all()
+                crowded += int(np.count_nonzero(np.repeat(rows > 1 << search.k, rows)))
+                full += int(np.count_nonzero(bound == reach))
                 complete(words, seeds)
 
             search._complete = check
@@ -1088,16 +1229,15 @@ class TestBranchLoop:
         The rows it reaches, those of the seeds it does not skip, are
         ``len(fitted) + pruned + reused``.
 
-        ``seeds`` (ends, base, n0), as regression passes it, skips seed s
-        whole, rows and all, when eps^p (n - base) > J + eps^p n0 at its
-        first row.
+        ``seeds`` (ends, reach), as regression passes it, skips seed s
+        whole, rows and all, when reach[s] >= J at its first row.
         """
         fitted, pruned, reused, skipped = [], 0, 0, 0
         seen, j, best = set(search.fitted), search.j, search.best
-        ends, base, n0 = seeds if seeds is not None else ([len(rows)], [0], [np.inf])
+        ends, reach = seeds if seeds is not None else ([len(rows)], [-np.inf])
         start = 0
-        for end, inliers, size in zip(ends, base, n0):
-            if search.eps_p * (search.n - inliers) > j + search.eps_p * size:
+        for end, threshold in zip(ends, reach):
+            if threshold >= j:
                 skipped += 1
                 start = end
                 continue
@@ -1199,11 +1339,12 @@ class TestBranchLoop:
             largest = np.maximum.reduceat(counts, np.concatenate(([0], ends[:-1])))
             n0 = sizes + rng.integers(0, 2, size=40)  # n0 may exceed what the rows show
             base = largest - n0 + rng.integers(0, 3, size=40)
-            self.assert_matches_the_scan(search, fits, rows, (ends, base, n0))
+            reach = search.eps_p * (n - base - n0)
+            self.assert_matches_the_scan(search, fits, rows, (ends, reach))
 
     def test_a_seed_skipped_at_its_first_row_counts_no_row(self):
         # The first set lowers J to 1/2; the second seed's best set has
-        # n - base - n0 = 1 point outside, 1 > J + 0: skipped, its rows
+        # n - base - n0 = 1 point outside, 1 >= J: skipped, its rows
         # uncounted, though they passed the bound at the call's start.
         n = 10
         search, fits = self.fake_search(n, True, 0)
@@ -1212,7 +1353,7 @@ class TestBranchLoop:
         masks[0, :9] = True
         masks[1, :8], masks[2, :7] = True, True
         search._solve_many = lambda sets: (np.array([0.5, 0.2, 0.1])[: len(sets)], ["a", "b", "c"])
-        search._complete(exact._pack(masks), (np.array([1, 3]), np.array([9, 7]), np.array([0, 2])))
+        search._complete(exact._pack(masks), (np.array([1, 3]), np.array([1.0, 1.0])))
         assert (search.j, search.best) == (0.5, "a")
         assert search.stats == SearchStats(
             inner_loops_skipped=1, sign_completions=1, subproblems_solved=1
@@ -1222,7 +1363,7 @@ class TestBranchLoop:
     def test_a_refused_seed_raises_only_where_a_scan_reaches_it_unskipped(self, score):
         # Seed 1 has 21 on-hyperplane points, past _MAX_ONSET, and 7 of 30
         # points strictly below both copies: at p = 0 the bound skips it
-        # once 30 - 7 > J + 21, i.e. J < 2.  From J = 2.5, seed 0's set of
+        # once 30 - 7 - 21 >= J, i.e. J <= 2.  From J = 2.5, seed 0's set of
         # 28 points passes the bound 2 < J; if it scores 1.5 the scan skips
         # seed 1, and if it scores 9, J stays and the scan raises there.
         n = 30
@@ -1252,6 +1393,48 @@ class TestBranchLoop:
                 with pytest.raises(sf.NoHyperplaneError, match="21 points lie on one candidate"):
                     search.process_chunk(np.zeros((1, 2), dtype=np.intp))
         assert search.stats.subproblems_solved == 1
+
+    def test_the_skip_test_is_the_count_bound_of_base_plus_n0_points(self):
+        # eps = 0.3, p = 1, n = 10: 3 points strictly below both copies, 6
+        # with one copy on the hyperplane.  At J = 0.30000000000000004 the
+        # set of all 9 passes the bound, fl(0.3 * 1) = 0.3 < J, so the seed
+        # is completed; the two-term test fl(0.3 * 7) > fl(J + fl(0.3 * 6))
+        # would have skipped it.  Its other 63 sets are pruned.
+        n, j = 10, 0.30000000000000004
+        assert 0.3 * 7 > j + 0.3 * 6 and 0.3 * (n - 9) < j
+        search = exact._RegressionSearch(random_regression_instance(1, n=n), sf.LossSpec(1, 0.3))
+        search.j = j
+        below = np.zeros((1, 2 * n), dtype=bool)
+        on = np.zeros((1, 2 * n), dtype=bool)
+        below[0, :3], below[0, n : n + 9] = True, True
+        on[0, 3:9] = True
+        fitted = []
+
+        def solve_many(masks):
+            fitted.extend(np.flatnonzero(mask).tolist() for mask in masks)
+            return np.full(len(masks), 1.0), [None] * len(masks)
+
+        search._solve_many = solve_many
+
+        def normals(z, norms, ws=None):
+            h = np.zeros((z.shape[0], z.shape[2]))
+            h[0] = 1.0
+            return h, np.zeros(z.shape[2], dtype=bool)
+
+        masks = (below.T, (below | on).T)
+        with (
+            mock.patch.object(exact, "_batched_normals", normals),
+            mock.patch.object(exact, "_classify", lambda zset, h, ws=None: masks),
+        ):
+            search.process_chunk(np.zeros((1, 1), dtype=np.intp))
+        assert fitted == [list(range(9))]
+        assert search.stats == SearchStats(
+            seeds_enumerated=1,
+            sign_completions=64,
+            subproblems_solved=1,
+            subproblems_pruned=63,
+            max_onset_size=6,
+        )
 
     @pytest.mark.parametrize("extra", [0, 1])
     @pytest.mark.parametrize("fit_first", [False, True])

@@ -131,6 +131,15 @@ class TestRunSweep:
                 ["exact"], [0.1], 1, base, sf.LossSpec(2, 1.0), SamplingConfig(10, 0)
             )
 
+    def test_exact_budget_counts_the_seeds_of_the_search_of_p(self):
+        # C(20, 2) = 190 lifted seeds at p = 2, C(10, 2) = 45 data rows at p = 1
+        base = GeneratorConfig(n=10, d=2, outlier_fraction=0.2, rng_seed=10)
+        sampling = SamplingConfig(10, 0)
+        with pytest.raises(sf.BudgetExceededError, match="needs 190 seeds"):
+            run_sweep(["exact"], [0.2], 1, base, sf.LossSpec(2, 1.0), sampling, exact_budget=100)
+        rows = run_sweep(["exact"], [0.2], 1, base, sf.LossSpec(1, 1.0), sampling, exact_budget=45)
+        assert [r.method for r in rows] == ["exact"]
+
     def test_unknown_method(self):
         base = GeneratorConfig(n=10, d=2, outlier_fraction=0.0, rng_seed=11)
         with pytest.raises(ValueError):

@@ -629,8 +629,8 @@ def _search_counts(data, spec, base, n0):
     """Whether the regression search counts ``base`` and ``n0`` for its one-seed block [0].
 
     n0 is the onset counter; base is read off the block-start bound
-    eps^p (n - base) > J + eps^p n0, which at p = 0 with J = n - n0 - b + o
-    skips the seed exactly when base < b - o: base == b when o = -1/2 skips
+    eps^p (n - base - n0) >= J, which at p = 0 with J = n - n0 - b + o
+    skips the seed exactly when base <= b - o: base == b when o = -1/2 skips
     it and o = +1/2 does not.  The completion step is stubbed out.
     """
     skipped = []
