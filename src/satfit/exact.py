@@ -57,10 +57,13 @@ fit a chunk in stacks of at most ``_STACK_CELLS // n`` sets, bit for bit
 the one-set results: regression through
 :func:`.subsolvers._regression_fits` (one stacked LAD at p = 1, which
 only the sampled search fits, one stacked least squares per set size at
-p = 2, one minimax fit per set at p = 0), the subspace search by one
-stacked SVD per set size.  Skipping a
-repeat cannot change the answer: it would reproduce an objective already
-seen, and only a strictly smaller objective replaces the incumbent.
+p = 2, one minimax fit per set at p = 0), the subspace search by
+:func:`.subsolvers._subspace_fits`: one masked sum of the lifted rows,
+its terms in the workspace's ``scatter``, gives every set's scatter, and
+one batched eigh its top eigenvectors.
+Skipping a repeat cannot change the answer: it would reproduce an
+objective already seen, and only a strictly smaller objective replaces the
+incumbent.
 """
 
 from __future__ import annotations
@@ -101,7 +104,7 @@ from .geometry import (
     lift_regression,
     lift_subspace,
 )
-from .subsolvers import _regression_fits, _size_stacks, _svd_basis
+from .subsolvers import _regression_fits, _subspace_fits
 
 __all__ = [
     "NoHyperplaneError",
@@ -129,7 +132,8 @@ _BRANCH_CELLS = 1 << 20
 
 # Mask cells per stack of new inlier sets fitted and scored together: a
 # chunk of _Search._complete takes at most max(1, _STACK_CELLS // n) sets,
-# so its (sets, n, d) float temporaries stay at most 256 KiB times d.  A stack has a
+# so its (sets, n, d) float temporaries, and the subspace search's
+# (sets, D, n) scatter terms, stay at most 256 KiB times d or D.  A stack has a
 # fixed cost, which small stacks repeat; stacks of several MB run slower per
 # set, since their fresh pages are faulted in on use (the glibc rule is in
 # geometry._Workspace).  Stacking pays most when a call holds many new sets
@@ -918,10 +922,12 @@ class _SubspaceSearch(_Search):
     ``exhaustive`` search at p = 2 also the count bound, which is then
     exact.  Let S be the points within epsilon of an optimal basis, of
     objective J*.  The points outside S each cost eps^2, so
-    J* >= eps^2 (n - |S|).  Under the SVD fit of S a point of S costs at
-    most its squared residual, whose sum over S is at most the sum under
-    the optimal basis, which is what S costs there; a point outside S costs
-    at most eps^2 under any basis.  So the fit of S scores at most J*.  The
+    J* >= eps^2 (n - |S|).  The fit of S, the top eigenvectors of its
+    scatter, is the same minimizer of the squared residuals over S as the
+    SVD of its points.  Under it a point of S costs at most its squared
+    residual, whose sum over S is at most the sum under the optimal basis,
+    which is what S costs there; a point outside S costs at most eps^2
+    under any basis.  So the fit of S scores at most J*.  The
     enumeration of every seed reaches S as a branch, so S fails the bound
     only once J <= J*, when the optimum has been reached.  At p = 0 the fit
     of S is still an L2 fit, which can leave a point of S outside epsilon
@@ -974,14 +980,16 @@ class _SubspaceSearch(_Search):
             words = words.transpose(1, 0, 2, 3).reshape(-1, width)  # frees the level-major copy
             self._complete(words)
 
-    def _solve_many(self, masks: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Fit and score a chunk of inlier sets: one stacked SVD per set size."""
-        x = self.data.x
-        bases = np.empty((masks.shape[0], x.shape[1], self.ds))
-        for sets, points in _size_stacks(masks):
-            bases[sets] = _svd_basis(x[points], self.ds)[0]
-        objectives = np.sum(loss(self.spec, _projection_residuals(x, bases)), axis=1)
-        return objectives, list(bases)
+    def _solve_many(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Fit and score a chunk of inlier sets (B, n) from their lifted rows, the Veronese rows.
+
+        Each objective is :func:`.core.subspace_objective` of its basis, bit for bit.
+        """
+        v, (count, n) = self.zset.z[:, 1:], masks.shape
+        terms = self.workspace.array("scatter", (count, v.shape[1], n))
+        bases = _subspace_fits(v, masks, self.data.d, self.ds, terms)[0]
+        objectives = np.sum(loss(self.spec, _projection_residuals(self.data.x, bases)), axis=1)
+        return objectives, bases
 
     def _winner(self) -> tuple[SubspaceModel, np.ndarray]:
         model = SubspaceModel(self.best)
@@ -1009,12 +1017,14 @@ def exact_subspace(
     a candidate hyperplane; for every sub-subset of the seed and both
     orientations, the points on the chosen side plus the selected seed
     points form a candidate inlier set, which is fitted by the
-    squared-residual subspace solver and scored with the true objective.
+    squared-residual subspace solver (the top eigenvectors of its scatter,
+    as :func:`.subsolvers.solve_subspace_p2` fits it, bit for bit) and
+    scored with the true objective.
     Supports p in {0, 2}.  The p = 2 result is the global minimum for data
     in general position, and p = 2 prunes a candidate set S by the count
     bound eps^2 (n - |S|) >= J as well as by |S| < ds (see
     :class:`_SubspaceSearch`); p = 0 results are flagged ``approximate``,
-    because the SVD fit of a feasible inlier set can leave one of its points
+    because the L2 fit of a feasible inlier set can leave one of its points
     outside epsilon, so the reported outlier count may exceed the optimum,
     and p = 0 prunes by size alone.  ``threads`` is used as in
     :func:`exact_regression`, from 1,024 seeds on and only without

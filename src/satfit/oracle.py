@@ -12,8 +12,9 @@ full dataset with :func:`.core.loss` and keeps the first strictly smaller
 objective, as the exact search scores its branches.  Only the p = 0
 regression fit is a solver of the search
 (:func:`.subsolvers._minimax_fit`); p = 2 regression subsets are fitted by
-``np.linalg.lstsq`` and subspace subsets by the top eigenvectors of their
-scatter matrix from ``np.linalg.eigh``.
+``np.linalg.lstsq`` and subspace subsets by the top left singular vectors
+of their points from ``np.linalg.svd``, a method that shares nothing with
+the search's scatter fit (:func:`.subsolvers._subspace_fits`).
 
 A model's loss is a value it attains, so the certified objective is never
 below the optimum; in exact arithmetic the fit of an optimal inlier set
@@ -169,8 +170,8 @@ def oracle_subspace(data: PointDataset, spec: LossSpec) -> OracleResult:
     """Exhaustively certified minimum of the saturated subspace loss.
 
     Enumerates every candidate inlier subset of size >= the subspace
-    dimension and fits each with the top eigenvectors of its scatter matrix
-    ``x_S.T @ x_S``, the squared-residual optimum, and scores every basis
+    dimension and fits each with the top left singular vectors of
+    ``x_S.T``, the squared-residual optimum, and scores every basis
     with the loss on all n points; for p = 0 that L2 fit can leave a point
     of a feasible set outside eps, as the search's does.  Supports p in
     {0, 2}; refuses datasets with more than 16 points.
@@ -185,7 +186,7 @@ def oracle_subspace(data: PointDataset, spec: LossSpec) -> OracleResult:
 
     def fit(idx):
         xs = data.x[idx]
-        basis = np.linalg.eigh(xs.T @ xs)[1][:, ::-1][:, :ds]
+        basis = np.linalg.svd(xs.T, full_matrices=False)[0][:, :ds]
         return basis, subspace_residuals(data, SubspaceModel(basis))
 
     objective, basis, evaluated = _certify(n, ds, fit, spec, dominated=False)

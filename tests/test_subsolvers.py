@@ -10,8 +10,10 @@ from satfit.subsolvers import (
     _lad_vertices,
     _ls_fit,
     _ls_fits,
-    _svd_basis,
+    _subspace_fits,
 )
+from satfit.exact import _SubspaceSearch
+from satfit.geometry import _veronese_rows
 from lp_reference import DenseLP, _lad_lp, _minimax_lp, lp_solve
 from helpers import (
     exact_fit_dataset,
@@ -433,11 +435,11 @@ class TestSubspaceFit:
             assert best <= np.sum(sf.subspace_residuals(data, rival)[subset] ** 2) + 1e-12
 
     def test_stacked_fits_and_scores_equal_the_one_set_calls(self):
-        # The exact subspace search fits the new inlier sets of a call as one
-        # stack per set size and scores all of them as one stack; it returns
-        # the answers of a set-by-set loop only while every stacked result
-        # equals the one-set call bit for bit.  A numpy or BLAS release that
-        # breaks this must fail here.
+        # The exact subspace search fits the new inlier sets of a call, of
+        # any sizes, as one stack and scores all of them as one stack; it
+        # returns the answers of a set-by-set loop only while every stacked
+        # result equals the one-set call bit for bit.  A numpy or BLAS
+        # release that breaks this must fail here.
         rng = np.random.default_rng(17)
         spec = sf.LossSpec(2, 0.7)
         for _ in range(300):
@@ -445,22 +447,67 @@ class TestSubspaceFit:
             ds = int(rng.integers(1, d))
             n = int(rng.integers(d + 1, 16))
             x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-2, 2, size=(n, 1))
-            size = int(rng.integers(ds, n + 1))
+            v = _veronese_rows(x)
             count = int(rng.integers(1, 40))
-            sets = np.array([np.sort(rng.choice(n, size, replace=False)) for _ in range(count)])
-            bases, gaps = _svd_basis(x[sets], ds)
-            bases = np.ascontiguousarray(bases)
-            gaps = np.broadcast_to(gaps, (count,))
+            masks = np.zeros((count, n), dtype=bool)
+            for mask in masks:
+                mask[rng.choice(n, int(rng.integers(ds, n + 1)), replace=False)] = True
+            bases, lams = _subspace_fits(v, masks, d, ds)
             residuals = _projection_residuals(x, bases)
             scores = np.sum(sf.loss(spec, residuals), axis=1)
-            for b, subset in enumerate(sets):
-                basis, gap = _svd_basis(x[subset], ds)
-                basis = np.ascontiguousarray(basis)
-                assert np.array_equal(bases[b], basis), (d, ds, n, size)
-                assert gaps[b] == gap
-                one = _projection_residuals(x, basis)
-                assert np.array_equal(residuals[b], one), (d, ds, n, size)
+            for b, mask in enumerate(masks):
+                basis, lam = _subspace_fits(v, mask[None], d, ds)
+                assert np.array_equal(bases[b], basis[0]), (d, ds, n, mask)
+                assert np.array_equal(lams[b], lam[0])
+                one = _projection_residuals(x, basis[0])
+                assert np.array_equal(residuals[b], one), (d, ds, n, mask)
                 assert scores[b] == float(np.sum(sf.loss(spec, one)))
+
+    def test_public_fit_is_the_search_fit(self):
+        # solve_subspace_p2 fits a subset as the exact subspace search fits
+        # that inlier set, so the search's answer can be refitted outside it.
+        rng = np.random.default_rng(18)
+        for _ in range(100):
+            d = int(rng.integers(2, 5))
+            ds = int(rng.integers(1, d))
+            n = int(rng.integers(d * (d + 1) // 2, 16))
+            data = sf.PointDataset(rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-2, 2), ds)
+            search = _SubspaceSearch(data, sf.LossSpec(2, 0.5))
+            masks = np.zeros((8, n), dtype=bool)
+            for mask in masks:
+                mask[rng.choice(n, int(rng.integers(ds, n + 1)), replace=False)] = True
+            _, bases = search._solve_many(masks)
+            for mask, basis in zip(masks, bases):
+                model = sf.solve_subspace_p2(data, np.flatnonzero(mask))
+                assert np.array_equal(model.basis, basis), (d, ds, n, mask)
+
+    def test_stretched_sets_keep_the_svd_tail(self):
+        # The accuracy edge of the scatter fit (see _subspace_fits): points
+        # stretched x1e3 along one axis with 1e-3 noise square to a scatter
+        # of condition near 1e12.  Each fit's residual sum must stay within
+        # 1e-3 (tail + eps trace) of the SVD tail sum_(i > ds) sigma_i^2.
+        rng = np.random.default_rng(19)
+        eps = np.finfo(float).eps
+        for _ in range(300):
+            d = int(rng.integers(2, 5))
+            ds = int(rng.integers(1, d))
+            n = int(rng.integers(d + 1, 16))
+            x = np.zeros((n, d))
+            x[:, :ds] = rng.normal(size=(n, ds))
+            x[:, 0] *= 1e3
+            x += 1e-3 * rng.normal(size=(n, d))
+            x = x @ np.linalg.qr(rng.normal(size=(d, d)))[0].T
+            masks = np.zeros((5, n), dtype=bool)
+            for mask in masks:
+                mask[rng.choice(n, int(rng.integers(ds, n + 1)), replace=False)] = True
+            bases, _ = _subspace_fits(_veronese_rows(x), masks, d, ds)
+            residuals = _projection_residuals(x, bases)
+            for mask, r in zip(masks, residuals):
+                sigma = np.linalg.svd(x[mask], compute_uv=False)
+                tail = float(np.sum(sigma[ds:] ** 2))
+                trace = float(np.sum(x[mask] ** 2))
+                got = float(np.sum(r[mask] ** 2))
+                assert abs(got - tail) <= 1e-3 * (tail + eps * trace), (d, ds, mask, got, tail)
 
     def test_tied_spectrum_is_flagged(self):
         data = sf.PointDataset(np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]]), 1)
