@@ -31,9 +31,10 @@ for packing (a regression block with no survivor stops before that).  Its
 block-sized arrays are views of the search's one
 :class:`.geometry._Workspace`, reused block after block: ``rows``,
 ``terms``, ``gathered``, ``minors``, ``normals``, ``margins``, ``below``
-and ``closed``.  The p = 1 scan seeds on data rows and stops after the
-orientation: it reads a model off each usable normal and scores the block
-in ``residuals`` and ``products``.  The exact solvers feed the pipeline
+and ``closed``; it runs on a ufunc buffer one block row long
+(:func:`.geometry._block_buffers`).  The p = 1 scan seeds on data rows and
+stops after the orientation: it reads a model off each usable normal and
+scores the block in ``residuals`` and ``products``.  The exact solvers feed the pipeline
 lexicographic blocks of the enumeration; the sampling variants in
 :mod:`.sampling` blocks of random draws in iteration order.
 
@@ -97,6 +98,7 @@ from .core import (
 from .geometry import (
     ON_HYPERPLANE_TOL,
     _batched_normals,
+    _block_buffers,
     _classify,
     _orient,
     _seed_columns,
@@ -535,9 +537,17 @@ class _Search:
         progress: ProgressFn | None,
         should_stop: StopFn | None,
     ) -> None:
-        """Process blocks of seeds in order, reporting and polling after each."""
+        """Process blocks of seeds in order, reporting and polling after each.
+
+        Each block runs under :func:`.geometry._block_buffers`, numpy's ufunc
+        buffer one block row long: a default buffer spanning several rows of
+        a (size, B) block makes numpy 2.4 copy the broadcast operands of
+        ``_classify`` into it.  ``progress`` and ``should_stop`` run outside
+        it, with the caller's buffer size.
+        """
         for block in blocks:
-            self.process_chunk(block)
+            with _block_buffers(block.shape[1]):
+                self.process_chunk(block)
             if progress is not None:
                 progress(self.stats.seeds_enumerated, self.j)
             if should_stop is not None and should_stop():
@@ -896,9 +906,10 @@ def approx_regression_p0(data: RegressionDataset, spec: LossSpec) -> tuple[Regre
     best_j, best_w = np.inf, None
     total, _ = _rank_tables(lifted.zset.size, d)  # the lifted scan, first, has the larger count
     for block in _lex_blocks(lifted.zset.size, d, 0, total, lifted.seed_block):
-        h, degen, below, _ = lifted._hyperplanes(block)
-        usable = ~degen & (h[0] > ON_HYPERPLANE_TOL)
-        j = np.where(usable, n - _counts(below[:n] & below[n:], axis=0), np.inf)
+        with _block_buffers(block.shape[1]):
+            h, degen, below, _ = lifted._hyperplanes(block)
+            usable = ~degen & (h[0] > ON_HYPERPLANE_TOL)
+            j = np.where(usable, n - _counts(below[:n] & below[n:], axis=0), np.inf)
         i = int(np.argmin(j))  # argmin returns the first minimizer
         if j[i] < best_j:
             best_j, best_w = float(j[i]), h[1:, i] / h[0, i]

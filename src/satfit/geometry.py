@@ -38,10 +38,11 @@ masks.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import combinations
-from typing import Literal
+from typing import Iterator, Literal
 
 import numpy as np
 
@@ -230,6 +231,27 @@ class _Workspace:
         return np.take(source, index, axis=axis, out=out, mode="clip")
 
 
+@contextmanager
+def _block_buffers(width: int) -> Iterator[None]:
+    """numpy's ufunc buffer one row of a block of ``width`` seeds long, for the ``with`` body.
+
+    numpy 2.4 copies a broadcast operand, such as the tolerance column and
+    the 2 eps h[0] row of :func:`_classify`, into its buffer (8,192
+    elements by default) whenever one buffer spans several rows of a
+    (size, B) block.  A buffer of B elements, rounded up to the multiple
+    of 16 numpy requires, spans one row, so the operand is read in place:
+    a 2,048-seed d = 3 block classifies in about half the time.  The size
+    changes no elementwise result and no reduction without a cast.  A
+    casting float reduction sums buffer by buffer, so its bits would depend
+    on the size; a block has none, its only casting sums being the integer
+    counts.  ``np.errstate`` restores the caller's size on exit, an
+    exception included.
+    """
+    with np.errstate():
+        np.setbufsize(-(-width // 16) * 16)
+        yield
+
+
 # Largest lifted dimension m with normals from the minors (m 2^(m-1) products
 # per seed): per 2,048 seeds, 28.5 ms against 35.6 ms for the SVD at m = 9,
 # 60 ms against 33 ms at m = 10 (one BLAS thread).
@@ -358,8 +380,11 @@ def _classify(
     h[0]``, which is ``-fl(g + 2 eps h[0])`` to the bit for g the first
     copy's margin (rounding to nearest is symmetric), so ``g + 2 eps h[0]``
     is written over g and tested against the negated bounds.  The searches
-    call it on blocks of oriented normals (m, B) with their workspace, the
-    public helpers on a one-column stack.
+    call it on blocks of oriented normals (m, B) with their workspace and
+    under :func:`_block_buffers`, whose buffer of one (size, B) row lets
+    numpy read the broadcast tolerance column and 2 eps h[0] row in place
+    rather than copy them into a buffer spanning several rows; the public
+    helpers call it on a one-column stack.
     """
     ws = _Workspace() if ws is None else ws
     head = zset.n_points if zset.kind == "regression" else zset.size

@@ -234,7 +234,7 @@ def _lad_vertices(
     n, d = x.shape
     count = masks.shape[0]
     member = masks.astype(float)
-    sizes = _counts(masks, axis=1)
+    sizes = _counts(masks, axis=1).astype(np.intp)  # widened: the pivot limit passes n
     # the start: normal equations of each set, one matrix call per set
     xt = x.T * member[:, None, :]
     gram, rhs = xt @ x, (xt @ y[:, None])[:, :, 0]

@@ -209,3 +209,12 @@ class TestRowCounts:
             assert np.array_equal(_counts(np.ascontiguousarray(block.T), axis=0), counts)
             assert np.array_equal(_counts(block.T, axis=0), counts)
         assert _counts(mask, axis=1)[:2].tolist() == [300, 70_000]
+
+    @pytest.mark.parametrize("length, dtype", [(32_767, np.int16), (32_768, np.int32)])
+    def test_counts_full_rows_at_the_int16_edge(self, length, dtype):
+        # int16 sums exactly up to 32,767 entries, the longest axis it counts
+        mask = np.ones((2, length), dtype=bool)
+        for block, axis in ((mask, 1), (np.ascontiguousarray(mask.T), 0), (mask.T, 0)):
+            counts = _counts(block, axis=axis)
+            assert counts.dtype == dtype
+            assert counts.tolist() == [length, length]

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 import os
@@ -1690,6 +1691,135 @@ class TestWorkspace:
             tracemalloc.stop()
         assert search.stats.inner_loops_skipped - skipped > 0.9 * rows
         assert peak < rows * data.n * 8 // 2
+
+
+@pytest.fixture(params=[None, 4096], ids=["default", "4096"])
+def caller_bufsize(request):
+    """Run the test under the numpy ufunc buffer size a caller set (None: numpy's default)."""
+    with np.errstate():
+        if request.param is not None:
+            np.setbufsize(request.param)
+        yield np.getbufsize()
+
+
+class TestBlockBuffers:
+    """Each block runs on a ufunc buffer one block row long; the caller's size comes back."""
+
+    def test_a_solve_leaves_the_callers_buffer_size(self, caller_bufsize, monkeypatch):
+        seen, blocks = [], []
+        process_chunk = exact._RegressionSearch.process_chunk
+
+        def spied(self, subsets):
+            blocks.append((subsets.shape[1], np.getbufsize()))
+            return process_chunk(self, subsets)
+
+        def progress(done, j):
+            seen.append(np.getbufsize())
+
+        def stopper(after=None):
+            def stop():
+                seen.append(np.getbufsize())
+                return after is not None and len(seen) >= after
+            return stop
+
+        monkeypatch.setattr(exact._RegressionSearch, "process_chunk", spied)
+        monkeypatch.setattr(exact._RegressionSearch, "seed_block", 1000)  # a buffer of 1,008
+        data, spec = random_regression_instance(2, n=70, d=2), sf.LossSpec(2, 1.0)  # 9,730 seeds
+        sf.exact_regression(data, spec, progress=progress, should_stop=stopper())
+        assert np.getbufsize() == caller_bufsize
+        assert sorted(set(blocks)) == [(730, 736), (1000, 1008)]
+        assert len(seen) == 20 and set(seen) == {caller_bufsize}
+        # cancelled after its second block
+        seen.clear()
+        report = sf.exact_regression(data, spec, should_stop=stopper(after=2))
+        assert report.cancelled and report.seeds_enumerated == 2000
+        assert np.getbufsize() == caller_bufsize and set(seen) == {caller_bufsize}
+        # raising inside a block
+        with pytest.raises(sf.NoHyperplaneError):
+            sf.exact_regression(line_dataset(22), sf.LossSpec(2, 0.5), progress=progress)
+        assert np.getbufsize() == caller_bufsize
+
+    def test_a_forked_solve_leaves_the_callers_buffer_size(self, caller_bufsize, monkeypatch):
+        # 9,730 seeds, above the 8,192 from which threads = 2 forks
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        data, spec = random_regression_instance(2, n=70, d=2), sf.LossSpec(2, 1.0)
+        seen = []
+
+        def progress(done, j):
+            seen.append((done, np.getbufsize()))
+
+        forked = sf.exact_regression(data, spec, threads=2, progress=progress)
+        assert [done for done, _ in seen] == [4865, 9730]  # one call per range: it forked
+        assert {size for _, size in seen} == {caller_bufsize}
+        assert np.getbufsize() == caller_bufsize
+        seq = sf.exact_regression(data, spec)
+        assert forked.objective == seq.objective and np.array_equal(forked.inliers, seq.inliers)
+
+    @pytest.mark.parametrize("width", [2048, 1000, 17, 1])
+    @pytest.mark.parametrize("kind", ["regression", "subspace"])
+    def test_the_rule_changes_no_mask_or_count(self, kind, width):
+        # _classify's masks and the counts of a block under the rule equal
+        # those of numpy's default buffer and of np.count_nonzero; 1,000, 17
+        # and 1 are not multiples of 16
+        if kind == "regression":
+            data = random_regression_instance(4, n=60, d=3, r=0.4)
+            search = exact._RegressionSearch(data, sf.LossSpec(2, 0.9))
+        else:
+            cfg = SubspaceGeneratorConfig(n=20, d=3, subspace_dim=1, outlier_fraction=0.3, rng_seed=4)
+            search = _SubspaceSearch(generate_subspace(cfg)[0], sf.LossSpec(2, 0.6))
+        zset, n = search.zset, search.n
+        total = math.comb(zset.size, search.k)
+        for start in (0, total // 3, total - width):
+            h, _ = search._normals(exact._combination_block(zset.size, search.k, start, start + width))
+            below, closed = (mask.copy() for mask in exact._classify(zset, h))
+            with exact._block_buffers(width):
+                assert np.getbufsize() == -(-width // 16) * 16
+                ruled = exact._classify(zset, h, exact._Workspace())
+                if kind == "regression":
+                    base = exact._counts(ruled[0][:n] & ruled[0][n:], axis=0)
+                    n0 = exact._counts(ruled[1], axis=0) - exact._counts(ruled[0], axis=0)
+                    reach = search.eps_p * (n - base - n0)
+                else:
+                    onset = exact._counts(ruled[1] & ~ruled[0], axis=0)
+            assert np.array_equal(ruled[0], below) and np.array_equal(ruled[1], closed)
+            if kind == "regression":
+                expected_base = np.count_nonzero(below[:n] & below[n:], axis=0)
+                expected_n0 = np.count_nonzero(closed & ~below, axis=0)
+                assert np.array_equal(base, expected_base) and np.array_equal(n0, expected_n0)
+                assert np.array_equal(reach, search.eps_p * (n - expected_base - expected_n0))
+            else:
+                assert np.array_equal(onset, np.count_nonzero(closed & ~below, axis=0))
+            assert below.any() and (closed & ~below).any()
+
+    def test_reports_keep_their_bits_without_the_rule(self, monkeypatch):
+        # The buffer size changes no elementwise result and no reduction
+        # without a cast; with the rule switched off, in scan and in
+        # approx_regression_p0's own block loop, every report keeps its bits.
+        # Blocks of 7 seeds run on buffers of 16 elements, shorter than a
+        # row of 40 points, where a casting sum would change its order.
+        for search in (exact._RegressionSearch, exact._VertexSearch, exact._SubspaceSearch):
+            monkeypatch.setattr(search, "seed_block", 7)
+        monkeypatch.setattr(exact, "_BLOCK", 7)
+        regression = random_regression_instance(3, n=40, d=2)
+        points = small_subspace()
+        cfg = sf.SamplingConfig(270, 2)
+        runs = [
+            *(lambda p=p: sf.exact_regression(regression, sf.LossSpec(p, 0.5)) for p in (0, 1, 2)),
+            *(lambda p=p: sf.sampled_regression(regression, sf.LossSpec(p, 0.5), cfg) for p in (0, 1, 2)),
+            lambda: sf.exact_subspace(points, sf.LossSpec(2, 0.5)),
+            lambda: sf.sampled_subspace(points, sf.LossSpec(0, 0.5), cfg),
+        ]
+        approx = [
+            lambda data=data, eps=eps: sf.approx_regression_p0(data, sf.LossSpec(0, eps))
+            for data, eps in integer_regression_instances(60)
+        ]
+        ruled = [run() for run in runs], [run() for run in approx]
+        monkeypatch.setattr(exact, "_block_buffers", lambda width: contextlib.nullcontext())
+        for a, run in zip(ruled[0], runs):
+            assert_same_report(a, run())
+        for (model, j), run in zip(ruled[1], approx):
+            plain_model, plain_j = run()
+            assert j == plain_j and np.array_equal(model.w, plain_model.w)
 
 
 def test_the_solvers_load_no_module():

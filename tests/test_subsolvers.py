@@ -365,6 +365,16 @@ class TestStackedLad:
         with pytest.raises(sf.SolverFailure, match="pivot guard"):
             _lad_vertices(x, y, masks, max_pivots=0)
 
+    def test_the_default_guard_of_a_large_set(self):
+        # 700 points: the default guard 50 (k + d) + 100 passes 2**15, so it
+        # must not be computed in the dtype of the counts (int16 up to
+        # 32,767 points), where it would wrap negative and raise at once
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(700, 2))
+        y = x @ np.array([1.0, 2.0]) + rng.normal(size=700)
+        w, _, _ = _lad_vertex(x, y)
+        assert np.abs(y - x @ w).sum() <= np.abs(y - x @ np.array([1.0, 2.0])).sum()
+
     def test_certificates_of_a_stack(self):
         # test_lad_certificate's conditions for every set of one stack
         for x, y in vertex_instances():
