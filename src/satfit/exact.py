@@ -26,8 +26,8 @@ point-major ``below`` / ``closed`` masks (size, B) come from the lifted
 classification of :mod:`.geometry` (``_orient``, ``_classify``), their
 counts from :func:`.core._counts` over axis 0 (the on-points number
 count(closed) - count(below)), and only seeds that survive the incumbent
-bound enter the per-seed completion step, their columns turned into rows
-for packing (a regression block with no survivor stops before that).  Its
+bound enter the per-seed completion step, their columns packed into rows
+(a regression block with no survivor stops before that).  Its
 block-sized arrays are views of the search's one
 :class:`.geometry._Workspace`, reused block after block: ``rows``,
 ``terms``, ``gathered``, ``minors``, ``normals``, ``margins``, ``below``
@@ -42,9 +42,10 @@ A completion step (every search but the p = 1 scan) builds the inlier
 sets of its branches as rows of
 W = ceil(n / 64) ``uint64`` words, point i being bit i % 64 of word i // 64.
 The one builder, :func:`_branch_words`, doubles a seed's words level by
-level: regression clears one on-hyperplane point per level in its lifted
-halves, then ANDs them, for a run of seeds of one on-set size at once;
-the subspace search adds one seed point per level to its sides.  The one
+level with its search's rule: regression's rows are data-point sets from
+the classification on, and each level ANDs out the point of one
+on-hyperplane copy, for a run of seeds of one on-set size at once; the
+subspace search XORs a seed point per level into a side lacking it.  The one
 branch loop, ``_Search._complete``, takes at most ``_BRANCH_CELLS`` bits
 per call, counts each set's size |S| off its words, and makes one forward
 pass in row order, with the answer and counters of a scan one row at a
@@ -125,9 +126,10 @@ _MAX_ONSET = 20
 # Bits of branch words (rows times 64 W) per _complete call, so a call's
 # words take at most 128 KiB: the subspace search hands over the branches of
 # max(1, _BRANCH_CELLS // (64 W b)) seeds of b branches, or of one seed;
-# regression the branches of a run of at most _RUN seeds of one n0 that
-# fit, or of one seed, whose 2**n0 branches it splits on their high levels
-# into calls of the largest power of two of rows that fits (at least one),
+# regression the branches of a run of seeds (_RUN_CELLS), and a seed of
+# more than _BRANCH_CELLS bits of rows comes alone, as _RUN_CELLS <=
+# _BRANCH_CELLS: its 2**n0 branches are split on their high levels into
+# calls of the largest power of two of rows that fits (at least one),
 # never all 2**_MAX_ONSET at once.  At small n one call covers many subspace seeds
 # (16,384 rows at n = 10), which amortizes the call's fixed cost.
 _BRANCH_CELLS = 1 << 20
@@ -149,14 +151,14 @@ _BLOCK = 256
 
 # Seeds per run of regression's completion: the seeds that pass the count
 # bound against the live incumbent at the run's start have their branch
-# words built together and reach _Search._complete in one call.  A run's
-# words, with both lifted halves, take at most _RUN_CELLS bits (64 KiB), so
-# its rows, half of that, fit one call of _BRANCH_CELLS bits, and its
-# temporaries stay under glibc's first mmap threshold (the rule is in
+# words built together and reach _Search._complete in one call.  A run of
+# at most _RUN seeds of one n0 takes at most _RUN_CELLS bits of rows
+# (32 KiB), or is one seed, so it fits one call of _BRANCH_CELLS bits, and
+# its temporaries stay under glibc's first mmap threshold (the rule is in
 # geometry._Workspace): runs of 4,096 rows of four words had raised the
 # peak RSS of sampled regression at n = 200 by about 1 MB.
 _RUN = 256
-_RUN_CELLS = 1 << 19
+_RUN_CELLS = 1 << 18
 
 _PARENT_POLL_S = 0.25  # seconds between a worker's checks that its parent is alive
 
@@ -327,18 +329,18 @@ def _bit_words(points: np.ndarray, n: int) -> np.ndarray:
     return words.reshape(*points.shape, words.shape[1])
 
 
-def _branch_words(base: np.ndarray, flips: np.ndarray) -> np.ndarray:
+def _branch_words(base: np.ndarray, flips: np.ndarray, op: np.ufunc) -> np.ndarray:
     """The packed words of every branch of ``base``, in binary counting order.
 
     ``base`` holds words (..., W) and ``flips`` a stack (k, ..., W) of words
     of its shape.  Row b of the (2**k, ..., W) result is ``base`` with
-    ``flips[j]`` applied (XOR) for every set bit j of b: level j writes rows
-    2**j to 2**(j+1) - 1 as rows 0 to 2**j - 1 with ``flips[j]`` applied.
+    ``flips[j]`` applied by ``op`` for every set bit j of b: level j writes
+    rows 2**j to 2**(j+1) - 1 as ``op`` of rows 0 to 2**j - 1 and ``flips[j]``.
     """
     words = np.empty((1 << flips.shape[0], *base.shape), dtype="<u8")
     words[0] = base
     for j, flip in enumerate(flips):
-        np.bitwise_xor(words[: 1 << j], flip, out=words[1 << j : 2 << j])
+        op(words[: 1 << j], flip, out=words[1 << j : 2 << j])
     return words
 
 
@@ -672,35 +674,36 @@ class _RegressionSearch(_Search):
         objectives = np.sum(loss(self.spec, y - (x[None] @ w[:, :, None])[:, :, 0]), axis=1)
         return objectives, list(w)
 
-    def _handle_seed(self, closed: np.ndarray, on: np.ndarray, reach: np.ndarray, size: int) -> None:
-        """Complete a run of seeds of ``size`` on-points each from their lifted masks ``closed`` and ``on``.
+    def _handle_seed(self, closed: np.ndarray, below: np.ndarray, reach: np.ndarray, size: int) -> None:
+        """Complete a run of seeds of ``size`` on-points each from their lifted masks ``closed`` and ``below``.
 
-        ``closed`` (below or on) and ``on`` hold one (2n,) row per seed, and
-        ``reach`` its skip threshold for :meth:`_complete`.  Branch b of a
-        seed puts its on-point t below when bit size - 1 - t of b is 0, the
-        order of ``product((-1, 1), repeat=size)``; its set, the AND of the
-        lifted halves, holds the points whose two lifted copies both lie
-        below the hyperplane.  One :func:`_branch_words` call builds the
-        run's rows, which reach :meth:`_complete` in seed order, then branch
-        order, in one call.  A seed of more than ``_BRANCH_CELLS`` bits of
-        rows comes alone and is split on its high levels into calls of the
-        largest power of two of rows that fits.
+        ``closed`` (below or on) and ``below`` hold one point-major column
+        (2n,) per seed, ``reach`` its skip threshold for :meth:`_complete`.
+        A seed's base row holds the data points whose two lifted copies are
+        both closed.  Branch b puts the seed's t-th on-copy (in lifted
+        order) above when bit size - 1 - t of b is 1, the order of
+        ``product((-1, 1), repeat=size)``, which clears that copy's point:
+        level j of :func:`_branch_words` ANDs out the point of on-copy
+        size - 1 - j.  An XOR would set a point again whose two copies are
+        both on and both above, and add one whose other copy is strictly
+        above.  The run's rows reach :meth:`_complete` in seed order, then
+        branch order, in one call.  A seed of more than ``_BRANCH_CELLS``
+        bits of rows comes alone (``_RUN_CELLS <= _BRANCH_CELLS``) and is
+        split on its high levels into calls of the largest power of two of
+        rows that fits.
         """
-        count, width = closed.shape[0], -(-self.n // 64)
-        halves = _pack(closed.reshape(count, 2, self.n))
-        row, point = np.divmod(np.flatnonzero(on), self.n)  # row 2 * seed + half
-        flips = np.zeros((row.size, 2, width), dtype="<u8")
-        flips[np.arange(row.size), row % 2] = _bit_words(point, self.n)
-        flips = flips.reshape(count, size, 2, width)[:, ::-1].swapaxes(0, 1)  # level j: on-point size - 1 - j
+        n, count, width = self.n, closed.shape[1], -(-self.n // 64)
+        base = _pack(np.ascontiguousarray((closed[:n] & closed[n:]).T))  # packbits is slow across a stride
+        copy, seed = np.divmod(np.flatnonzero(closed & ~below), count)
+        point = (copy % n)[np.argsort(seed, kind="stable")].reshape(count, size)  # seed-major, lifted order
+        flips = ~_bit_words(point[:, ::-1].T, n)  # level j: on-copy size - 1 - j
         cap = max(1, _BRANCH_CELLS // (64 * width))
         if 1 << size > cap:  # one seed
             low = cap.bit_length() - 1
-            for high in _branch_words(halves[0], flips[low:, 0]):
-                words = _branch_words(high, flips[:low, 0])
-                self._complete(words[:, 0] & words[:, 1])
+            for high in _branch_words(base[0], flips[low:, 0], np.bitwise_and):
+                self._complete(_branch_words(high, flips[:low, 0], np.bitwise_and))
             return
-        branches = _branch_words(halves, flips)
-        words = (branches[:, :, 0] & branches[:, :, 1]).swapaxes(0, 1).reshape(-1, width)
+        words = _branch_words(base, flips, np.bitwise_and).swapaxes(0, 1).reshape(-1, width)
         self._complete(words, (np.arange(1, count + 1) << size, reach))
 
     def process_chunk(self, subsets: np.ndarray) -> None:
@@ -723,7 +726,7 @@ class _RegressionSearch(_Search):
         seeds = np.flatnonzero(valid)
         n0 = n0[seeds]
         reach = self.eps_p * (self.n - base[seeds] - n0)
-        cap = max(1, _RUN_CELLS // 2 // (64 * -(-self.n // 64)))  # rows per run
+        cap = max(1, _RUN_CELLS // (64 * -(-self.n // 64)))  # rows per run
         at = 0
         while at < seeds.size:
             kept = at + np.flatnonzero(reach[at:] < self.j)
@@ -742,8 +745,7 @@ class _RegressionSearch(_Search):
             run = kept[: max(1, min(int(other[0]) if other.size else _RUN, cap >> size))]
             stats.inner_loops_skipped += int(run[-1] + 1 - at - run.size)
             columns = seeds[run]
-            closed_rows = np.ascontiguousarray(closed[:, columns].T)
-            self._handle_seed(closed_rows, closed_rows & ~below[:, columns].T, reach[run], size)
+            self._handle_seed(closed[:, columns], below[:, columns], reach[run], size)
             at = int(run[-1]) + 1
 
     def _winner(self) -> tuple[RegressionModel, np.ndarray]:
@@ -987,7 +989,7 @@ class _SubspaceSearch(_Search):
         per_call = max(1, _BRANCH_CELLS // (64 * width << (idx.shape[0] + 1)))
         for first in range(0, idx.shape[1], per_call):
             seeds = slice(first, first + per_call)
-            words = _branch_words(sides[seeds], flips[:, seeds])
+            words = _branch_words(sides[seeds], flips[:, seeds], np.bitwise_xor)
             words = words.transpose(1, 0, 2, 3).reshape(-1, width)  # frees the level-major copy
             self._complete(words)
 

@@ -492,10 +492,10 @@ class TestExactRegression:
         for p in (0, 1, 2):
             spec = sf.LossSpec(p, 0.8)
             whole = lifted_search(data, spec)
-            # at most 3 rows of one word per _complete call and per run (whose
-            # cells count both lifted halves): runs of 2 branches
+            # at most 3 rows of one word per _complete call and per run: runs
+            # of 2 branches
             monkeypatch.setattr(exact, "_BRANCH_CELLS", 3 * 64)
-            monkeypatch.setattr(exact, "_RUN_CELLS", 2 * 3 * 64)
+            monkeypatch.setattr(exact, "_RUN_CELLS", 3 * 64)
             blocked = lifted_search(data, spec)
             monkeypatch.undo()
             assert blocked.objective == whole.objective
@@ -512,9 +512,9 @@ class TestExactRegression:
         # the refusal.
         branch_words = exact._branch_words
 
-        def guarded(base, flips):
+        def guarded(base, flips, op):
             assert flips.shape[0] <= exact._MAX_ONSET, "branch rows built past the limit"
-            return branch_words(base, flips)
+            return branch_words(base, flips, op)
 
         monkeypatch.setattr(exact, "_branch_words", guarded)
         monkeypatch.setattr(exact, "_BRANCH_CELLS", 64 << 24)
@@ -1093,7 +1093,7 @@ def branch_rows(search, subsets, below, on, cells):
         mock.patch.object(exact, "_batched_normals", normals),
         mock.patch.object(exact, "_classify", lambda zset, h, ws=None: masks),
         mock.patch.object(exact, "_BRANCH_CELLS", cells),
-        mock.patch.object(exact, "_RUN_CELLS", 2 * cells),  # a run's cells count both lifted halves
+        mock.patch.object(exact, "_RUN_CELLS", cells),
     ):
         search.process_chunk(subsets)
     return calls
@@ -1127,6 +1127,37 @@ class TestBranchLoop:
         assert max(call.shape[0] for call in calls) <= rows
         assert np.array_equal(np.concatenate(calls).view(np.uint8), padded_packbits(masks))
 
+    @pytest.mark.parametrize("n", [5, 70])
+    @pytest.mark.parametrize("rows", [32, 4])
+    def test_regression_rows_label_each_point_by_its_two_copies(self, n, rows):
+        # Two seeds of four on-copies each.  Seed 0: point a has both copies
+        # on, the twin of on-copy b lies strictly above, c is on in its
+        # second copy only.  Seed 1: b has both copies on, and c and a are
+        # each on in one copy and below in the other.  Point e lies below
+        # in both copies, f below in its first copy only.  At 32 rows per
+        # call both seeds come in one run; at 4 each seed's 16 branches
+        # pass the call cap and are split into calls of 4.
+        a, b, c, e, f = 0, n - 1, n // 2, 1, n // 2 + 1
+        below = np.zeros((2, 2 * n), dtype=bool)
+        on = np.zeros((2, 2 * n), dtype=bool)
+        below[:, [e, n + e, f]] = True
+        on[0, [a, n + a, b, n + c]] = True
+        below[0, c] = True
+        on[1, [b, n + b, c, n + a]] = True
+        below[1, [a, n + c]] = True
+        search = exact._RegressionSearch(sf.RegressionDataset(np.ones((n, 1)), np.zeros(n)), sf.LossSpec(2, 0.5))
+        search.j = np.inf
+        calls = branch_rows(search, np.zeros((1, 2), dtype=np.intp), below, on, rows * 64 * -(-n // 64))
+        assert [call.shape[0] for call in calls] == ([32] if rows == 32 else [4] * 8)
+        expected = []
+        for seed in range(2):
+            copies = np.flatnonzero(on[seed])  # in lifted order
+            for branch in range(1 << copies.size):
+                above = {int(q) for t, q in enumerate(copies) if branch >> (copies.size - 1 - t) & 1}
+                side = [(below[seed, q] or on[seed, q]) and q not in above for q in range(2 * n)]
+                expected.append([side[i] and side[n + i] for i in range(n)])
+        assert np.array_equal(exact._unpack(np.concatenate(calls), n), np.array(expected))
+
     @given(
         n=st.sampled_from([3, 63, 64, 65, 129]),
         k=st.integers(1, 6),
@@ -1153,17 +1184,18 @@ class TestBranchLoop:
         assert np.array_equal(words.view(np.uint8), padded_packbits(masks))
         assert np.array_equal(exact._unpack(words, n), masks)
 
-    def test_branch_words_apply_the_flips_of_the_set_bits(self):
+    @pytest.mark.parametrize("op", [np.bitwise_xor, np.bitwise_and], ids=["xor", "and"])
+    def test_branch_words_apply_the_flips_of_the_set_bits(self, op):
         rng = np.random.default_rng(0)
         base = rng.integers(2**64, size=(2, 3), dtype=np.uint64)
         flips = rng.integers(2**64, size=(4, 2, 3), dtype=np.uint64)
-        words = exact._branch_words(base, flips)
+        words = exact._branch_words(base, flips, op)
         assert words.shape == (16, 2, 3)
         for b in range(16):
             expected = base.copy()
             for j in range(4):
                 if b >> j & 1:
-                    expected ^= flips[j]
+                    expected = op(expected, flips[j])
             assert np.array_equal(words[b], expected)
 
     @given(
